@@ -8,7 +8,7 @@ sets, bounds their size in closed form, and cross-checks everything with
 exact brute-force oracles at desk scale.
 """
 
-from .field_core import ExtField, PrimeField, Subspace, extension, field, find_primitive_poly, rank, span_contains
+from .field_core import ExtField, PrimeField, Subspace, extension, field, find_primitive_poly, span_contains
 from .geometry import (
     PartialSpread,
     PerfectCodePartition,
@@ -28,12 +28,6 @@ from .constructions import (
     canonical_target,
     conjugate_family,
     construct,
-    construct_d2,
-    construct_d4,
-    construct_d5,
-    construct_general_q,
-    construct_perfect,
-    construct_tight,
     find_quintriple_partition_m7,
     quintriple_partition,
     row_sets,

@@ -1,37 +1,26 @@
-"""Closed-form lower/upper/exact values for the maximum number N_q(k,d)
-of pairwise disjoint recovery sets, with regime dispatch.
+"""Lower/upper/exact values for the maximum number N_q(k,d) of pairwise
+disjoint recovery sets.
 
-Each record carries the best lower bound, best upper bound, the exact
-value when matching arguments pin it, and provenance tags naming where
-each contribution comes from.
+The constructive lower bound is the closed-form size of the registry
+entry that construct() builds for (q, k, d).  Upper bounds, the
+non-constructive d = 6 bracket and the exact-value arguments live here.
+Each record carries provenance tags naming where each value comes from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field_core import prime_power
+from .constructions import basic_count, construction_for
 
-# Small values stated outright rather than reached by a formula.
-PINNED_EXACT = {
-    (2, 2, 2): 1,
-    (2, 3, 2): 2,
-    (2, 4, 2): 5,
-    (2, 5, 2): 9,
-    (2, 4, 4): 3,
-    (2, 5, 4): 6,
-    (2, 6, 4): 13,
+# Registry entries whose family is optimal wherever they apply, with the
+# tag of the argument that proves it.
+OPTIMAL = {
+    "whole-space": "whole-space",
+    "three-subspace-rows": "three-subspace-rows",
+    "perfect-code-balls": "perfect-code",
+    "consecutive-powers+line-leftovers": "line-leftovers",
 }
-
-
-def basic_count(q: int, d: int) -> int:
-    return (q**d - 1) // (d * (q - 1))
-
-
-def tight_lower(q: int, k: int, d: int) -> int:
-    """Baseline: consecutive-power sets inside the target plus per-row sets."""
-    rows = (q ** (k - d) - 1) // (q - 1)
-    return basic_count(q, d) + (q**d // (d + 1)) * rows
 
 
 def general_upper(q: int, k: int, d: int) -> int:
@@ -59,51 +48,18 @@ def row_structure_upper(q: int, k: int, d: int, variant: str = "corrected") -> i
     return basic_count(q, d) + rows * middle + (2 * l + rows * t) // (d + 2)
 
 
-def whole_space_exact(q: int, k: int) -> int:
-    return (q**k - 1) // (k * (q - 1))
-
-
 def dimension_one_exact(q: int, k: int) -> int:
     if q % 2 == 0:
         return 1 + (q**k - q) // (2 * (q - 1))
     return 1 + (q ** (k - 1) - 1) // 2 + (q ** (k - 1) - 1) // (3 * (q - 1))
 
 
-def d2_exact(k: int) -> int:
-    return (3 * 2 ** (k - 1) + 1) // 5
-
-
 def d2_packing_upper(k: int) -> int:
     return (3 * 2**k + 3) // 10
 
 
-def d4_exact(k: int) -> int:
-    return (11 * 2 ** (k - 3) - 1) // 7
-
-
-def d5_bracket(k: int) -> tuple[int, int]:
-    return 21 * 2 ** (k - 7) + 1, 21 * 2 ** (k - 7) + 2
-
-
 def d6_bracket(k: int) -> tuple[int, int]:
     return (91 * 2 ** (k - 6) + 12) // 10, (91 * 2 ** (k - 6) + 35) // 10
-
-
-def perfect_code_exact(k: int, d: int) -> int:
-    return (2**d - 1) // d + (2**k - 2**d) // (d + 1)
-
-
-def divisibility_exact(q: int, k: int, d: int) -> int:
-    """Exact value when d+1 divides q^d: no row leaves a leftover."""
-    return basic_count(q, d) + (q**k - q**d) // ((d + 1) * (q - 1))
-
-
-def line_partition_exact(q: int, k: int, d: int) -> int:
-    """Exact value when q > 2, d > 1, k-d even and d+2 divides q+1."""
-    rows = (q ** (k - d) - 1) // (q - 1)
-    t = q**d % (d + 1)
-    extra = rows * t // (d + 2)
-    return basic_count(q, d) + rows * (q**d // (d + 1)) + extra
 
 
 @dataclass(frozen=True)
@@ -129,45 +85,37 @@ class BoundsRecord:
 
 
 def bound(q: int, k: int, d: int, row_upper_variant: str = "corrected") -> BoundsRecord:
-    """Best known bounds on N_q(k,d), with exact value where available."""
-    prime_power(q)
-    if not 1 <= d <= k:
-        raise ValueError("need 1 <= d <= k")
-    lowers: list[tuple[int, str]] = [(tight_lower(q, k, d), "consecutive-powers")]
+    """Best known bounds on N_q(k,d), with the exact value where known.
+
+    `lower` is the size of the family construct(q, k, d) builds, or the
+    non-constructive d = 6 formula where that is larger; `upper` is the
+    least of the upper bounds.  When an exact value is known, both are
+    clamped to it, so `lower` can exceed what construct() builds.
+    """
+    entry = construction_for(q, k, d)
+    built = entry.size(q, k, d)
+    lowers: list[tuple[int, str]] = [(built, entry.method)]
     uppers: list[tuple[int, str]] = [
         (general_upper(q, k, d), "size-count"),
         (row_structure_upper(q, k, d, row_upper_variant), "row-structure"),
     ]
     exacts: list[tuple[int, str]] = []
 
-    if d == k:
-        exacts.append((whole_space_exact(q, k), "whole-space"))
+    if entry.method in OPTIMAL:
+        exacts.append((built, OPTIMAL[entry.method]))
     if d == 1:
         exacts.append((dimension_one_exact(q, k), "dimension-one"))
+    if q**d % (d + 1) == 0:
+        # no row leaves a leftover, so the family meets the size count
+        exacts.append((built, "no-row-leftovers"))
     if q == 2 and d == 2:
-        lowers.append((d2_exact(k), "quintriple-rows"))
         uppers.append((d2_packing_upper(k), "packing-lp"))
-        exacts.append((d2_exact(k), "quintriple-rows"))
-    if q == 2 and d == 4:
-        if k >= 7:
-            lowers.append((d4_exact(k), "three-subspace-rows"))
-            exacts.append((d4_exact(k), "three-subspace-rows"))
-    if q == 2 and d == 5 and k >= 7:
-        lo, hi = d5_bracket(k)
-        lowers.append((lo, "line-group-rows"))
-        uppers.append((hi, "line-group-rows"))
+    if entry.method == "line-group-rows":
+        uppers.append((built + 1, "line-group-rows"))
     if q == 2 and d == 6 and k >= 7:
         lo, hi = d6_bracket(k)
         lowers.append((lo, "six-dim-formula"))
         uppers.append((hi, "six-dim-formula"))
-    if q == 2 and d >= 3 and (d & (d + 1)) == 0:
-        exacts.append((perfect_code_exact(k, d), "perfect-code"))
-    if q**d % (d + 1) == 0:
-        exacts.append((divisibility_exact(q, k, d), "no-row-leftovers"))
-    if q > 2 and d > 1 and k > d and (k - d) % 2 == 0 and (q + 1) % (d + 2) == 0:
-        exacts.append((line_partition_exact(q, k, d), "line-leftovers"))
-    if (q, k, d) in PINNED_EXACT:
-        exacts.append((PINNED_EXACT[(q, k, d)], "stated-value"))
 
     provenance = []
     values = {v for v, _ in exacts}

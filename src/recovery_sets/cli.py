@@ -4,21 +4,21 @@ tables, run the packing bound ILP, run the exact oracle.
 Every command emits one JSON document (CSV optionally for tables) with a
 fixed schema: schema_version, command, parameters, payload, timing_ms.
 Payloads are deterministic for fixed parameters; timing stays outside
-the payload.  Exit codes: 0 success, 1 invalid family, 2 bad input,
-3 internal verification failure.
+the payload.  Exit codes: 0 success, 1 invalid family, 2 bad input
+(including instances past the point or field-order ceilings), 3 internal
+verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
 
-from .field_core import Subspace, field, prime_power
-from .geometry import canonical_point
+from .field_core import MAX_FIELD_ORDER, Subspace, field, prime_power
+from .geometry import DEFAULT_POINT_LIMIT, canonical_point, num_points
 from . import bounds as bounds_mod
 from .constructions import RecoveryFamily, canonical_target, construct
 from .ilp import DualSolution, build_ilp_d2, check_dual, export_model, solve_ilp
@@ -116,14 +116,26 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
         raise CliError(f"malformed family document: {exc}") from exc
 
 
-def cmd_construct(args) -> int:
-    started = time.monotonic()
+def _check_instance(q: int, k: int, d: int) -> None:
+    """Refuse bad parameters and instances past the point or field-order
+    ceilings before any tables are built.  The column field F_{q^d} is the
+    largest field a builder or payload needs once the points fit."""
     try:
-        prime_power(args.q)
-        if not 1 <= args.d <= args.k:
-            raise ValueError("need 1 <= d <= k")
+        prime_power(q)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if not 1 <= d <= k:
+        raise CliError("need 1 <= d <= k")
+    # min(k, 64): the count only grows with k, and 2^64 is past the ceiling
+    if num_points(q, min(k, 64)) > DEFAULT_POINT_LIMIT:
+        raise CliError(f"PG({k - 1},{q}) has more points than the ceiling {DEFAULT_POINT_LIMIT}")
+    if q**d > MAX_FIELD_ORDER:
+        raise CliError(f"field order {q}^{d} exceeds the ceiling {MAX_FIELD_ORDER}")
+
+
+def cmd_construct(args) -> int:
+    started = time.monotonic()
+    _check_instance(args.q, args.k, args.d)
     family = construct(args.q, args.k, args.d)
     cert = verify_family(family)
     payload = {
@@ -207,10 +219,8 @@ def cmd_ilp(args) -> int:
 
 def cmd_oracle(args) -> int:
     started = time.monotonic()
+    _check_instance(args.q, args.k, args.d)
     try:
-        prime_power(args.q)
-        if not 1 <= args.d <= args.k:
-            raise ValueError("need 1 <= d <= k")
         cfg = SearchConfig(
             max_set_size=args.max_set_size,
             node_limit=int(args.node_limit) if args.node_limit else None,
@@ -229,7 +239,7 @@ def cmd_oracle(args) -> int:
     }
     doc = _document(
         "oracle",
-        {"q": args.q, "k": args.k, "d": args.d, "threads": args.threads},
+        {"q": args.q, "k": args.k, "d": args.d, "threads": 1},
         payload,
         started,
     )
@@ -282,13 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-set-size", type=int, default=None)
     p.add_argument("--node-limit", type=float, default=None)
     p.add_argument("--time-limit", type=float, default=None)
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("RECOVERY_SETS_THREADS", "1")),
-        help="worker budget for the search (evaluation is serial; results "
-        "are deterministic regardless)",
-    )
     p.set_defaults(func=cmd_oracle)
     return parser
 
@@ -296,9 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) is not None and getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except CliError as exc:

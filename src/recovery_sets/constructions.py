@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
+from typing import Callable
 
 from .field_core import (
     Echelon,
@@ -38,7 +39,10 @@ from .geometry import (
     full_spread,
     hamming_partition,
     lifted_partial_spread,
+    num_points,
 )
+
+Sets = list[frozenset[Point]]
 
 # ---------------------------------------------------------------------------
 # Family containers
@@ -101,7 +105,12 @@ def conjugate_family(family: RecoveryFamily, new_target: Subspace) -> RecoveryFa
 # ---------------------------------------------------------------------------
 
 
-def basic_sets_from_Td(q: int, d: int) -> tuple[list[frozenset[Point]], list[Point]]:
+def basic_count(q: int, d: int) -> int:
+    """Sets of d consecutive alpha powers that fit inside the target."""
+    return (q**d - 1) // (d * (q - 1))
+
+
+def basic_sets_from_Td(q: int, d: int) -> tuple[Sets, list[Point]]:
     """Sets of d consecutive alpha powers inside the target space itself.
 
     Returns floor((q^d-1)/(d(q-1))) recovery sets as points of PG(d-1,q),
@@ -112,7 +121,7 @@ def basic_sets_from_Td(q: int, d: int) -> tuple[list[frozenset[Point]], list[Poi
     fld = field(q)
     colf = extension(fld, d)
     r = (q**d - 1) // (q - 1)
-    nsets = r // d
+    nsets = basic_count(q, d)
     pt = lambda e: canonical_point(colf.to_vector(colf.alpha_pow(e)), fld)
     sets = [
         frozenset(pt(i * d + j) for j in range(d)) for i in range(nsets)
@@ -368,13 +377,10 @@ def _bits(enc: int, m: int) -> Vector:
     return tuple(enc >> i & 1 for i in range(m))
 
 
-def construct_d2(k: int) -> RecoveryFamily:
-    """Exactly floor((3*2^(k-1)+1)/5) disjoint recovery sets for a binary
-    2-subspace: one pair inside the target, one 3-set per other row, and
-    one 5-set per quintriple of row leftovers, with the remainder classes
-    contributing one final set."""
-    if k < 2:
-        raise ValueError("need k >= 2")
+def _quintriple_rows(k: int) -> Sets:
+    """Binary d = 2: one pair inside the target, one 3-set per other row,
+    and one 5-set per quintriple of row leftovers, with the remainder
+    classes contributing one final set."""
     fld = field(2)
     colf = extension(fld, 2)
     m = k - 2
@@ -424,9 +430,7 @@ def construct_d2(k: int) -> RecoveryFamily:
     for x in range(1, 1 << m):
         lo = leftover_col.get(x, 0)
         sets.append(frozenset(pt(x, c) for c in (0, u, v, w) if c != lo))
-    sets.extend(extra)
-    expected = (3 * 2 ** (k - 1) + 1) // 5
-    return RecoveryFamily(2, k, 2, canonical_target(2, k, 2), sets, "quintriple-rows", expected)
+    return sets + extra
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +455,16 @@ def _three_subspace_partition(m: int):
     return parts, base, shift
 
 
-def construct_d4(k: int) -> RecoveryFamily:
-    """floor((11*2^(k-3)-1)/7) disjoint recovery sets for a binary
-    4-subspace when k >= 7; the pinned small families for k = 4, 5, 6.
+def _three_subspace_rows(k: int) -> Sets:
+    """Binary d = 4, k > 4; a pinned thirteen-set family for k = 6.
 
     Rows are tiled with three 5-sets each; the one leftover per row is
     positioned so that, over each 3-subspace of rows, the seven leftovers
     recover the target through the (3,4) pattern.  The terminal block of
     the 3-subspace ladder spends the three first-row leftovers.
     """
-    if k < 4:
-        raise ValueError("need k >= 4")
+    if k == 6:
+        return _d4_k6_sets()
     fld = field(2)
     colf = extension(fld, 4, (1, 1, 0, 0, 1))
     a = colf.alpha_pow
@@ -476,16 +479,9 @@ def construct_d4(k: int) -> RecoveryFamily:
     first_sets = [frozenset(upt(a(4 * i + j)) for j in range(4)) for i in range(3)]
     first_leftovers = [a(12), a(13), a(14)]
 
-    if k == 6:
-        return _construct_d4_k6()
-
     sets = list(first_sets)
-    if k == 4:
-        return RecoveryFamily(2, 4, 4, canonical_target(2, 4, 4), sets, "three-subspace-rows", 3)
     if k == 5:
-        rs, _ = row_sets((1,), 2, 4)
-        sets.extend(rs)
-        return RecoveryFamily(2, 5, 4, canonical_target(2, 5, 4), sets, "three-subspace-rows", 6)
+        return sets + row_sets((1,), 2, 4)[0]
 
     parts, base, shift = _three_subspace_partition(m)
     leftover_col: dict[int, int] = {}
@@ -547,12 +543,10 @@ def construct_d4(k: int) -> RecoveryFamily:
         spec = ("zero", 0) if lo == 0 else ("alpha", colf.dlog(lo))
         rs, _ = row_sets(_bits(x, m), 2, 4, spec)
         sets.extend(rs)
-    sets.extend(extra)
-    expected = (11 * 2 ** (k - 3) - 1) // 7
-    return RecoveryFamily(2, k, 4, canonical_target(2, k, 4), sets, "three-subspace-rows", expected)
+    return sets + extra
 
 
-def _construct_d4_k6() -> RecoveryFamily:
+def _d4_k6_sets() -> Sets:
     """The pinned thirteen-set family for (q, k, d) = (2, 6, 4)."""
     fld = field(2)
     colf = extension(fld, 4, (1, 1, 0, 0, 1))
@@ -574,7 +568,7 @@ def _construct_d4_k6() -> RecoveryFamily:
         [pt(0, a(11)), pt(0, a(12)), pt(0, a(13)),
          pt(1, a(14)), pt(2, a(14)), pt(3, a(14))]
     ))
-    return RecoveryFamily(2, 6, 4, canonical_target(2, 6, 4), sets, "three-subspace-rows", 13)
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +576,11 @@ def _construct_d4_k6() -> RecoveryFamily:
 # ---------------------------------------------------------------------------
 
 
-def construct_d5(k: int) -> RecoveryFamily:
-    """21*2^(k-7) + 1 disjoint recovery sets for a binary 5-subspace,
-    k >= 7.  Rows carry five 6-sets and two leftovers each; leftovers are
-    stitched over groups of four disjoint lines of F_2^{k-5} into 8-sets,
-    with the parity-dependent remainder (a spare line or a 3-subspace)
-    absorbing the first-row leftover."""
-    if k < 7:
-        raise ValueError("need k >= 7")
+def _line_group_rows(k: int) -> Sets:
+    """Binary d = 5, k >= 7.  Rows carry five 6-sets and two leftovers
+    each; leftovers are stitched over groups of four disjoint lines of
+    F_2^{k-5} into 8-sets, with the parity-dependent remainder (a spare
+    line or a 3-subspace) absorbing the first-row leftover."""
     fld = field(2)
     colf = extension(fld, 5, (1, 0, 1, 0, 0, 1))
     a = colf.alpha_pow
@@ -653,9 +644,7 @@ def construct_d5(k: int) -> RecoveryFamily:
     for x in range(1, 1 << m):
         rs, _ = row_sets(_bits(x, m), 2, 5, leftover_spec[x])
         sets.extend(rs)
-    sets.extend(extra)
-    expected = 21 * 2 ** (k - 7) + 1
-    return RecoveryFamily(2, k, 5, canonical_target(2, k, 5), sets, "line-group-rows", expected)
+    return sets + extra
 
 
 # ---------------------------------------------------------------------------
@@ -663,16 +652,10 @@ def construct_d5(k: int) -> RecoveryFamily:
 # ---------------------------------------------------------------------------
 
 
-def construct_perfect(k: int, d: int) -> RecoveryFamily:
+def _perfect_code_balls(k: int, d: int) -> Sets:
     """For d = 2^m - 1, each nonzero row splits into 2^d/(d+1) translated
-    Hamming balls, every ball spanning the target; together with the
-    first-row sets this meets the exact count
-    floor((2^d-1)/d) + (2^k - 2^d)/(d+1)."""
+    Hamming balls, every ball spanning the target."""
     m = (d + 1).bit_length() - 1
-    if d < 3 or (1 << m) - 1 != d:
-        raise ValueError(f"d={d} is not of the form 2^m - 1 with m >= 2")
-    if k < d:
-        raise ValueError("need k >= d")
     fld = field(2)
     colf = extension(fld, d)
     mm = k - d
@@ -686,18 +669,16 @@ def construct_perfect(k: int, d: int) -> RecoveryFamily:
     for x in range(1, 1 << mm):
         for ball in balls:
             sets.append(frozenset(pt(x, word) for word in ball))
-    expected = (2**d - 1) // d + (2**k - 2**d) // (d + 1)
-    return RecoveryFamily(2, k, d, canonical_target(2, k, d), sets, "perfect-code-balls", expected)
+    return sets
 
 
 # ---------------------------------------------------------------------------
-# General q
+# Consecutive powers, and the line-spread leftovers for q > 2
 # ---------------------------------------------------------------------------
 
 
 def _tight_pieces(q: int, k: int, d: int):
-    """Basic first-block sets plus default row sets for every row."""
-    fld = field(q)
+    """The basic sets inside the target, and every row of the layout."""
     base_sets, _ = basic_sets_from_Td(q, d)
     prefix = (0,) * (k - d)
     sets = [frozenset(prefix + p for p in s) for s in base_sets]
@@ -713,56 +694,44 @@ def _all_rows(q: int, k: int, d: int) -> list[Vector]:
     return enumerate_points(q, k - d)
 
 
-def construct_tight(q: int, k: int, d: int) -> RecoveryFamily:
-    """The baseline family: floor((q^d-1)/(d(q-1))) sets inside the target
-    plus floor(q^d/(d+1)) sets per row; leftovers are not used."""
-    if not 1 <= d <= k:
-        raise ValueError("need 1 <= d <= k")
+def _consecutive_powers(q: int, k: int, d: int) -> Sets:
+    """The baseline: floor((q^d-1)/(d(q-1))) sets inside the target plus
+    floor(q^d/(d+1)) sets per row; leftovers are not used."""
     sets, rows = _tight_pieces(q, k, d)
     for x in rows:
         rs, _ = row_sets(x, q, d)
         sets.extend(rs)
-    expected = (q**d - 1) // (d * (q - 1)) + (q**d // (d + 1)) * len(rows)
-    return RecoveryFamily(q, k, d, canonical_target(q, k, d), sets, "consecutive-powers", expected)
+    return sets
 
 
-def construct_general_q(q: int, k: int, d: int) -> RecoveryFamily:
-    """Baseline sets for q > 2, plus the line-spread leftover sets in the
-    regime where d+2 divides q+1 and k-d is even.  Outside that regime the
-    baseline family is returned with a note naming the obstruction."""
-    if q <= 2:
-        raise ValueError("use the binary constructions for q = 2")
-    if not 1 <= d <= k:
-        raise ValueError("need 1 <= d <= k")
+def _line_leftover_gap(q: int, k: int, d: int) -> str | None:
+    """None when the line-spread leftover sets apply (for q > 2);
+    otherwise the note naming what blocks them, empty when rows have no
+    leftovers to stitch."""
+    if q**d % (d + 1) == 0:
+        return ""
+    if d < 2:
+        return "leftover enhancement needs d >= 2"
+    if (q + 1) % (d + 2) != 0:
+        return f"leftover enhancement needs d+2 | q+1 (q={q}, d={d})"
+    if k == d or (k - d) % 2 != 0:
+        return f"leftover enhancement needs even k-d (k-d={k - d})"
+    return None
+
+
+def _consecutive_powers_notes(q: int, k: int, d: int) -> list[str]:
+    gap = _line_leftover_gap(q, k, d) if q > 2 else None
+    return [gap] if gap else []
+
+
+def _line_leftovers(q: int, k: int, d: int) -> Sets:
+    """Baseline sets for q > 2, plus sets stitched from row leftovers along
+    a line spread of the rows: each line's q+1 rows split into groups of
+    d+2, and each group yields q^d mod (d+1) layered sets."""
     fld = field(q)
     colf = extension(fld, d)
     t = q**d % (d + 1)
-    notes: list[str] = []
-    enhance = True
-    if t == 0:
-        enhance = False
-    elif d < 2:
-        enhance = False
-        notes.append("leftover enhancement needs d >= 2")
-    elif (q + 1) % (d + 2) != 0:
-        enhance = False
-        notes.append(f"leftover enhancement needs d+2 | q+1 (q={q}, d={d})")
-    elif k == d or (k - d) % 2 != 0:
-        enhance = False
-        notes.append(f"leftover enhancement needs even k-d (k-d={k - d})")
-
     sets, rows = _tight_pieces(q, k, d)
-    expected = (q**d - 1) // (d * (q - 1)) + (q**d // (d + 1)) * len(rows)
-
-    if not enhance:
-        for x in rows:
-            rs, _ = row_sets(x, q, d)
-            sets.extend(rs)
-        return RecoveryFamily(
-            q, k, d, canonical_target(q, k, d), sets, "consecutive-powers",
-            expected, notes,
-        )
-
     leftover_spec: dict[Vector, tuple] = {}
     extra: list[frozenset[Point]] = []
     target = canonical_target(q, k, d)
@@ -787,8 +756,7 @@ def construct_general_q(q: int, k: int, d: int) -> RecoveryFamily:
             if t >= 2:
                 ws = _search_layer_values(xs, tail, colf, fld, target, k, d)
                 if ws is None:
-                    notes.append("no layered leftover values found for one group")
-                    continue
+                    raise RuntimeError(f"no layered leftover values for a line group of {(q, k, d)}")
                 w1, w2 = ws
                 for x in tail:
                     leftover_spec[x] = ("zero", colf.dlog(w1 if x == tail[0] else w2) + 1)
@@ -802,12 +770,7 @@ def construct_general_q(q: int, k: int, d: int) -> RecoveryFamily:
     for x in rows:
         rs, _ = row_sets(x, q, d, leftover_spec.get(x))
         sets.extend(rs)
-    sets.extend(extra)
-    t_sets = len(extra)
-    return RecoveryFamily(
-        q, k, d, target, sets, "consecutive-powers+line-leftovers",
-        expected + t_sets, notes,
-    )
+    return sets + extra
 
 
 def _search_layer_values(xs, tail, colf, fld, target, k, d):
@@ -828,29 +791,81 @@ def _search_layer_values(xs, tail, colf, fld, target, k, d):
 
 
 # ---------------------------------------------------------------------------
-# Dispatcher
+# Registry
 # ---------------------------------------------------------------------------
 
 
-def construct(q: int, k: int, d: int) -> RecoveryFamily:
-    """Route to the best known construction for (q, k, d)."""
+@dataclass(frozen=True)
+class Construction:
+    """One builder: its method tag, where it applies, the closed-form
+    number of sets it gives there, and the builder itself."""
+
+    method: str
+    applies: Callable[[int, int, int], bool]
+    size: Callable[[int, int, int], int]
+    build: Callable[[int, int, int], Sets]
+    notes: Callable[[int, int, int], list[str]] = lambda q, k, d: []
+
+
+def _tight_size(q: int, k: int, d: int) -> int:
+    return basic_count(q, d) + (q**d // (d + 1)) * num_points(q, k - d)
+
+
+# Ordered: construct() takes the first entry that applies, and the last
+# applies everywhere.  bound() reads its constructive lower bound here.
+REGISTRY = (
+    Construction("whole-space", lambda q, k, d: d == k, _tight_size, _consecutive_powers),
+    Construction(
+        "quintriple-rows",
+        lambda q, k, d: q == 2 and d == 2,
+        lambda q, k, d: (3 * 2 ** (k - 1) + 1) // 5,
+        lambda q, k, d: _quintriple_rows(k),
+    ),
+    Construction(
+        "three-subspace-rows",
+        lambda q, k, d: q == 2 and d == 4,
+        lambda q, k, d: 13 if k == 6 else (11 * 2 ** (k - 3) - 1) // 7,
+        lambda q, k, d: _three_subspace_rows(k),
+    ),
+    Construction(
+        "line-group-rows",
+        lambda q, k, d: q == 2 and d == 5 and k >= 7,
+        lambda q, k, d: 21 * 2 ** (k - 7) + 1,
+        lambda q, k, d: _line_group_rows(k),
+    ),
+    # d+1 = 2^m divides 2^d: rows leave no leftovers, so the balls reach
+    # the consecutive-power count.
+    Construction(
+        "perfect-code-balls",
+        lambda q, k, d: q == 2 and d >= 3 and d & (d + 1) == 0,
+        _tight_size,
+        lambda q, k, d: _perfect_code_balls(k, d),
+    ),
+    Construction(
+        "consecutive-powers+line-leftovers",
+        lambda q, k, d: q > 2 and _line_leftover_gap(q, k, d) is None,
+        lambda q, k, d: _tight_size(q, k, d) + num_points(q, k - d) * (q**d % (d + 1)) // (d + 2),
+        _line_leftovers,
+    ),
+    Construction(
+        "consecutive-powers", lambda q, k, d: True, _tight_size, _consecutive_powers,
+        _consecutive_powers_notes,
+    ),
+)
+
+
+def construction_for(q: int, k: int, d: int) -> Construction:
+    """The registry entry that construct(q, k, d) builds."""
     prime_power(q)
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= k")
-    if d == k:
-        sets, _ = basic_sets_from_Td(q, d)
-        expected = (q**d - 1) // (d * (q - 1))
-        return RecoveryFamily(
-            q, k, d, canonical_target(q, k, d), list(sets), "whole-space", expected
-        )
-    if q == 2:
-        if d == 2:
-            return construct_d2(k)
-        if d == 4:
-            return construct_d4(k)
-        if d == 5:
-            return construct_d5(k)
-        if d >= 3 and (d & (d + 1)) == 0:
-            return construct_perfect(k, d)
-        return construct_tight(2, k, d)
-    return construct_general_q(q, k, d)
+    return next(c for c in REGISTRY if c.applies(q, k, d))
+
+
+def construct(q: int, k: int, d: int) -> RecoveryFamily:
+    """The family of the first registry entry that applies to (q, k, d)."""
+    c = construction_for(q, k, d)
+    return RecoveryFamily(
+        q, k, d, canonical_target(q, k, d), c.build(q, k, d), c.method,
+        c.size(q, k, d), c.notes(q, k, d),
+    )

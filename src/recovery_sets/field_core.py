@@ -462,15 +462,6 @@ class Echelon:
         return len(self.rows)
 
 
-def rank(vectors: Iterable[Vector], fld: Field) -> int:
-    """Rank of the matrix whose rows are the given vectors."""
-    vecs = list(vectors)
-    dims = {len(v) for v in vecs}
-    if len(dims) > 1:
-        raise ValueError("vectors have mixed ambient dimensions")
-    return Echelon(fld, vecs).rank
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_q^ambient held as its canonical RREF basis."""
@@ -495,17 +486,6 @@ class Subspace:
 
     def contains(self, vec: Vector, fld: Field) -> bool:
         return Echelon(fld, self.basis).contains(vec)
-
-    def vectors(self, fld: Field) -> Iterable[Vector]:
-        """All q^dim vectors of the subspace (small spaces only)."""
-        from itertools import product
-
-        for coeffs in product(fld.elements(), repeat=self.dim):
-            acc = [0] * self.ambient
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    acc = [fld.add(a, fld.mul(c, b)) for a, b in zip(acc, row)]
-            yield tuple(acc)
 
 
 def span_contains(generators: Iterable[Vector], target: Subspace | Iterable[Vector], fld: Field) -> bool:

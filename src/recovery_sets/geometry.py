@@ -22,7 +22,6 @@ from itertools import product
 from .field_core import (
     ExtField,
     Field,
-    Subspace,
     Vector,
     extension,
     field,
@@ -160,7 +159,6 @@ class SpreadPart:
     F_q-linear and bijective, so additive structure transports through it.
     """
 
-    subspace: Subspace
     from_field: tuple[int, ...]
 
     def elements(self) -> tuple[int, ...]:
@@ -173,8 +171,6 @@ class PartialSpread:
     ambient_dim: int
     part_dim: int
     parts: list[SpreadPart]
-    residual: Subspace | None = None
-    part_field: ExtField | None = None
 
 
 def _part_from_span(amb: ExtField, images: list[int]) -> SpreadPart:
@@ -188,9 +184,7 @@ def _part_from_span(amb: ExtField, images: list[int]) -> SpreadPart:
             if ci:
                 acc = amb.add(acc, amb.mul(ci, img))
         from_field.append(acc)
-    fld = amb.base
-    basis_vecs = [amb.to_vector(v) for v in images]
-    return SpreadPart(Subspace.span(basis_vecs, fld, amb.n), tuple(from_field))
+    return SpreadPart(tuple(from_field))
 
 
 def full_spread(q: int, n: int, t: int) -> PartialSpread:
@@ -210,14 +204,14 @@ def full_spread(q: int, n: int, t: int) -> PartialSpread:
         shift = amb.alpha_pow(i)
         images = [amb.mul(shift, b) for b in sub_basis]
         parts.append(_part_from_span(amb, images))
-    return PartialSpread(q, n, t, parts, None, extension(fld, t))
+    return PartialSpread(q, n, t, parts)
 
 
 def lifted_partial_spread(q: int, n: int, t: int) -> PartialSpread:
     """q^{n-t} pairwise disjoint t-subspaces spanned by [I_t | M_a], where
     row i of M_a is the F_q-vector of a*gamma^(i-1) for a primitive gamma
     of F_{q^{n-t}}; distinct a give matrices whose difference has full
-    rank, so the lifted subspaces meet only in zero.  The residual is the
+    rank, so the lifted subspaces meet only in zero.  They leave out the
     (n-t)-subspace of vectors whose t leading coordinates vanish."""
     if t < 1 or t > n - t:
         raise ValueError(f"lifting needs t <= n - t, got t={t}, n={n}")
@@ -232,11 +226,7 @@ def lifted_partial_spread(q: int, n: int, t: int) -> PartialSpread:
             high = ext.mul(a, ext.alpha_pow(i)) if a else 0
             images.append(q**i + high * qt)
         parts.append(_part_from_span(amb, images))
-    residual_rows = [
-        tuple(1 if j == i else 0 for j in range(n)) for i in range(t, n)
-    ]
-    residual = Subspace(n, tuple(residual_rows))
-    return PartialSpread(q, n, t, parts, residual, extension(fld, t))
+    return PartialSpread(q, n, t, parts)
 
 
 def binary_line_partition(n: int) -> PartialSpread:
@@ -259,11 +249,7 @@ def binary_line_partition(n: int) -> PartialSpread:
             parts.append(_part_from_span(amb, images))
         nn -= 2
         shift += 2
-    residual_rows = [
-        tuple(1 if j == shift + i else 0 for j in range(n)) for i in range(3)
-    ]
-    residual = Subspace(n, tuple(residual_rows))
-    return PartialSpread(2, n, 2, parts, residual, extension(2, 2))
+    return PartialSpread(2, n, 2, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +271,6 @@ class PerfectCodePartition:
     length: int
     codewords: tuple[int, ...]
     balls: tuple[frozenset[int], ...] = dc_field(repr=False)
-
-    def decode(self, word: int) -> int:
-        s = 0
-        w = word
-        j = 0
-        while w:
-            if w & 1:
-                s ^= j + 1
-            w >>= 1
-            j += 1
-        return word if s == 0 else word ^ (1 << (s - 1))
 
 
 def hamming_partition(m: int) -> PerfectCodePartition:

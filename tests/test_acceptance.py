@@ -9,14 +9,9 @@ verifier recertifies every family from raw points).
 import time
 from fractions import Fraction
 
-from recovery_sets.bounds import bound, d5_bracket, d6_bracket
+from recovery_sets.bounds import bound, d6_bracket
 from recovery_sets.constructions import (
     construct,
-    construct_d2,
-    construct_d4,
-    construct_d5,
-    construct_general_q,
-    construct_perfect,
     find_quintriple_partition_m7,
     quintriple_partition,
 )
@@ -69,7 +64,7 @@ def test_criterion_2_d2_exactness():
     sizes = {}
     for k in range(2, 15):
         want = (3 * 2 ** (k - 1) + 1) // 5
-        certified(construct_d2(k), want)
+        certified(construct(2, k, 2), want)
         sizes[k] = want
     for k in range(4, 17):
         optimum, _ = solve_ilp(build_ilp_d2(k))
@@ -91,7 +86,7 @@ def test_criterion_3_perfect_code():
     started = time.monotonic()
     for d, k in ((3, 6), (3, 9), (7, 14)):
         want = (2**d - 1) // d + (2**k - 2**d) // (d + 1)
-        certified(construct_perfect(k, d), want)
+        certified(construct(2, k, d), want)
     elapsed = time.monotonic() - started
     assert elapsed < 120
     print(f"\nPASS criterion 3: perfect-code families for (d,k) in "
@@ -101,9 +96,9 @@ def test_criterion_3_perfect_code():
 def test_criterion_4_d4():
     started = time.monotonic()
     for k in range(7, 14):
-        certified(construct_d4(k), (11 * 2 ** (k - 3) - 1) // 7)
+        certified(construct(2, k, 4), (11 * 2 ** (k - 3) - 1) // 7)
     for k, size in ((6, 13), (5, 6), (4, 3)):
-        certified(construct_d4(k), size)
+        certified(construct(2, k, 4), size)
     elapsed = time.monotonic() - started
     print(f"\nPASS criterion 4: d=4 families exact for k=7..13 plus the "
           f"pinned 13/6/3 at k=6/5/4 ({elapsed:.1f}s)")
@@ -113,11 +108,9 @@ def test_criterion_5_d5():
     started = time.monotonic()
     for k in range(7, 13):
         size = 21 * 2 ** (k - 7) + 1
-        certified(construct_d5(k), size)
-        lo, hi = d5_bracket(k)
-        assert hi == lo + 1
+        certified(construct(2, k, 5), size)
         rec = bound(2, k, 5)
-        assert lo <= rec.lower <= size <= rec.upper <= hi
+        assert rec.lower == size <= rec.upper <= size + 1
     elapsed = time.monotonic() - started
     print(f"\nPASS criterion 5: d=5 families hit 21*2^(k-7)+1 for k=7..12, "
           f"inside the width-one bracket ({elapsed:.1f}s)")
@@ -150,7 +143,7 @@ def test_criterion_6_quintriples():
 def test_criterion_7_general_q():
     started = time.monotonic()
     for q, k, d, want in ((3, 4, 2, 14), (5, 5, 4, 164), (7, 4, 2, 134)):
-        certified(construct_general_q(q, k, d), want)
+        certified(construct(q, k, d), want)
         rec = bound(q, k, d)
         assert rec.exact == want, (q, k, d, rec)
     elapsed = time.monotonic() - started
@@ -189,7 +182,7 @@ def test_criterion_8_structural():
             els = set(part.elements())
             assert not (cover & els)
             cover |= els
-        expected = 2**m - 1 if lp.residual is None else 2**m - 8
+        expected = 2**m - 1 if m % 2 == 0 else 2**m - 8
         assert len(cover) == expected
     for m in (2, 3):
         pc = hamming_partition(m)

@@ -3,18 +3,21 @@ import pytest
 from recovery_sets.bounds import (
     bound,
     bound_table,
-    d2_exact,
     d2_packing_upper,
-    d4_exact,
-    d5_bracket,
     d6_bracket,
     dimension_one_exact,
     general_upper,
-    perfect_code_exact,
     row_structure_upper,
-    tight_lower,
-    whole_space_exact,
 )
+from recovery_sets.constructions import REGISTRY
+
+
+def d2_exact(k):
+    return (3 * 2 ** (k - 1) + 1) // 5
+
+
+def d4_exact(k):
+    return (11 * 2 ** (k - 3) - 1) // 7
 
 
 class TestFormulas:
@@ -29,17 +32,16 @@ class TestFormulas:
 
     def test_d5_bracket(self):
         for k in range(7, 13):
-            lo, hi = d5_bracket(k)
-            assert hi == lo + 1
+            lo = 21 * 2 ** (k - 7) + 1
             r = bound(2, k, 5)
-            assert lo <= r.lower <= r.upper <= hi
+            assert lo == r.lower <= r.upper <= lo + 1
 
     def test_d6_values_at_7(self):
         assert d6_bracket(7) == (19, 21)
 
     def test_whole_space(self):
         assert bound(2, 7, 7).exact == 18
-        assert bound(3, 3, 3).exact == whole_space_exact(3, 3) == 4
+        assert bound(3, 3, 3).exact == (3**3 - 1) // (3 * 2) == 4
         assert bound(2, 3, 3).exact == 2
 
     def test_dimension_one(self):
@@ -55,7 +57,7 @@ class TestFormulas:
             assert bound(2, k, 4).exact == d4_exact(k)
 
     def test_perfect_code(self):
-        assert bound(2, 6, 3).exact == perfect_code_exact(6, 3) == 16
+        assert bound(2, 6, 3).exact == (2**3 - 1) // 3 + (2**6 - 2**3) // 4 == 16
         assert bound(2, 14, 7).exact == 18 + (2**14 - 2**7) // 8
 
     def test_q_gt_2_exact_regimes(self):
@@ -104,8 +106,10 @@ class TestGeneralBounds:
                         assert r.lower == r.upper == r.exact
 
     def test_tight_lower_below_exact(self):
+        tight = REGISTRY[-1]
+        assert tight.method == "consecutive-powers"
         for k in range(2, 12):
-            assert tight_lower(2, k, 2) <= d2_exact(k)
+            assert tight.size(2, k, 2) <= d2_exact(k)
 
 
 class TestTable:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from recovery_sets.cli import main
 
 
@@ -28,6 +30,11 @@ class TestConstruct:
     def test_2_6_4(self, capsys):
         code, doc, _ = run_json(capsys, "construct", "--q", "2", "--k", "6", "--d", "4")
         assert code == 0 and doc["payload"]["certificate"]["family_size"] == 13
+
+    def test_2_6_5(self, capsys):
+        code, doc, _ = run_json(capsys, "construct", "--q", "2", "--k", "6", "--d", "5")
+        cert = doc["payload"]["certificate"]
+        assert code == 0 and cert["valid"] and cert["family_size"] == 11
 
     def test_3_4_2(self, capsys):
         code, doc, _ = run_json(capsys, "construct", "--q", "3", "--k", "4", "--d", "2")
@@ -150,9 +157,21 @@ class TestOracle:
         assert code == 0
         assert doc["payload"]["status"] == "lower-bound-only"
 
-    def test_threads_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv("RECOVERY_SETS_THREADS", "4")
+    def test_parameters_document(self, capsys):
         code, doc, _ = run_json(capsys, "oracle", "--q", "2", "--k", "2", "--d", "2")
-        assert code == 0 and doc["parameters"]["threads"] == 4
-        code, _, _ = run_cli(capsys, "oracle", "--q", "2", "--k", "2", "--d", "2", "--threads", "0")
-        assert code == 2
+        assert code == 0
+        assert doc["parameters"] == {"q": 2, "k": 2, "d": 2, "threads": 1}
+
+
+class TestCeilings:
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--q", "2", "--k", "26", "--d", "25"),
+        ("oracle", "--q", "2", "--k", "30", "--d", "2"),
+        ("construct", "--q", "2", "--k", "24", "--d", "2"),
+        ("construct", "--q", "127", "--k", "4", "--d", "4"),
+    ])
+    def test_refused_up_front(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ceiling" in err

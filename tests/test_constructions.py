@@ -1,17 +1,12 @@
 import pytest
 
-from recovery_sets.field_core import Subspace, extension, field, rank, span_contains
+from recovery_sets.field_core import Echelon, Subspace, extension, field, span_contains
 from recovery_sets.constructions import (
     basic_sets_from_Td,
     canonical_target,
     conjugate_family,
     construct,
-    construct_d2,
-    construct_d4,
-    construct_d5,
-    construct_general_q,
-    construct_perfect,
-    construct_tight,
+    construction_for,
     find_quintriple_partition_m7,
     quintriple_partition,
     row_sets,
@@ -45,7 +40,7 @@ class TestBasicSets:
         assert len(sets) == 2 and not leftovers
         f3 = field(3)
         for s in sets:
-            assert len(s) == 2 and rank(list(s), f3) == 2
+            assert len(s) == 2 and Echelon(f3, s).rank == 2
 
 
 class TestRowSets:
@@ -125,27 +120,27 @@ class TestQuintriples:
 class TestD2:
     @pytest.mark.parametrize("k", range(2, 15))
     def test_exact_sizes_certified(self, k):
-        fam = construct_d2(k)
+        fam = construct(2, k, 2)
         assert_valid(fam, (3 * 2 ** (k - 1) + 1) // 5)
 
     def test_pinned_small_values(self):
-        assert len(construct_d2(4).sets) == 5
-        assert len(construct_d2(5).sets) == 9
-        assert len(construct_d2(6).sets) == 19
+        assert len(construct(2, 4, 2).sets) == 5
+        assert len(construct(2, 5, 2).sets) == 9
+        assert len(construct(2, 6, 2).sets) == 19
 
 
 class TestD4:
     @pytest.mark.parametrize("k,size", [(4, 3), (5, 6), (6, 13)])
     def test_pinned(self, k, size):
-        assert_valid(construct_d4(k), size)
+        assert_valid(construct(2, k, 4), size)
 
     @pytest.mark.parametrize("k", range(7, 15))
     def test_formula_sizes(self, k):
-        assert_valid(construct_d4(k), (11 * 2 ** (k - 3) - 1) // 7)
+        assert_valid(construct(2, k, 4), (11 * 2 ** (k - 3) - 1) // 7)
 
     def test_seven_point_pattern(self):
         # the cross-row 7-sets really recover all four basis vectors
-        fam = construct_d4(7)
+        fam = construct(2, 7, 4)
         seven = [s for s in fam.sets if len(s) == 7]
         assert seven
         fld = field(2)
@@ -156,10 +151,10 @@ class TestD4:
 class TestD5:
     @pytest.mark.parametrize("k", range(7, 14))
     def test_formula_sizes(self, k):
-        assert_valid(construct_d5(k), 21 * 2 ** (k - 7) + 1)
+        assert_valid(construct(2, k, 5), 21 * 2 ** (k - 7) + 1)
 
     def test_eight_point_sets_span(self):
-        fam = construct_d5(9)
+        fam = construct(2, 9, 5)
         eights = [s for s in fam.sets if len(s) == 8]
         assert len(eights) == 3 * ((2 ** (9 - 7) - 1) // 3) == 3
         fld = field(2)
@@ -167,41 +162,43 @@ class TestD5:
             assert span_contains(list(s), fam.target, fld)
 
     def test_too_small(self):
-        with pytest.raises(ValueError):
-            construct_d5(6)
+        # line groups need k >= 7; below that the baseline family applies
+        fam = construct(2, 6, 5)
+        assert fam.method == "consecutive-powers"
+        assert_valid(fam, 11)
 
 
 class TestPerfect:
     @pytest.mark.parametrize("k,d", [(6, 3), (9, 3), (3, 3), (14, 7)])
     def test_sizes(self, k, d):
-        fam = construct_perfect(k, d)
+        fam = construct(2, k, d)
         want = (2**d - 1) // d + (2**k - 2**d) // (d + 1)
         assert_valid(fam, want)
 
     def test_rejects_bad_d(self):
-        with pytest.raises(ValueError):
-            construct_perfect(8, 4)
+        methods = {d: construction_for(2, 8, d).method for d in range(1, 8)}
+        assert [d for d, m in methods.items() if m == "perfect-code-balls"] == [3, 7]
 
 
 class TestGeneralQ:
     @pytest.mark.parametrize("q,k,d,size", [(3, 4, 2, 14), (5, 5, 4, 164), (7, 4, 2, 134)])
     def test_exact_regimes(self, q, k, d, size):
-        fam = construct_general_q(q, k, d)
+        fam = construct(q, k, d)
         assert_valid(fam, size)
         assert not fam.notes
 
     def test_unsupported_regime_reported(self):
-        fam = construct_general_q(5, 4, 2)  # 4 does not divide 6
+        fam = construct(5, 4, 2)  # 4 does not divide 6
         assert fam.notes
         assert_valid(fam)
 
     def test_odd_codimension_reported(self):
-        fam = construct_general_q(7, 3, 2)
+        fam = construct(7, 3, 2)
         assert fam.notes
         assert_valid(fam)
 
     def test_tight_binary(self):
-        fam = construct_tight(2, 8, 6)
+        fam = construct(2, 8, 6)
         rows = 2 ** (8 - 6) - 1
         assert_valid(fam, 10 + 9 * rows)
 

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from recovery_sets.field_core import field, rank
+from recovery_sets.field_core import Echelon, field
 from recovery_sets.geometry import enumerate_points
 from recovery_sets.constructions import canonical_target, construct
 from recovery_sets.oracle import SearchConfig, exact_N, minimal_recovery_sets
@@ -33,6 +33,10 @@ class TestExactValues:
     def test_cap_below_d_rejected(self):
         with pytest.raises(ValueError):
             exact_N(2, 4, 3, SearchConfig(max_set_size=2))
+
+
+def rank(vecs, fld):
+    return Echelon(fld, vecs).rank
 
 
 def brute_minimal_sets(q, k, d, cap):
