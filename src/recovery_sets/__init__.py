@@ -10,11 +10,10 @@ exact brute-force oracles at desk scale.
 
 from .field_core import ExtField, PrimeField, Subspace, extension, field, find_primitive_poly, span_contains
 from .geometry import (
+    Layout,
     PartialSpread,
     PerfectCodePartition,
-    TModel,
     binary_line_partition,
-    build_T,
     canonical_point,
     enumerate_points,
     full_spread,

@@ -89,9 +89,7 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
     warnings = []
     try:
         q, k, d = int(payload["q"]), int(payload["k"]), int(payload["d"])
-        prime_power(q)
-        if not 1 <= d <= k:
-            raise ValueError("need 1 <= d <= k")
+        _check_instance(q, k, d)
         fld = field(q)
         raw_target = [tuple(int(c) for c in row) for row in payload["target"]]
         target = Subspace.span(raw_target, fld, k) if raw_target else canonical_target(q, k, d)
@@ -112,7 +110,7 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
         method = str(payload.get("method", "external"))
         fam = RecoveryFamily(q, k, d, target, sets, method)
         return fam, warnings
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"malformed family document: {exc}") from exc
 
 
@@ -182,9 +180,11 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read family document: {exc}") from exc
-    payload = doc.get("payload", doc)
-    family_doc = payload.get("family", payload)
-    family, warnings = family_from_payload(family_doc)
+    for key in ("payload", "family"):
+        if not isinstance(doc, dict):
+            raise CliError("malformed family document: not a JSON object")
+        doc = doc.get(key, doc)
+    family, warnings = family_from_payload(doc)
     cert = verify_family(family)
     out = {"certificate": cert.to_payload(), "warnings": warnings}
     _emit(_document("verify", {"path": args.path}, out, started))
@@ -260,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--format", choices=("json",), default="json")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("bounds", help="tabulate lower/upper/exact bounds")

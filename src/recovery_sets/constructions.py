@@ -23,7 +23,6 @@ from typing import Callable
 from .field_core import (
     Echelon,
     Subspace,
-    Vector,
     extension,
     field,
     left_nullspace,
@@ -32,13 +31,13 @@ from .field_core import (
     span_contains,
 )
 from .geometry import (
+    Layout,
     Point,
     binary_line_partition,
     canonical_point,
-    enumerate_points,
     full_spread,
     hamming_partition,
-    lifted_partial_spread,
+    lifted_ladder,
     num_points,
 )
 
@@ -59,10 +58,6 @@ class RecoveryFamily:
     method: str
     formula_size: int | None = None
     notes: list[str] = dc_field(default_factory=list)
-
-    @property
-    def size(self) -> int:
-        return len(self.sets)
 
 
 def canonical_target(q: int, k: int, d: int) -> Subspace:
@@ -110,82 +105,73 @@ def basic_count(q: int, d: int) -> int:
     return (q**d - 1) // (d * (q - 1))
 
 
-def basic_sets_from_Td(q: int, d: int) -> tuple[Sets, list[Point]]:
+def basic_sets_from_Td(lay: Layout) -> tuple[Sets, list[Point]]:
     """Sets of d consecutive alpha powers inside the target space itself.
 
-    Returns floor((q^d-1)/(d(q-1))) recovery sets as points of PG(d-1,q),
-    plus the trailing leftover points.
+    Returns floor((q^d-1)/(d(q-1))) recovery sets drawn from row 0 of the
+    layout, plus the trailing leftover points.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    fld = field(q)
-    colf = extension(fld, d)
+    q, d = lay.q, lay.d
+    a = lay.col.alpha_pow
     r = (q**d - 1) // (q - 1)
     nsets = basic_count(q, d)
-    pt = lambda e: canonical_point(colf.to_vector(colf.alpha_pow(e)), fld)
     sets = [
-        frozenset(pt(i * d + j) for j in range(d)) for i in range(nsets)
+        frozenset(lay.pt(0, a(i * d + j)) for j in range(d)) for i in range(nsets)
     ]
-    leftovers = [pt(e) for e in range(nsets * d, r)]
+    leftovers = [lay.pt(0, a(e)) for e in range(nsets * d, r)]
     return sets, leftovers
 
 
-def _row_layout(q: int, d: int, leftover=None):
-    """Partition of the q^d column slots of one row into spanning sets.
+def _row_layout(lay: Layout, leftover=None):
+    """Partition of the q^d columns of one row into spanning sets.
 
-    Columns are the zero slot plus the exponent cycle 0..q^d-2 (consecutive
+    Columns are 0 plus alpha^e for e on the cycle 0..q^d-2 (consecutive
     powers wrap around).  `leftover` pins where the q^d mod (d+1) spare
-    slots sit: ("alpha", e) puts them at exponents e..e+t-1, ("zero", e)
-    uses the zero slot plus exponents e..e+t-2.  Returns (sets, leftovers)
-    as lists of column ids, None meaning the zero slot.
+    columns sit: ("alpha", e) puts them at exponents e..e+t-1, ("zero", e)
+    uses column 0 plus exponents e..e+t-2.  Returns (sets, leftovers) as
+    lists of columns.
     """
+    q, d, a = lay.q, lay.d, lay.col.alpha_pow
     N = q**d - 1
     M = q**d // (d + 1)
     t = q**d - M * (d + 1)
     if leftover is None:
         leftover = ("alpha", (N - t) % N)
     kind, e = leftover
-    sets: list[list] = []
+    sets: list[list[int]] = []
     if kind == "alpha":
-        lo: list = [(e + i) % N for i in range(t)]
-        start = (e + t) % N
-        sets.append([None] + [(start + i) % N for i in range(d)])
-        pos = (start + d) % N
+        lo = [a(e + i) for i in range(t)]
+        start = e + t
+        sets.append([0] + [a(start + i) for i in range(d)])
+        pos = start + d
         for _ in range(M - 1):
-            sets.append([(pos + i) % N for i in range(d + 1)])
-            pos = (pos + d + 1) % N
+            sets.append([a(pos + i) for i in range(d + 1)])
+            pos += d + 1
     elif kind == "zero":
         if t == 0:
             raise ValueError("row has no leftover to place on the zero slot")
-        lo = [None] + [(e + i) % N for i in range(t - 1)]
-        pos = (e + t - 1) % N
+        lo = [0] + [a(e + i) for i in range(t - 1)]
+        pos = e + t - 1
         for _ in range(M):
-            sets.append([(pos + i) % N for i in range(d + 1)])
-            pos = (pos + d + 1) % N
+            sets.append([a(pos + i) for i in range(d + 1)])
+            pos += d + 1
     else:
         raise ValueError(f"unknown leftover kind {kind!r}")
     return sets, lo
 
 
-def row_sets(x: Vector, q: int, d: int, leftover=None):
+def row_sets(lay: Layout, x: int, leftover=None):
     """The floor(q^d/(d+1)) disjoint recovery sets drawn from row x.
 
     The first set couples the zero slot with d consecutive powers, the
     others are d+1 consecutive powers; remaining slots are returned as
     leftover points.
     """
-    if not any(x):
+    if not x:
         raise ValueError("row 0 holds the target space itself, not a row")
-    fld = field(q)
-    colf = extension(fld, d)
-
-    def pt(col):
-        y = 0 if col is None else colf.alpha_pow(col)
-        return canonical_point(tuple(x) + colf.to_vector(y), fld)
-
-    col_sets, col_leftovers = _row_layout(q, d, leftover)
-    sets = [frozenset(pt(c) for c in cs) for cs in col_sets]
-    return sets, [pt(c) for c in col_leftovers]
+    col_sets, col_leftovers = _row_layout(lay, leftover)
+    sets = [frozenset(lay.pt(x, y) for y in cs) for cs in col_sets]
+    return sets, [lay.pt(x, y) for y in col_leftovers]
 
 
 # ---------------------------------------------------------------------------
@@ -347,24 +333,21 @@ def quintriple_partition(m: int) -> QuintriplePartition:
     """Partition F_2^m minus zero into quintriples plus the small remainder.
 
     Base cases m = 4..7 are fixed partitions; larger m transports the
-    m = 4 partition through every part of a lifted partial spread and
-    recurses into the residual.
+    m = 4 partition through every part of a lifted spread ladder down to
+    m <= 7 and puts the base partition of that size on the residual.
     """
     if m < 4:
         raise ValueError("need m >= 4")
     if m <= 7:
         return _base_partition(m)
-    spread = lifted_partial_spread(2, m, 4)
-    base = _base_partition(4)
-    quints = []
-    for part in spread.parts:
-        ff = part.from_field
-        for x1, x2, x3, x4, x5 in base.quintriples:
-            quints.append((ff[x1], ff[x2], ff[x3], ff[x4], ff[x5]))
-    sub = quintriple_partition(m - 4)
-    quints.extend(tuple(e << 4 for e in qt) for qt in sub.quintriples)
-    dep4 = tuple(e << 4 for e in sub.dependent_four) if sub.dependent_four else None
-    spare = tuple(e << 4 for e in sub.spare)
+    maps, left = lifted_ladder(m, 4, 7)
+    quints = [
+        tuple(ff[x] for x in qt) for ff in maps for qt in _base_partition(4).quintriples
+    ]
+    sub, shift = _base_partition(left), m - left
+    quints.extend(tuple(e << shift for e in qt) for qt in sub.quintriples)
+    dep4 = tuple(e << shift for e in sub.dependent_four) if sub.dependent_four else None
+    spare = tuple(e << shift for e in sub.spare)
     return QuintriplePartition(m, tuple(quints), dep4, spare)
 
 
@@ -373,22 +356,15 @@ def quintriple_partition(m: int) -> QuintriplePartition:
 # ---------------------------------------------------------------------------
 
 
-def _bits(enc: int, m: int) -> Vector:
-    return tuple(enc >> i & 1 for i in range(m))
-
-
 def _quintriple_rows(k: int) -> Sets:
     """Binary d = 2: one pair inside the target, one 3-set per other row,
     and one 5-set per quintriple of row leftovers, with the remainder
     classes contributing one final set."""
-    fld = field(2)
-    colf = extension(fld, 2)
+    lay = Layout(2, k, 2)
+    colf, pt = lay.col, lay.pt
     m = k - 2
     u, v, w = colf.alpha_pow(0), colf.alpha_pow(1), colf.alpha_pow(2)
     assert colf.add(u, v) == w
-
-    def pt(row_enc: int, col: int) -> Point:
-        return _bits(row_enc, m) + colf.to_vector(col)
 
     sets = [frozenset({pt(0, u), pt(0, w)})]
     leftover_col: dict[int, int] = {}
@@ -427,7 +403,7 @@ def _quintriple_rows(k: int) -> Sets:
             if part.dependent_four:
                 extra.append(dep_four_set(part.dependent_four))
 
-    for x in range(1, 1 << m):
+    for x in lay.rows:
         lo = leftover_col.get(x, 0)
         sets.append(frozenset(pt(x, c) for c in (0, u, v, w) if c != lo))
     return sets + extra
@@ -436,23 +412,6 @@ def _quintriple_rows(k: int) -> Sets:
 # ---------------------------------------------------------------------------
 # d = 4 over F_2
 # ---------------------------------------------------------------------------
-
-
-def _three_subspace_partition(m: int):
-    """Disjoint 3-subspaces of F_2^m (as basis triples) laddered down by
-    lifted partial spreads; the base left standing is F_2^{3,4,5} for
-    m = 0, 1, 2 mod 3 respectively."""
-    base = {0: 3, 1: 4, 2: 5}[m % 3]
-    parts: list[tuple[int, int, int]] = []
-    shift, mm = 0, m
-    while mm > base:
-        level = lifted_partial_spread(2, mm, 3)
-        for part in level.parts:
-            ff = part.from_field
-            parts.append((ff[1] << shift, ff[2] << shift, ff[4] << shift))
-        mm -= 3
-        shift += 3
-    return parts, base, shift
 
 
 def _three_subspace_rows(k: int) -> Sets:
@@ -465,25 +424,19 @@ def _three_subspace_rows(k: int) -> Sets:
     """
     if k == 6:
         return _d4_k6_sets()
-    fld = field(2)
-    colf = extension(fld, 4, (1, 1, 0, 0, 1))
+    lay = Layout(2, k, 4, (1, 1, 0, 0, 1))
+    colf, pt = lay.col, lay.pt
     a = colf.alpha_pow
     m = k - 4
 
-    def pt(row_enc: int, col: int) -> Point:
-        return _bits(row_enc, m) + colf.to_vector(col)
-
-    def upt(col: int) -> Point:
-        return pt(0, col)
-
-    first_sets = [frozenset(upt(a(4 * i + j)) for j in range(4)) for i in range(3)]
+    sets = [frozenset(pt(0, a(4 * i + j)) for j in range(4)) for i in range(3)]
     first_leftovers = [a(12), a(13), a(14)]
-
-    sets = list(first_sets)
     if k == 5:
-        return sets + row_sets((1,), 2, 4)[0]
+        return sets + row_sets(lay, 1)[0]
 
-    parts, base, shift = _three_subspace_partition(m)
+    # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
+    maps, base = lifted_ladder(m, 3, {0: 3, 1: 4, 2: 5}[m % 3])
+    shift = m - base
     leftover_col: dict[int, int] = {}
     extra: list[frozenset[Point]] = []
     u1, u2, u3, u4 = a(0), a(1), a(2), a(3)
@@ -501,8 +454,8 @@ def _three_subspace_rows(k: int) -> Sets:
         leftover_col.update(vals)
         extra.append(frozenset(pt(r, c) for r, c in vals.items()))
 
-    for b1, b2, b3 in parts:
-        add_three_subspace(b1, b2, b3)
+    for ff in maps:
+        add_three_subspace(ff[1], ff[2], ff[4])
 
     if base == 3:
         add_three_subspace(1 << shift, 2 << shift, 4 << shift)
@@ -512,7 +465,7 @@ def _three_subspace_rows(k: int) -> Sets:
         y1, y2, y3, y4 = dep
         leftover_col.update({y1: u1, y2: 0, y3: 0, y4: 0})
         extra.append(frozenset(
-            [upt(c) for c in first_leftovers] + [pt(y1, u1), pt(y2, 0), pt(y3, 0), pt(y4, 0)]
+            [pt(0, c) for c in first_leftovers] + [pt(y1, u1), pt(y2, 0), pt(y3, 0), pt(y4, 0)]
         ))
         for e in (12, 13, 14, 15):
             leftover_col[e << shift] = 0
@@ -524,37 +477,31 @@ def _three_subspace_rows(k: int) -> Sets:
         for gi, group in enumerate(groups):
             w = first_leftovers[gi]
             targets = [c for c in basis_pool if c != w][:3]
-            rows = [_bits(y, m) for y in group]
-            kernel = left_nullspace(rows, fld)[:3]
+            rows = [lay.row_vector(y) for y in group]
+            kernel = left_nullspace(rows, lay.fld)[:3]
             values = [0] * 8
             for r in range(4):
                 rhs = tuple(colf.to_vector(t)[r] for t in targets)
-                sol = solve_linear(kernel, rhs, fld)
+                sol = solve_linear(kernel, rhs, lay.fld)
                 for j, bit in enumerate(sol):
                     values[j] |= bit << r
-            pts = [upt(w)]
+            pts = [pt(0, w)]
             for y, val in zip(group, values):
                 leftover_col[y] = val
                 pts.append(pt(y, val))
             extra.append(frozenset(pts))
 
-    for x in range(1, 1 << m):
+    for x in lay.rows:
         lo = leftover_col.get(x, 0)
         spec = ("zero", 0) if lo == 0 else ("alpha", colf.dlog(lo))
-        rs, _ = row_sets(_bits(x, m), 2, 4, spec)
-        sets.extend(rs)
+        sets.extend(row_sets(lay, x, spec)[0])
     return sets + extra
 
 
 def _d4_k6_sets() -> Sets:
     """The pinned thirteen-set family for (q, k, d) = (2, 6, 4)."""
-    fld = field(2)
-    colf = extension(fld, 4, (1, 1, 0, 0, 1))
-    a = colf.alpha_pow
-
-    def pt(row_enc: int, col: int) -> Point:
-        return _bits(row_enc, 2) + colf.to_vector(col)
-
+    lay = Layout(2, 6, 4, (1, 1, 0, 0, 1))
+    a, pt = lay.col.alpha_pow, lay.pt
     sets = [
         frozenset(pt(0, a(e)) for e in (3, 4, 5, 6)),
         frozenset(pt(0, a(e)) for e in (7, 8, 9, 10)),
@@ -581,14 +528,10 @@ def _line_group_rows(k: int) -> Sets:
     each; leftovers are stitched over groups of four disjoint lines of
     F_2^{k-5} into 8-sets, with the parity-dependent remainder (a spare
     line or a 3-subspace) absorbing the first-row leftover."""
-    fld = field(2)
-    colf = extension(fld, 5, (1, 0, 1, 0, 0, 1))
-    a = colf.alpha_pow
+    lay = Layout(2, k, 5, (1, 0, 1, 0, 0, 1))
+    a, pt = lay.col.alpha_pow, lay.pt
     m = k - 5
     u1, u2, u3, u4, u5 = (a(i) for i in range(5))
-
-    def pt(row_enc: int, col: int) -> Point:
-        return _bits(row_enc, m) + colf.to_vector(col)
 
     sets = [
         frozenset(pt(0, a(1 + 5 * i + j)) for j in range(5)) for i in range(6)
@@ -641,9 +584,8 @@ def _line_group_rows(k: int) -> Sets:
             pt(z1, 0), pt(z1, u1), pt(z2, 0), pt(z2, u2), pt(z3, 0), pt(z3, u3),
             pt(z1 ^ z2 ^ z3, u4), pt(z1 ^ z2 ^ z3, u5)}))
 
-    for x in range(1, 1 << m):
-        rs, _ = row_sets(_bits(x, m), 2, 5, leftover_spec[x])
-        sets.extend(rs)
+    for x in lay.rows:
+        sets.extend(row_sets(lay, x, leftover_spec[x])[0])
     return sets + extra
 
 
@@ -655,20 +597,12 @@ def _line_group_rows(k: int) -> Sets:
 def _perfect_code_balls(k: int, d: int) -> Sets:
     """For d = 2^m - 1, each nonzero row splits into 2^d/(d+1) translated
     Hamming balls, every ball spanning the target."""
-    m = (d + 1).bit_length() - 1
-    fld = field(2)
-    colf = extension(fld, d)
-    mm = k - d
-
-    def pt(row_enc: int, col: int) -> Point:
-        return _bits(row_enc, mm) + colf.to_vector(col)
-
-    base_sets, _ = basic_sets_from_Td(2, d)
-    sets = [frozenset((0,) * mm + p for p in s) for s in base_sets]
-    balls = hamming_partition(m).balls
-    for x in range(1, 1 << mm):
+    lay = Layout(2, k, d)
+    sets, _ = basic_sets_from_Td(lay)
+    balls = hamming_partition((d + 1).bit_length() - 1).balls
+    for x in lay.rows:
         for ball in balls:
-            sets.append(frozenset(pt(x, word) for word in ball))
+            sets.append(frozenset(lay.pt(x, word) for word in ball))
     return sets
 
 
@@ -677,30 +611,13 @@ def _perfect_code_balls(k: int, d: int) -> Sets:
 # ---------------------------------------------------------------------------
 
 
-def _tight_pieces(q: int, k: int, d: int):
-    """The basic sets inside the target, and every row of the layout."""
-    base_sets, _ = basic_sets_from_Td(q, d)
-    prefix = (0,) * (k - d)
-    sets = [frozenset(prefix + p for p in s) for s in base_sets]
-    rows = _all_rows(q, k, d)
-    return sets, rows
-
-
-def _all_rows(q: int, k: int, d: int) -> list[Vector]:
-    if k == d:
-        return []
-    if q == 2:
-        return [_bits(x, k - d) for x in range(1, 1 << (k - d))]
-    return enumerate_points(q, k - d)
-
-
 def _consecutive_powers(q: int, k: int, d: int) -> Sets:
     """The baseline: floor((q^d-1)/(d(q-1))) sets inside the target plus
     floor(q^d/(d+1)) sets per row; leftovers are not used."""
-    sets, rows = _tight_pieces(q, k, d)
-    for x in rows:
-        rs, _ = row_sets(x, q, d)
-        sets.extend(rs)
+    lay = Layout(q, k, d)
+    sets, _ = basic_sets_from_Td(lay)
+    for x in lay.rows:
+        sets.extend(row_sets(lay, x)[0])
     return sets
 
 
@@ -728,23 +645,22 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
     """Baseline sets for q > 2, plus sets stitched from row leftovers along
     a line spread of the rows: each line's q+1 rows split into groups of
     d+2, and each group yields q^d mod (d+1) layered sets."""
-    fld = field(q)
-    colf = extension(fld, d)
+    lay = Layout(q, k, d)
+    colf, pt = lay.col, lay.pt
     t = q**d % (d + 1)
-    sets, rows = _tight_pieces(q, k, d)
-    leftover_spec: dict[Vector, tuple] = {}
+    sets, _ = basic_sets_from_Td(lay)
+    leftover_spec: dict[int, tuple] = {}
     extra: list[frozenset[Point]] = []
     target = canonical_target(q, k, d)
-    spread = full_spread(q, k - d, 2)
-    amb = extension(fld, k - d)
+    amb = extension(lay.fld, k - d)
 
-    def pt(row: Vector, col: int) -> Point:
-        return canonical_point(tuple(row) + colf.to_vector(col), fld)
-
-    for part in spread.parts:
-        pts = sorted({canonical_point(amb.to_vector(e), fld) for e in part.elements()})
-        for gi in range(0, len(pts), d + 2):
-            group = pts[gi: gi + d + 2]
+    for part in full_spread(q, k - d, 2).parts:
+        # row encodings are those of F_{q^(k-d)}, so a line's elements are rows
+        line = {amb.from_vector(canonical_point(amb.to_vector(e), lay.fld))
+                for e in part.elements()}
+        line_rows = sorted(line, key=lay.row_vector)
+        for gi in range(0, len(line_rows), d + 2):
+            group = line_rows[gi: gi + d + 2]
             xs, tail = group[:d], group[d:]
             layer0 = [pt(x, colf.alpha_pow(j)) for j, x in enumerate(xs)]
             layer0 += [pt(x, 0) for x in tail]
@@ -754,7 +670,7 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
             for x in tail:
                 leftover_spec[x] = ("zero", 0)
             if t >= 2:
-                ws = _search_layer_values(xs, tail, colf, fld, target, k, d)
+                ws = _search_layer_values(lay, xs, tail, target)
                 if ws is None:
                     raise RuntimeError(f"no layered leftover values for a line group of {(q, k, d)}")
                 w1, w2 = ws
@@ -767,25 +683,25 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
                     layer.append(pt(tail[1], colf.mul(colf.alpha_pow(i), w2)))
                     extra.append(frozenset(layer))
 
-    for x in rows:
-        rs, _ = row_sets(x, q, d, leftover_spec.get(x))
-        sets.extend(rs)
+    for x in lay.rows:
+        sets.extend(row_sets(lay, x, leftover_spec.get(x))[0])
     return sets + extra
 
 
-def _search_layer_values(xs, tail, colf, fld, target, k, d):
+def _search_layer_values(lay: Layout, xs, tail, target):
     """Values for the two repeat rows of a layered leftover set, chosen so
     the scaled copies still span the target; the scan is deterministic."""
+    colf = lay.col
     pool = [colf.alpha_pow(j) for j in range(min(colf.order - 1, 24))]
-    probe_cols = [colf.mul(colf.alpha_pow(1), colf.alpha_pow(j)) for j in range(d)]
-    base = [tuple(x) + colf.to_vector(c) for x, c in zip(xs, probe_cols)]
+    probe_cols = [colf.mul(colf.alpha_pow(1), colf.alpha_pow(j)) for j in range(lay.d)]
+    base = [lay.pt(x, c) for x, c in zip(xs, probe_cols)]
     for w1 in pool:
         for w2 in pool:
             cand = base + [
-                tuple(tail[0]) + colf.to_vector(colf.mul(colf.alpha_pow(1), w1)),
-                tuple(tail[1]) + colf.to_vector(colf.mul(colf.alpha_pow(1), w2)),
+                lay.pt(tail[0], colf.mul(colf.alpha_pow(1), w1)),
+                lay.pt(tail[1], colf.mul(colf.alpha_pow(1), w2)),
             ]
-            if span_contains(cand, target, fld):
+            if span_contains(cand, target, lay.fld):
                 return w1, w2
     return None
 

@@ -360,7 +360,7 @@ def _x_has_full_order(mod: Sequence[int], base, group_order: int, prime_factors:
     return all(_poly_pow_x(group_order // r, mod, base) != one for r in prime_factors)
 
 
-def find_primitive_poly(base, n: int, factor_ceiling: int = DEFAULT_FACTOR_CEILING) -> tuple[int, ...]:
+def find_primitive_poly(base, n: int) -> tuple[int, ...]:
     """The minimal monic primitive polynomial of degree n over the base field.
 
     Candidates are scanned in increasing order of their integer encoding
@@ -378,7 +378,7 @@ def find_primitive_poly(base, n: int, factor_ceiling: int = DEFAULT_FACTOR_CEILI
     if order > MAX_FIELD_ORDER:
         raise ValueError(f"field order {order} exceeds supported ceiling")
     group = order - 1
-    primes = factorize(group, factor_ceiling) if group > 1 else []
+    primes = factorize(group) if group > 1 else []
     for enc in range(1, order):
         coeffs = []
         v = enc

@@ -1,10 +1,10 @@
 """Projective points, the stored-server array, and vector-space partitions.
 
 Points of PG(k-1,q) are canonical representatives of 1-subspaces of F_q^k:
-tuples whose first nonzero coordinate is 1.  The T array lays all points
-out by rows (the complement-space part) and columns (0 followed by the
-consecutive powers of a primitive alpha of the column field F_{q^d});
-for q > 2 the points inside the target space live in the side vector T_d.
+tuples whose first nonzero coordinate is 1.  The Layout array lays all
+points out by rows (the complement-space part) and columns (0 followed by
+the consecutive powers of a primitive alpha of the column field F_{q^d});
+row 0 carries the points inside the target space.
 
 Spreads and partial spreads of F_q^n come in two flavours used by the
 recovery-set constructions: the multiplicative coset spread (t | n) and
@@ -25,7 +25,6 @@ from .field_core import (
     Vector,
     extension,
     field,
-    prime_power,
 )
 
 Point = tuple[int, ...]
@@ -48,13 +47,13 @@ def num_points(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def enumerate_points(q: int, k: int, limit: int = DEFAULT_POINT_LIMIT) -> list[Point]:
+def enumerate_points(q: int, k: int) -> list[Point]:
     """All (q^k-1)/(q-1) canonical points, in lexicographic order."""
     if k < 1:
         raise ValueError("dimension must be >= 1")
     count = num_points(q, k)
-    if count > limit:
-        raise ValueError(f"{count} points exceed the configured ceiling {limit}")
+    if count > DEFAULT_POINT_LIMIT:
+        raise ValueError(f"{count} points exceed the ceiling {DEFAULT_POINT_LIMIT}")
     pts = []
     for pivot in range(k):
         for tail in product(range(q), repeat=k - pivot - 1):
@@ -64,85 +63,56 @@ def enumerate_points(q: int, k: int, limit: int = DEFAULT_POINT_LIMIT) -> list[P
     return pts
 
 
-class TModel:
-    """Row/column layout of every stored point for parameters (q, k, d).
+class Layout:
+    """The array every stored point sits in, for parameters (q, k, d).
 
-    Binary case: rows are all vectors of F_2^{k-d} (zero row first), the
-    entries minus the empty (0,0) slot are exactly the points of
-    PG(k-1,2).  For q > 2 the rows are the canonical points of
-    PG(k-d-1,q) and the points inside the target space are carried by the
-    side vector T_d instead of a first row.  Columns are ordered 0,
-    alpha^0, alpha^1, ..., alpha^{q^d-2}.
+    Point (x | y) sits at row x, its part in the complement of the
+    canonical target, and column y, an element of the column field
+    F_{q^d} (columns are listed as 0 followed by alpha^0, alpha^1, ...).
+    Rows are integers encoded like field elements: the base-q digits are
+    the coordinates, first coordinate lowest.  `rows` holds the rows that
+    carry points: every nonzero row for q = 2, the canonical points of
+    PG(k-d-1,q) in the lexicographic order of enumerate_points for q > 2.
+    Row 0 is the target itself; its nonzero columns are the points of U.
     """
 
-    def __init__(self, q: int, k: int, d: int):
+    def __init__(self, q: int, k: int, d: int, modulus=None):
         if not 1 <= d <= k:
             raise ValueError(f"need 1 <= d <= k, got d={d}, k={k}")
-        prime_power(q)
         self.q, self.k, self.d = q, k, d
         self.fld = field(q)
-        self.colfield = extension(self.fld, d)
+        self.col = extension(self.fld, d, modulus)
+        m = k - d
+        # coordinate tuples, cached: every point a builder makes needs both
+        self._row_vectors: dict[int, Vector] = {}
+        self._col_vectors: list[Vector | None] = [None] * self.col.order
         if q == 2:
-            self.rows: list[Vector] = sorted(product((0, 1), repeat=k - d))
-            self.td_size = 0
+            self.rows: range | list[int] = range(1, 1 << m)
         else:
-            self.rows = enumerate_points(q, k - d) if k > d else []
-            self.td_size = (q**d - 1) // (q - 1)
-        self.col_values = [0] + list(self.colfield.antilog)
-        self._locator: dict[Point, tuple] | None = None
+            for p in enumerate_points(q, m) if m else []:
+                self._row_vectors[sum(c * q**i for i, c in enumerate(p))] = p
+            self.rows = list(self._row_vectors)
 
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
+    def row_vector(self, row: int) -> Vector:
+        vec = self._row_vectors.get(row)
+        if vec is None:
+            q, r, digits = self.q, row, []
+            for _ in range(self.k - self.d):
+                digits.append(r % q)
+                r //= q
+            vec = self._row_vectors[row] = tuple(digits)
+        return vec
 
-    @property
-    def num_cols(self) -> int:
-        return len(self.col_values)
-
-    def entry(self, i: int, j: int) -> Point:
-        row = self.rows[i]
-        y = self.col_values[j]
-        if self.q == 2 and y == 0 and not any(row):
-            raise ValueError("slot (0, 0) holds no point")
-        vec = row + self.colfield.to_vector(y)
+    def pt(self, row: int, col: int) -> Point:
+        """The point at (row, col); nonzero binary rows are canonical as
+        they stand, everything else is scaled to its representative."""
+        col_vec = self._col_vectors[col]
+        if col_vec is None:
+            col_vec = self._col_vectors[col] = self.col.to_vector(col)
+        vec = (self._row_vectors.get(row) or self.row_vector(row)) + col_vec
+        if row and self.q == 2:
+            return vec
         return canonical_point(vec, self.fld)
-
-    def td_entry(self, i: int) -> Point:
-        if self.q == 2:
-            raise ValueError("binary layout has no side vector; use the first row")
-        if not 0 <= i < self.td_size:
-            raise IndexError(i)
-        vec = (0,) * (self.k - self.d) + self.colfield.to_vector(self.colfield.alpha_pow(i))
-        return canonical_point(vec, self.fld)
-
-    def points(self) -> list[Point]:
-        out = []
-        for i in range(self.num_rows):
-            for j in range(self.num_cols):
-                if self.q == 2 and i == 0 and j == 0:
-                    continue
-                out.append(self.entry(i, j))
-        for i in range(self.td_size):
-            out.append(self.td_entry(i))
-        return out
-
-    def locate(self, point: Point) -> tuple:
-        """Inverse lookup: ("T", row, col) or ("Td", slot)."""
-        if self._locator is None:
-            loc: dict[Point, tuple] = {}
-            for i in range(self.num_rows):
-                for j in range(self.num_cols):
-                    if self.q == 2 and i == 0 and j == 0:
-                        continue
-                    loc[self.entry(i, j)] = ("T", i, j)
-            for i in range(self.td_size):
-                loc[self.td_entry(i)] = ("Td", i)
-            self._locator = loc
-        return self._locator[point]
-
-
-def build_T(q: int, k: int, d: int) -> TModel:
-    return TModel(q, k, d)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +199,22 @@ def lifted_partial_spread(q: int, n: int, t: int) -> PartialSpread:
     return PartialSpread(q, n, t, parts)
 
 
+def lifted_ladder(n: int, t: int, stop: int) -> tuple[list[tuple[int, ...]], int]:
+    """Binary lifted partial spreads of t-subspaces peeled off F_2^n until
+    at most `stop` dimensions are left.  Each level is placed on the
+    coordinates the levels below it leave out, so the parts of all levels
+    are pairwise disjoint; what remains is the subspace on the top
+    coordinates.  Returns every part's from_field map, shifted into F_2^n,
+    and the dimension left."""
+    maps: list[tuple[int, ...]] = []
+    shift = 0
+    while n - shift > stop:
+        for part in lifted_partial_spread(2, n - shift, t).parts:
+            maps.append(tuple(e << shift for e in part.from_field))
+        shift += t
+    return maps, n - shift
+
+
 def binary_line_partition(n: int) -> PartialSpread:
     """Partition of F_2^n minus zero into 2-subspaces (lines), plus one
     residual 3-subspace when n is odd.  Even n uses the full coset
@@ -238,18 +224,8 @@ def binary_line_partition(n: int) -> PartialSpread:
         raise ValueError("need n >= 2")
     if n % 2 == 0:
         return full_spread(2, n, 2)
-    amb = extension(2, n)
-    parts: list[SpreadPart] = []
-    shift = 0
-    nn = n
-    while nn > 3:
-        level = lifted_partial_spread(2, nn, 2)
-        for part in level.parts:
-            images = [e << shift for e in (part.from_field[1], part.from_field[2])]
-            parts.append(_part_from_span(amb, images))
-        nn -= 2
-        shift += 2
-    return PartialSpread(2, n, 2, parts)
+    maps, _ = lifted_ladder(n, 2, 3)
+    return PartialSpread(2, n, 2, [SpreadPart(ff) for ff in maps])
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,18 @@ class TestVerifyRoundTrip:
         code, _, err = run_cli(capsys, "verify", str(path2))
         assert code == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"q":2,"k":100000,"d":1,"target":[],"sets":[]}',
+        '{"q":1e400,"k":3,"d":1,"target":[],"sets":[]}',
+        '[1,2]',
+    ], ids=["huge-k", "overflowing-q", "not-an-object"])
+    def test_refused_up_front(self, capsys, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestIlp:
     def test_k4(self, capsys):

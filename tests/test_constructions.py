@@ -11,6 +11,7 @@ from recovery_sets.constructions import (
     quintriple_partition,
     row_sets,
 )
+from recovery_sets.geometry import Layout
 from recovery_sets.verifier import verify_family
 
 
@@ -24,7 +25,7 @@ def assert_valid(family, size=None):
 
 class TestBasicSets:
     def test_binary_d3(self):
-        sets, leftovers = basic_sets_from_Td(2, 3)
+        sets, leftovers = basic_sets_from_Td(Layout(2, 3, 3))
         f8 = extension(2, 3)
         exp = lambda e: f8.to_vector(f8.alpha_pow(e))
         assert sets[0] == frozenset(exp(e) for e in (0, 1, 2))
@@ -32,11 +33,11 @@ class TestBasicSets:
         assert leftovers == [exp(6)]
 
     def test_binary_d1(self):
-        sets, leftovers = basic_sets_from_Td(2, 1)
+        sets, leftovers = basic_sets_from_Td(Layout(2, 1, 1))
         assert len(sets) == 1 and not leftovers
 
     def test_q3_d2(self):
-        sets, leftovers = basic_sets_from_Td(3, 2)
+        sets, leftovers = basic_sets_from_Td(Layout(3, 2, 2))
         assert len(sets) == 2 and not leftovers
         f3 = field(3)
         for s in sets:
@@ -49,12 +50,12 @@ class TestRowSets:
         [(2, 4, 3, 5, 1), (2, 5, 5, 6, 2), (3, 2, 3, 3, 0)],
     )
     def test_shapes(self, q, d, nsets, size, nleft):
-        x = (1,) + (0,) * 1
-        sets, leftovers = row_sets(x, q, d)
+        # the row (1, 0) of F_q^2
+        sets, leftovers = row_sets(Layout(q, 2 + d, d), 1)
         assert len(sets) == nsets and len(leftovers) == nleft
         assert all(len(s) == size for s in sets)
         fld = field(q)
-        target = canonical_target(q, len(x) + d, d)
+        target = canonical_target(q, 2 + d, d)
         for s in sets:
             assert span_contains(list(s), target, fld)
         # disjoint and consuming the whole row
@@ -63,17 +64,17 @@ class TestRowSets:
 
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError):
-            row_sets((0, 0), 2, 2)
+            row_sets(Layout(2, 4, 2), 0)
 
     def test_leftover_positions(self):
         # zero-slot leftover plus one alpha, and a pinned two-alpha run
         f32 = extension(2, 5)
-        x = (1, 0)
-        sets, lo = row_sets(x, 2, 5, ("zero", 3))
+        lay, x = Layout(2, 7, 5), (1, 0)
+        sets, lo = row_sets(lay, 1, ("zero", 3))
         assert len(lo) == 2
         assert x + (0,) * 5 in lo
         assert x + f32.to_vector(f32.alpha_pow(3)) in lo
-        sets, lo = row_sets(x, 2, 5, ("alpha", 7))
+        sets, lo = row_sets(lay, 1, ("alpha", 7))
         assert lo == [x + f32.to_vector(f32.alpha_pow(e)) for e in (7, 8)]
 
 

@@ -3,8 +3,8 @@ from itertools import product
 
 from recovery_sets.field_core import extension, field
 from recovery_sets.geometry import (
+    Layout,
     binary_line_partition,
-    build_T,
     canonical_point,
     enumerate_points,
     full_spread,
@@ -62,54 +62,64 @@ class TestPoints:
             canonical_point((0, 0), field(2))
 
 
-class TestTModel:
+def layout_points(lay):
+    """The target points pt(0, alpha^e), then pt(row, col) over every row
+    and every column."""
+    r = num_points(lay.q, lay.d)
+    pts = [lay.pt(0, lay.col.alpha_pow(e)) for e in range(r)]
+    pts += [lay.pt(x, y) for x in lay.rows for y in lay.col.elements()]
+    return pts
+
+
+class TestLayout:
     def test_binary_2_4_2(self):
-        t = build_T(2, 4, 2)
-        assert (t.num_rows, t.num_cols) == (4, 4)
-        pts = t.points()
+        lay = Layout(2, 4, 2)
+        assert (list(lay.rows), lay.col.order) == ([1, 2, 3], 4)
+        pts = layout_points(lay)
         assert len(pts) == 15 and set(pts) == set(enumerate_points(2, 4))
 
     def test_333_counts(self):
-        t = build_T(3, 3, 2)
-        assert (t.num_rows, t.num_cols, t.td_size) == (1, 9, 4)
-        pts = t.points()
+        lay = Layout(3, 3, 2)
+        assert (list(lay.rows), lay.col.order) == ([1], 9)
+        pts = layout_points(lay)
         assert len(pts) == 13 == num_points(3, 3)
         assert set(pts) == set(enumerate_points(3, 3))
 
     def test_degenerate_k_equals_d(self):
-        t = build_T(3, 2, 2)
-        assert t.num_rows == 0 and t.td_size == 4
-        assert set(t.points()) == set(enumerate_points(3, 2))
+        lay = Layout(3, 2, 2)
+        assert list(lay.rows) == []
+        assert set(layout_points(lay)) == set(enumerate_points(3, 2))
 
     def test_zero_slot_rejected(self):
-        t = build_T(2, 3, 2)
         with pytest.raises(ValueError):
-            t.entry(0, 0)
+            Layout(2, 3, 2).pt(0, 0)
+
+    def test_row_encoding(self):
+        assert Layout(2, 5, 2).row_vector(6) == (0, 1, 1)
+        lay = Layout(3, 5, 2)
+        assert lay.row_vector(lay.rows[-1]) == (1, 2, 2)
+        assert lay.rows[-1] == 1 + 2 * 3 + 2 * 9
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
     def test_bijection_grid(self, q):
-        # every point appears exactly once over T and T_d, and locate inverts
+        # every point appears exactly once over the target and the rows
         for k in range(1, 7):
             for d in range(1, k + 1):
                 if q**k > 20000:
                     continue
-                t = build_T(q, k, d)
-                pts = t.points()
+                lay = Layout(q, k, d)
+                pts = layout_points(lay)
                 assert len(pts) == num_points(q, k), (q, k, d)
-                assert len(set(pts)) == len(pts)
-                for i in range(t.num_rows):
-                    for j in range(t.num_cols):
-                        if q == 2 and i == 0 and j == 0:
-                            continue
-                        assert t.locate(t.entry(i, j)) == ("T", i, j)
-                for i in range(t.td_size):
-                    assert t.locate(t.td_entry(i)) == ("Td", i)
+                assert set(pts) == brute_points(q, k), (q, k, d)
+                if q > 2 and k > d:
+                    rows = [lay.row_vector(x) for x in lay.rows]
+                    assert rows == enumerate_points(q, k - d)
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            build_T(2, 3, 4)
+            Layout(2, 3, 4)
         with pytest.raises(ValueError):
-            build_T(6, 3, 2)
+            Layout(6, 3, 2)
 
 
 class TestSpreads:

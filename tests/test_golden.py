@@ -42,6 +42,10 @@ CONSTRUCT = {
     (4, 5, 2): "74277d5f5f3af7e49f37c99647563159342f3e6c",
     (3, 3, 1): "e33b077c53c78357879c3d655186643f16bdcfef",
     (13, 3, 2): "694127bceaa888fcd6614ee8f07a7a4d8de71935",
+    # lifted partial spread ladders: (2,10,4); (2,7,3); (2,7,2) then (2,5,2)
+    (2, 12, 2): "ee9ce54f43f6991a2d595b8ff4fb3e4f0c2f9ade",
+    (2, 11, 4): "5d2d3e68802146c5b088d69cd7655be1f7c2b494",
+    (2, 12, 5): "ded8f548e00509a6787a55fa3fbaa0a1d037fdba",
 }
 
 ORACLE = {

@@ -11,8 +11,10 @@ class TestVerifyRecoverySet:
     def test_zero_column_plus_run(self):
         # (x,0) together with d consecutive powers spans the target
         from recovery_sets.constructions import row_sets
+        from recovery_sets.geometry import Layout
 
-        sets, _ = row_sets((1, 0), 2, 3)
+        # the row (1, 0) of F_2^2
+        sets, _ = row_sets(Layout(2, 5, 3), 1)
         target = canonical_target(2, 5, 3)
         f2 = field(2)
         assert all(verify_recovery_set(list(s), target, f2) for s in sets)
