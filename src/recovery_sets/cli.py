@@ -81,7 +81,7 @@ def family_payload(family: RecoveryFamily) -> dict:
         "method": family.method,
         "formula_size": family.formula_size,
         "notes": list(family.notes),
-        "sets": [sorted(list(p) for p in s) for s in sorted(family.sets, key=lambda s: sorted(s))],
+        "sets": sorted(sorted(map(list, s)) for s in family.sets),
     }
 
 

@@ -25,49 +25,55 @@ def _payload_hash(capsys, *argv) -> str:
     return _digest(json.loads(capsys.readouterr().out)["payload"])
 
 
+# (q, k, d) -> (test id, sha1).  The ids are written out, so adding a cell
+# renames no other test.  The cells below keep the ids they were first
+# collected under, their position in sorted order; a new cell takes a
+# readable id such as "2-12-2" or "oracle-3-3-2".
 CONSTRUCT = {
-    (2, 4, 4): "98c0211636a42f7cdc79652577eb9ce74ea5d2fd",
-    (2, 6, 4): "b770c2090c446c16344db41cebdc5fc61459bdf4",
-    (2, 9, 4): "86b731a5e6e329691400a280927160b1b2a42929",
-    (2, 9, 2): "e15ed8c4461394c6dd252ebc5aa07b8e47ee0274",
-    (2, 8, 5): "5a3fab713d8193721a4580bf0002caf9f7f7d463",
-    (2, 9, 3): "eb96f32d9637237d686ca86986c6f327567d715b",
-    (2, 10, 7): "ab6c9303d369653af30e3db43f5b30140e4edfdb",
-    (2, 8, 6): "3d5d90ca7e72bc4ac7c3da48e94ef76f84decf2a",
-    (3, 4, 2): "d92ce006235cda4977054043dab3583753780752",
-    (7, 4, 2): "d23cb7c351126861f967eb0c1353d3c7e36b7c4d",
-    (5, 5, 4): "848446ba6bf7094e51b6e86ce9e60f04493a1639",
-    (5, 6, 2): "c848190b30b324238176d87f2f1809483196365f",
-    (9, 4, 3): "eeb61a7b9cea414d61b52db7babb3428fefb61f2",
-    (4, 5, 2): "74277d5f5f3af7e49f37c99647563159342f3e6c",
-    (3, 3, 1): "e33b077c53c78357879c3d655186643f16bdcfef",
-    (13, 3, 2): "694127bceaa888fcd6614ee8f07a7a4d8de71935",
+    (2, 4, 4): ("qkd0", "98c0211636a42f7cdc79652577eb9ce74ea5d2fd"),
+    (2, 6, 4): ("qkd1", "b770c2090c446c16344db41cebdc5fc61459bdf4"),
+    (2, 9, 4): ("qkd6", "86b731a5e6e329691400a280927160b1b2a42929"),
+    (2, 9, 2): ("qkd4", "e15ed8c4461394c6dd252ebc5aa07b8e47ee0274"),
+    (2, 8, 5): ("qkd2", "5a3fab713d8193721a4580bf0002caf9f7f7d463"),
+    (2, 9, 3): ("qkd5", "eb96f32d9637237d686ca86986c6f327567d715b"),
+    (2, 10, 7): ("qkd7", "ab6c9303d369653af30e3db43f5b30140e4edfdb"),
+    (2, 8, 6): ("qkd3", "3d5d90ca7e72bc4ac7c3da48e94ef76f84decf2a"),
+    (3, 4, 2): ("qkd12", "d92ce006235cda4977054043dab3583753780752"),
+    (7, 4, 2): ("qkd16", "d23cb7c351126861f967eb0c1353d3c7e36b7c4d"),
+    (5, 5, 4): ("qkd14", "848446ba6bf7094e51b6e86ce9e60f04493a1639"),
+    (5, 6, 2): ("qkd15", "c848190b30b324238176d87f2f1809483196365f"),
+    (9, 4, 3): ("qkd17", "eeb61a7b9cea414d61b52db7babb3428fefb61f2"),
+    (4, 5, 2): ("qkd13", "74277d5f5f3af7e49f37c99647563159342f3e6c"),
+    (3, 3, 1): ("qkd11", "e33b077c53c78357879c3d655186643f16bdcfef"),
+    (13, 3, 2): ("qkd18", "694127bceaa888fcd6614ee8f07a7a4d8de71935"),
     # lifted partial spread ladders: (2,10,4); (2,7,3); (2,7,2) then (2,5,2)
-    (2, 12, 2): "ee9ce54f43f6991a2d595b8ff4fb3e4f0c2f9ade",
-    (2, 11, 4): "5d2d3e68802146c5b088d69cd7655be1f7c2b494",
-    (2, 12, 5): "ded8f548e00509a6787a55fa3fbaa0a1d037fdba",
+    (2, 12, 2): ("qkd9", "ee9ce54f43f6991a2d595b8ff4fb3e4f0c2f9ade"),
+    (2, 11, 4): ("qkd8", "5d2d3e68802146c5b088d69cd7655be1f7c2b494"),
+    (2, 12, 5): ("qkd10", "ded8f548e00509a6787a55fa3fbaa0a1d037fdba"),
 }
 
 ORACLE = {
-    (2, 4, 2): "768dd37ca7a97c18416c5a493f75e5c052b0650f",
-    (3, 3, 2): "75879f7cbc79b17b1196db94e8ce9539a1265044",
+    (2, 4, 2): ("qkd0", "768dd37ca7a97c18416c5a493f75e5c052b0650f"),
+    (3, 3, 2): ("qkd1", "75879f7cbc79b17b1196db94e8ce9539a1265044"),
 }
 
 BOUND_TABLE = "dee1544741257f45ef83bb173eb5e02829ea8827"
 
 
-@pytest.mark.parametrize("qkd", sorted(CONSTRUCT))
-def test_construct_payload(capsys, qkd):
-    q, k, d = qkd
-    got = _payload_hash(capsys, "construct", "--q", str(q), "--k", str(k), "--d", str(d))
-    assert got == CONSTRUCT[qkd]
+def _cells(table):
+    return [pytest.param(qkd, sha1, id=test_id) for qkd, (test_id, sha1) in table.items()]
 
 
-@pytest.mark.parametrize("qkd", sorted(ORACLE))
-def test_oracle_payload(capsys, qkd):
+@pytest.mark.parametrize("qkd, sha1", _cells(CONSTRUCT))
+def test_construct_payload(capsys, qkd, sha1):
     q, k, d = qkd
-    got = _payload_hash(capsys, "oracle", "--q", str(q), "--k", str(k), "--d", str(d))
-    assert got == ORACLE[qkd]
+    assert _payload_hash(capsys, "construct", "--q", str(q), "--k", str(k), "--d", str(d)) == sha1
+
+
+@pytest.mark.parametrize("qkd, sha1", _cells(ORACLE))
+def test_oracle_payload(capsys, qkd, sha1):
+    q, k, d = qkd
+    assert _payload_hash(capsys, "oracle", "--q", str(q), "--k", str(k), "--d", str(d)) == sha1
 
 
 def test_bound_table_numbers():
