@@ -31,7 +31,7 @@ from .constructions import (
     quintriple_partition,
     row_sets,
 )
-from .verifier import Certificate, verify_family, verify_recovery_set
+from .verifier import Certificate, verify_family
 from .bounds import BoundsRecord, bound, bound_table
 from .ilp import DualSolution, IlpModel, build_ilp_d2, check_dual, export_model, solve_ilp
 from .oracle import OracleResult, SearchConfig, exact_N, minimal_recovery_sets

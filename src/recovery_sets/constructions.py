@@ -26,6 +26,7 @@ from .field_core import (
     extension,
     field,
     left_nullspace,
+    pack,
     prime_power,
     solve_linear,
     span_contains,
@@ -73,11 +74,11 @@ def conjugate_family(family: RecoveryFamily, new_target: Subspace) -> RecoveryFa
     if new_target.ambient != k or new_target.dim != d:
         raise ValueError("target has wrong dimensions")
     fld = field(q)
-    ech = Echelon(fld, new_target.basis)
+    ech = Echelon(q, (pack(row, q) for row in new_target.basis))
     complement = []
     for i in range(k):
         unit = tuple(1 if j == i else 0 for j in range(k))
-        if ech.add(unit):
+        if ech.add(pack(unit, q)):
             complement.append(unit)
     rows = complement + list(new_target.basis)
 

@@ -7,12 +7,16 @@ integers: an element of F_{q^n} is encoded as sum(c_i * q**i) where
 constant term first.  For q = 2 the encoding of a vector is therefore its
 bitmask and addition is XOR.
 
-Multiplication, inversion and discrete logarithms are table driven: each
-field stores antilog[i] = alpha**i for a primitive element alpha (the class
-of x for extensions, the smallest primitive root for prime fields).
-Building the tables doubles as a primitivity proof of the modulus: the
-powers of x must enumerate all q^n - 1 nonzero elements before returning
-to 1.
+A prime field computes with Python's modular arithmetic; its alpha is the
+smallest primitive root.  An extension is table driven: it stores
+antilog[i] = alpha**i for alpha the class of x.  Building the tables
+doubles as a primitivity proof of the modulus: the powers of x must
+enumerate all q^n - 1 nonzero elements before returning to 1.
+
+`Echelon` is the one span kernel of the library: the builders (through
+`span_contains`), the verifier and the oracle all ask it whether a set of
+vectors spans a subspace.  It works on vectors in the form `pack` gives:
+the coordinate bitmask for q = 2, the coordinate tuple for q > 2.
 """
 
 from __future__ import annotations
@@ -99,11 +103,6 @@ class PrimeField:
                 break
         # x - alpha, stored constant term first
         self.modulus = ((p - self.alpha) % p, 1)
-        self.antilog = tuple(pow(self.alpha, i, p) for i in range(p - 1))
-        log = [-1] * p
-        for i, a in enumerate(self.antilog):
-            log[a] = i
-        self.log = tuple(log)
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -121,26 +120,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 0
-        return pow(a, e % (self.p - 1), self.p) if self.p > 2 else a
-
-    def alpha_pow(self, i: int) -> int:
-        return self.antilog[i % (self.p - 1)]
-
-    def dlog(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no discrete log")
-        return self.log[a]
 
     def elements(self) -> range:
         return range(self.p)
@@ -261,19 +240,6 @@ class ExtField:
         size = self.order - 1
         return self.antilog[(size - self.log[a]) % size]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 0
-        size = self.order - 1
-        return self.antilog[(self.log[a] * e) % size]
-
     def alpha_pow(self, i: int) -> int:
         return self.antilog[i % (self.order - 1)]
 
@@ -284,9 +250,6 @@ class ExtField:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def nonzero(self) -> Iterable[int]:
-        return self.antilog
 
     def __repr__(self):
         return f"ExtField(order={self.order}, base={self.q}, modulus={self.modulus})"
@@ -425,37 +388,117 @@ def rref(rows: Iterable[Vector], fld: Field) -> tuple[Vector, ...]:
     return tuple(tuple(r) for r in pivot_rows)
 
 
-class Echelon:
-    """Incremental row reduction; tracks the span of the vectors added."""
+# bytes 0 and 1 become the digits "0" and "1"; every other byte becomes
+# "2", which int(..., 2) rejects
+_BITS = bytes.maketrans(bytes(range(256)), b"01" + b"2" * 254)
 
-    def __init__(self, fld: Field, vectors: Iterable[Vector] = ()):
-        self.fld = fld
-        self.rows: dict[int, Vector] = {}
+# F_q tables up to this order are built whole (2 x 65,536 entries at most)
+_FULL_TABLE_ORDER = 256
+
+
+def pack(vec: Sequence[int], q: int):
+    """A vector of F_q^k in the form `Echelon` works on: for q = 2 its
+    coordinate bitmask, first coordinate in the highest bit (ValueError
+    unless every coordinate is 0 or 1); for q > 2 its coordinate tuple."""
+    if q == 2:
+        return int(bytes(vec).translate(_BITS), 2)
+    return tuple(vec)
+
+
+class _Memo(dict):
+    """A table that computes each entry on first lookup."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(q: int):
+    """mul, sub and inv tables of F_q, indexed [a][b] and [a].  Built on
+    first use; past order 256 they fill in entry by entry instead."""
+    fld = field(q)
+    if q > _FULL_TABLE_ORDER:
+        return (_Memo(lambda a: _Memo(functools.partial(fld.mul, a))),
+                _Memo(lambda a: _Memo(functools.partial(fld.sub, a))),
+                _Memo(fld.inv))
+    elems = range(q)
+    mul = [[fld.mul(a, b) for b in elems] for a in elems]
+    sub = [[fld.sub(a, b) for b in elems] for a in elems]
+    return mul, sub, [0] + [fld.inv(a) for a in elems[1:]]
+
+
+class Echelon:
+    """Incremental row reduction over F_q on packed vectors (see `pack`);
+    tracks the span of the vectors added.
+
+    Every stored row was reduced against the rows before it and has a
+    unit entry at its pivot, so one pass over the rows in insertion order
+    clears every pivot of a vector, and what is left is zero iff the
+    vector lies in the span.
+
+      q = 2   A row is a bitmask and its pivot is its leading bit;
+              v ^ b < v holds exactly when v has that bit set.
+      q > 2   A row is a (pivot, coordinates) pair, reduced and scaled
+              with the mul, sub and inv tables of F_q.
+    """
+
+    __slots__ = ("rows", "_tables")
+
+    def __init__(self, q: int, vectors: Iterable = ()):
+        self.rows: list = []
+        self._tables = None if q == 2 else _tables(q)
         for v in vectors:
             self.add(v)
 
-    def _reduce(self, vec: Vector) -> Vector:
-        fld = self.fld
-        v = list(vec)
-        for pivot, row in self.rows.items():
+    def _reduce(self, v):
+        if self._tables is None:
+            for b in self.rows:
+                if v ^ b < v:
+                    v ^= b
+            return v
+        mul, sub, _ = self._tables
+        for pivot, row in self.rows:
             c = v[pivot]
             if c:
-                v = [fld.sub(a, fld.mul(c, b)) for a, b in zip(v, row)]
-        return tuple(v)
+                mc = mul[c]
+                v = [sub[x][mc[y]] for x, y in zip(v, row)]
+        return v
 
-    def add(self, vec: Vector) -> bool:
-        """Insert a vector; True if it enlarged the span."""
-        fld = self.fld
-        v = self._reduce(vec)
-        for pivot, c in enumerate(v):
-            if c:
-                inv = fld.inv(c)
-                self.rows[pivot] = tuple(fld.mul(inv, x) for x in v)
-                return True
-        return False
+    def add(self, v) -> bool:
+        """Insert a packed vector; True if it enlarged the span."""
+        v = self._reduce(v)
+        if self._tables is None:
+            if v:
+                self.rows.append(v)
+            return bool(v)
+        lead = next(filter(None, v), 0)
+        if not lead:
+            return False
+        if lead != 1:
+            mul, _, inv = self._tables
+            scale = mul[inv[lead]]
+            v = [scale[x] for x in v]
+        self.rows.append((v.index(1), v))
+        return True
 
-    def contains(self, vec: Vector) -> bool:
-        return all(c == 0 for c in self._reduce(vec))
+    def contains(self, v) -> bool:
+        v = self._reduce(v)
+        return not v if self._tables is None else not any(v)
+
+    def spans(self, vectors) -> bool:
+        """True iff every one of the packed vectors lies in the span."""
+        return all(self.contains(v) for v in vectors)
+
+    def copy(self) -> "Echelon":
+        """An independent echelon of the same span: adding to the copy
+        leaves this one unchanged."""
+        other = Echelon.__new__(Echelon)
+        other._tables, other.rows = self._tables, self.rows.copy()
+        return other
 
     @property
     def rank(self) -> int:
@@ -485,7 +528,8 @@ class Subspace:
         return cls(ambient, rref(vecs, fld))
 
     def contains(self, vec: Vector, fld: Field) -> bool:
-        return Echelon(fld, self.basis).contains(vec)
+        q = fld.order
+        return Echelon(q, (pack(row, q) for row in self.basis)).contains(pack(vec, q))
 
 
 def span_contains(generators: Iterable[Vector], target: Subspace | Iterable[Vector], fld: Field) -> bool:
@@ -495,8 +539,9 @@ def span_contains(generators: Iterable[Vector], target: Subspace | Iterable[Vect
     dims = {len(v) for v in gens} | {len(r) for r in rows}
     if len(dims) > 1:
         raise ValueError("generators and target have mixed ambient dimensions")
-    ech = Echelon(fld, gens)
-    return all(ech.contains(r) for r in rows)
+    q = fld.order
+    ech = Echelon(q, (pack(g, q) for g in gens))
+    return ech.spans(pack(r, q) for r in rows)
 
 
 def nullspace(rows: Sequence[Vector], ncols: int, fld: Field) -> list[Vector]:

@@ -8,6 +8,12 @@ the alive pool or declares it unused, which visits every packing exactly
 once.  Bounds come from counting: sets inside the target need d points,
 all other sets need at least d+1.
 
+One enumerator, `_minimal_sets`, lists the minimal sets whose smallest
+point is p within a pool: `minimal_recovery_sets` runs it for every p
+over all later points, the packer at every node over the alive pool.
+Points are packed once, and spans are `field_core.Echelon`s grown by
+copy-and-insert.
+
 Results that exhaust the node or time budget are reported as lower
 bounds, never as exact values.
 """
@@ -17,8 +23,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .field_core import Echelon, field
-from .geometry import Point, enumerate_points
+from .field_core import Echelon, pack
+from .geometry import enumerate_points
 from .constructions import RecoveryFamily, canonical_target
 
 
@@ -53,6 +59,60 @@ class _Budget(Exception):
     pass
 
 
+def _minimal_sets(q: int, vecs: list, target_rows: list, first: int, pool: list[int],
+                  cap: int, tick) -> list[list[int]]:
+    """The minimal recovery sets whose smallest point is `first`, the rest
+    drawn from `pool` (increasing point ids above `first`), as id lists.
+
+    Points and target rows come packed for `Echelon` (see `field_core.pack`).
+    A set grows by pool points outside its span, so it stays independent;
+    a branch ends once it spans the target, at `cap` points, or when the
+    rest of the pool cannot close the span.  `tick` runs at every node.
+    """
+    out: list[list[int]] = []
+
+    def extend(chosen: list[int], ech: Echelon, pos: int):
+        tick()
+        if ech.spans(target_rows):
+            if _is_minimal(q, chosen, vecs, target_rows):
+                out.append(chosen)
+            return
+        if len(chosen) == cap:
+            return
+        rest = ech.copy()
+        for i in pool[pos:]:
+            if rest.add(vecs[i]) and rest.spans(target_rows):
+                break
+        else:
+            return
+        for idx in range(pos, len(pool)):
+            grown = ech.copy()
+            if grown.add(vecs[pool[idx]]):
+                extend(chosen + [pool[idx]], grown, idx + 1)
+
+    extend([first], Echelon(q, [vecs[first]]), 0)
+    return out
+
+
+def _is_minimal(q: int, chosen: list[int], vecs: list, target_rows: list) -> bool:
+    """No member of the spanning set `chosen` can be dropped.  The last
+    member never can: without it the set did not span one step earlier."""
+    if len(chosen) == len(target_rows):
+        return True
+    for skip in range(len(chosen) - 1):
+        ech = Echelon(q, (vecs[i] for j, i in enumerate(chosen) if j != skip))
+        if ech.spans(target_rows):
+            return False
+    return True
+
+
+def _packed_instance(q: int, k: int, d: int):
+    """Points, canonical target, and both packed once for `Echelon`."""
+    points = enumerate_points(q, k)
+    target = canonical_target(q, k, d)
+    return points, target, [pack(p, q) for p in points], [pack(r, q) for r in target.basis]
+
+
 def minimal_recovery_sets(q: int, k: int, d: int, size_cap: int | None = None):
     """All inclusion-minimal recovery sets for the canonical target, as
     sorted point tuples, ordered by size then lexicographically.
@@ -62,54 +122,29 @@ def minimal_recovery_sets(q: int, k: int, d: int, size_cap: int | None = None):
     """
     if size_cap is not None and size_cap < d:
         raise ValueError("size cap below target dimension")
-    points = enumerate_points(q, k)
-    fld = field(q)
-    target = canonical_target(q, k, d)
+    points, _, vecs, target_rows = _packed_instance(q, k, d)
     cap = min(size_cap or k, k)
-    found: list[tuple[Point, ...]] = []
-
-    def extend(chosen: list[int], ech: Echelon):
-        spanning = all(ech.contains(row) for row in target.basis)
-        if spanning:
-            if _is_minimal(chosen, points, target, fld):
-                found.append(tuple(points[i] for i in chosen))
-            return
-        if len(chosen) == cap:
-            return
-        start = chosen[-1] + 1 if chosen else 0
-        for i in range(start, len(points)):
-            if ech.contains(points[i]):
-                continue
-            ech2 = Echelon(fld, [points[j] for j in chosen] + [points[i]])
-            extend(chosen + [i], ech2)
-
-    extend([], Echelon(fld))
+    n = len(points)
+    found = [
+        tuple(points[i] for i in s)
+        for p in range(n)
+        for s in _minimal_sets(q, vecs, target_rows, p, list(range(p + 1, n)), cap, lambda: None)
+    ]
     found.sort(key=lambda s: (len(s), s))
     return found
-
-
-def _is_minimal(chosen, points, target, fld) -> bool:
-    if len(chosen) == target.dim:
-        return True
-    for skip in range(len(chosen)):
-        ech = Echelon(fld, [points[i] for j, i in enumerate(chosen) if j != skip])
-        if all(ech.contains(row) for row in target.basis):
-            return False
-    return True
 
 
 def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleResult:
     """Maximum number of pairwise disjoint recovery sets for the canonical
     d-subspace of F_q^k, with a witness family."""
     cfg = cfg or SearchConfig()
-    points = enumerate_points(q, k)
-    fld = field(q)
-    target = canonical_target(q, k, d)
+    points, target, vecs, target_rows = _packed_instance(q, k, d)
     cap = min(cfg.max_set_size or k, k)
     if cap < d:
         raise ValueError("max_set_size below target dimension")
     n = len(points)
-    in_target = [target.contains(p, fld) for p in points]
+    target_span = Echelon(q, target_rows)
+    in_target = [target_span.contains(v) for v in vecs]
     start_time = time.monotonic()
     nodes = 0
     best: list[list[int]] = []
@@ -130,36 +165,6 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
         x = a // d
         return x + (a - x * d + b) // (d + 1)
 
-    def minimal_sets_with(p: int, alive: list[bool]):
-        """Minimal recovery sets containing point p inside the alive pool."""
-        out: list[list[int]] = []
-        pool = [i for i in range(p + 1, n) if alive[i]]
-
-        def extend(chosen: list[int], ech: Echelon, pool_pos: int):
-            check_budget()
-            if all(ech.contains(row) for row in target.basis):
-                if _is_minimal(chosen, points, target, fld):
-                    out.append(list(chosen))
-                return
-            if len(chosen) == cap:
-                return
-            # feasibility: the rest of the pool must close the span
-            rest = Echelon(fld, (points[i] for i in chosen))
-            for i in pool[pool_pos:]:
-                rest.add(points[i])
-            if not all(rest.contains(row) for row in target.basis):
-                return
-            for idx in range(pool_pos, len(pool)):
-                i = pool[idx]
-                if ech.contains(points[i]):
-                    continue
-                ech2 = Echelon(fld, [points[j] for j in chosen] + [points[i]])
-                extend(chosen + [i], ech2, idx + 1)
-
-        extend([p], Echelon(fld, [points[p]]), 0)
-        out.sort(key=lambda s: (len(s), s))
-        return out
-
     def dfs(alive: list[bool], family: list[list[int]]):
         nonlocal best
         check_budget()
@@ -170,7 +175,10 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
         p = next((i for i in range(n) if alive[i]), None)
         if p is None:
             return
-        for s in minimal_sets_with(p, alive):
+        pool = [i for i in range(p + 1, n) if alive[i]]
+        sets = _minimal_sets(q, vecs, target_rows, p, pool, cap, check_budget)
+        sets.sort(key=lambda s: (len(s), s))
+        for s in sets:
             for i in s:
                 alive[i] = False
             family.append(s)

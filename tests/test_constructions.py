@@ -1,6 +1,6 @@
 import pytest
 
-from recovery_sets.field_core import Echelon, Subspace, extension, field, span_contains
+from recovery_sets.field_core import Echelon, Subspace, extension, field, pack, span_contains
 from recovery_sets.constructions import (
     basic_sets_from_Td,
     canonical_target,
@@ -39,9 +39,8 @@ class TestBasicSets:
     def test_q3_d2(self):
         sets, leftovers = basic_sets_from_Td(Layout(3, 2, 2))
         assert len(sets) == 2 and not leftovers
-        f3 = field(3)
         for s in sets:
-            assert len(s) == 2 and Echelon(f3, s).rank == 2
+            assert len(s) == 2 and Echelon(3, [pack(p, 3) for p in s]).rank == 2
 
 
 class TestRowSets:

@@ -52,9 +52,16 @@ CONSTRUCT = {
     (2, 12, 5): ("qkd10", "ded8f548e00509a6787a55fa3fbaa0a1d037fdba"),
 }
 
+# (q, k, d) or (q, k, d, node limit) -> (test id, sha1).  The payload
+# carries `nodes`, so these pin the search tree as well as the witness.
 ORACLE = {
     (2, 4, 2): ("qkd0", "768dd37ca7a97c18416c5a493f75e5c052b0650f"),
     (3, 3, 2): ("qkd1", "75879f7cbc79b17b1196db94e8ce9539a1265044"),
+    (5, 3, 1): ("oracle-5-3-1", "986f83ec541a4289f72bda90bafa621878354e15"),
+    (4, 3, 2): ("oracle-4-3-2", "20f07cc55445f89dd171084d616d3c370927b0ef"),
+    (7, 3, 2): ("oracle-7-3-2", "b0b61f7b75444b85fdaca6ea1a57bb1c1cb3b2ac"),
+    # stops at the node limit with a 2-set witness: N_2(5,2) = 9 is not proved
+    (2, 5, 2, 18000): ("oracle-2-5-2-budgeted", "11a4658cc6cb058de38faea77385062d123b35a3"),
 }
 
 BOUND_TABLE = "dee1544741257f45ef83bb173eb5e02829ea8827"
@@ -72,8 +79,10 @@ def test_construct_payload(capsys, qkd, sha1):
 
 @pytest.mark.parametrize("qkd, sha1", _cells(ORACLE))
 def test_oracle_payload(capsys, qkd, sha1):
-    q, k, d = qkd
-    assert _payload_hash(capsys, "oracle", "--q", str(q), "--k", str(k), "--d", str(d)) == sha1
+    q, k, d, *limit = qkd
+    argv = ["oracle", "--q", str(q), "--k", str(k), "--d", str(d)]
+    argv += ["--node-limit", str(limit[0])] if limit else []
+    assert _payload_hash(capsys, *argv) == sha1
 
 
 def test_bound_table_numbers():

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from recovery_sets.field_core import Echelon, field
+from recovery_sets.field_core import field, rref
 from recovery_sets.geometry import enumerate_points
 from recovery_sets.constructions import canonical_target, construct
 from recovery_sets.oracle import SearchConfig, exact_N, minimal_recovery_sets
@@ -36,7 +36,7 @@ class TestExactValues:
 
 
 def rank(vecs, fld):
-    return Echelon(fld, vecs).rank
+    return len(rref(vecs, fld))
 
 
 def brute_minimal_sets(q, k, d, cap):
@@ -75,6 +75,8 @@ class TestMinimalSets:
     def test_matches_brute_enumeration(self):
         assert minimal_recovery_sets(2, 4, 2, 4) == brute_minimal_sets(2, 4, 2, 4)
         assert minimal_recovery_sets(3, 2, 2, 3) == brute_minimal_sets(3, 2, 2, 3)
+        # q > 2 over an extension field
+        assert minimal_recovery_sets(4, 3, 2, 3) == brute_minimal_sets(4, 3, 2, 3)
 
     def test_antichain(self):
         sets = [frozenset(s) for s in minimal_recovery_sets(2, 4, 2)]
