@@ -49,9 +49,56 @@ def _document(command: str, parameters: dict, payload: dict, started: float) -> 
     }
 
 
-def _emit(doc: dict, out=None) -> None:
-    json.dump(doc, out or sys.stdout, indent=2, sort_keys=False)
-    (out or sys.stdout).write("\n")
+# str, float, bool and None as json.dump renders them (ASCII, NaN allowed)
+_encode = json.JSONEncoder().encode
+
+
+def _emit(doc: dict) -> None:
+    """Write `doc` to stdout, byte for byte as `json.dump(doc, indent=2)`,
+    then a newline.  The document streams out in small chunks, never as
+    one string; a list of plain ints, such as a point, is one join."""
+    write = sys.stdout.write
+    _write_json(doc, "\n", write)
+    write("\n")
+
+
+def _write_json(o, nl: str, write) -> None:
+    """Write `o` whose opening line is indented as `nl` ("\\n" + spaces)."""
+    inner = nl + "  "
+    if isinstance(o, dict):
+        if not o:
+            write("{}")
+            return
+        sep = "{" + inner
+        for key, value in o.items():
+            write(sep + _json_key(key) + ": ")
+            _write_json(value, inner, write)
+            sep = "," + inner
+        write(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            write("[]")
+        elif all(type(x) is int for x in o):  # not bool: JSON spells it true/false
+            write("[" + inner + ("," + inner).join(map(repr, o)) + nl + "]")
+        else:
+            sep = "[" + inner
+            for item in o:
+                write(sep)
+                _write_json(item, inner, write)
+                sep = "," + inner
+            write(nl + "]")
+    else:
+        write(_encode(o))
+
+
+def _json_key(key) -> str:
+    """A dict key as json renders it: a str as a JSON string, an int,
+    float, bool or None as its JSON text in quotes ({1: x} -> "1": x)."""
+    if isinstance(key, str):
+        return _encode(key)
+    if key is None or isinstance(key, (int, float)):
+        return _encode(_encode(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _parse_range(text: str) -> range:
@@ -220,10 +267,13 @@ def cmd_ilp(args) -> int:
 def cmd_oracle(args) -> int:
     started = time.monotonic()
     _check_instance(args.q, args.k, args.d)
+    limit = args.node_limit  # parsed as a float, so that 1e6 reads as 10^6
     try:
+        if limit is not None and not limit.is_integer():
+            raise ValueError(f"node_limit must be a positive integer, not {limit}")
         cfg = SearchConfig(
             max_set_size=args.max_set_size,
-            node_limit=int(args.node_limit) if args.node_limit else None,
+            node_limit=None if limit is None else int(limit),
             time_limit=args.time_limit,
         )
     except ValueError as exc:

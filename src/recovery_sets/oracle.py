@@ -20,6 +20,7 @@ bounds, never as exact values.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -37,6 +38,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_set_size is not None and self.max_set_size < 1:
             raise ValueError("max_set_size must be positive")
+        if self.node_limit is not None and (type(self.node_limit) is not int or self.node_limit < 1):
+            raise ValueError(f"node_limit must be a positive integer, not {self.node_limit!r}")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError(f"time_limit must be a positive finite number, not {self.time_limit!r}")
 
 
 @dataclass

@@ -1,7 +1,10 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from recovery_sets import cli
 from recovery_sets.cli import main
 
 
@@ -174,6 +177,24 @@ class TestOracle:
         assert code == 0
         assert doc["parameters"] == {"q": 2, "k": 2, "d": 2, "threads": 1}
 
+    @pytest.mark.parametrize("limit", [
+        ("--node-limit", "inf"),
+        ("--node-limit", "1e400"),
+        ("--node-limit", "nan"),
+        ("--node-limit", "0"),
+        ("--node-limit", "-3"),
+        ("--node-limit", "2.5"),
+        ("--time-limit", "-1"),
+        ("--time-limit", "0"),
+        ("--time-limit", "nan"),
+        ("--time-limit", "inf"),
+    ])
+    def test_bad_limit_refused(self, capsys, limit):
+        code, out, err = run_cli(capsys, "oracle", "--q", "2", "--k", "4", "--d", "2", *limit)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert limit[0][2:].replace("-", "_") in err
+
 
 class TestCeilings:
     @pytest.mark.parametrize("argv", [
@@ -187,3 +208,78 @@ class TestCeilings:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ceiling" in err
+
+
+# JSON trees as the CLI's documents hold them, plus the values the writer
+# must hand to json unchanged: bools and None among ints, NaN, the
+# infinities, -0.0, non-ASCII text, tuples and non-str keys.
+_scalars = (
+    st.integers()
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | st.text()
+)
+_keys = st.text() | st.integers() | st.booleans() | st.none()
+_json_trees = st.recursive(
+    _scalars,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(st.integers() | st.booleans() | st.none(), max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.dictionaries(_keys, inner, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+def _written(o) -> str:
+    chunks = []
+    cli._write_json(o, "\n", chunks.append)
+    return "".join(chunks)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_trees)
+    def test_matches_json_dumps(self, o):
+        assert _written(o) == json.dumps(o, indent=2)
+
+    @pytest.mark.parametrize("o", [
+        [], {}, [[]], {"a": {}}, [1, True, 2], [0, None], [-0.0, math.nan],
+        {1: "x", True: 1, None: [], 2.5: 0}, ("é", (1, 2)), "\u2603",
+    ])
+    def test_edge_cases(self, o):
+        assert _written(o) == json.dumps(o, indent=2)
+
+    def test_unsupported_key_refused(self):
+        with pytest.raises(TypeError):
+            _written({(1, 2): 0})
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "--q", "3", "--k", "4", "--d", "2"),
+        ("verify", "FAMILY"),
+        ("ilp", "--k", "4"),
+        ("bounds", "--q", "2", "--k", "4..6", "--d", "2..3"),
+        ("oracle", "--q", "2", "--k", "4", "--d", "2"),
+    ], ids=["construct", "verify", "ilp", "bounds", "oracle"])
+    def test_command_output_is_indented_json(self, capsys, tmp_path, argv):
+        family = tmp_path / "fam.json"
+        family.write_text(run_cli(capsys, "construct", "--q", "2", "--k", "5", "--d", "2")[1])
+        code, out, _ = run_cli(capsys, *(str(family) if a == "FAMILY" else a for a in argv))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_streams_in_small_writes(self, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.sizes = []
+
+            def write(self, text):
+                self.sizes.append(len(text))
+
+        rec = Recorder()
+        monkeypatch.setattr("sys.stdout", rec)
+        assert main(["construct", "--q", "2", "--k", "12", "--d", "2"]) == 0
+        assert max(rec.sizes) < sum(rec.sizes) / 10
