@@ -11,8 +11,6 @@ exact brute-force oracles at desk scale.
 from .field_core import ExtField, PrimeField, Subspace, extension, field, find_primitive_poly, span_contains
 from .geometry import (
     Layout,
-    PartialSpread,
-    PerfectCodePartition,
     binary_line_partition,
     canonical_point,
     enumerate_points,

@@ -13,15 +13,6 @@ from dataclasses import dataclass
 
 from .constructions import basic_count, construction_for
 
-# Registry entries whose family is optimal wherever they apply, with the
-# tag of the argument that proves it.
-OPTIMAL = {
-    "whole-space": "whole-space",
-    "three-subspace-rows": "three-subspace-rows",
-    "perfect-code-balls": "perfect-code",
-    "consecutive-powers+line-leftovers": "line-leftovers",
-}
-
 
 def general_upper(q: int, k: int, d: int) -> int:
     """Size-counting bound: d points per in-target set, d+1 elsewhere."""
@@ -101,8 +92,8 @@ def bound(q: int, k: int, d: int, row_upper_variant: str = "corrected") -> Bound
     ]
     exacts: list[tuple[int, str]] = []
 
-    if entry.method in OPTIMAL:
-        exacts.append((built, OPTIMAL[entry.method]))
+    if entry.optimal:
+        exacts.append((built, entry.optimal))
     if d == 1:
         exacts.append((dimension_one_exact(q, k), "dimension-one"))
     if q**d % (d + 1) == 0:

@@ -106,21 +106,15 @@ def basic_count(q: int, d: int) -> int:
     return (q**d - 1) // (d * (q - 1))
 
 
-def basic_sets_from_Td(lay: Layout) -> tuple[Sets, list[Point]]:
-    """Sets of d consecutive alpha powers inside the target space itself.
-
-    Returns floor((q^d-1)/(d(q-1))) recovery sets drawn from row 0 of the
-    layout, plus the trailing leftover points.
+def basic_sets_from_Td(lay: Layout) -> Sets:
+    """Sets of d consecutive alpha powers inside the target space itself:
+    floor((q^d-1)/(d(q-1))) recovery sets drawn from row 0 of the layout.
     """
-    q, d = lay.q, lay.d
-    a = lay.col.alpha_pow
-    r = (q**d - 1) // (q - 1)
-    nsets = basic_count(q, d)
-    sets = [
-        frozenset(lay.pt(0, a(i * d + j)) for j in range(d)) for i in range(nsets)
+    a, d = lay.col.alpha_pow, lay.d
+    return [
+        frozenset(lay.pt(0, a(i * d + j)) for j in range(d))
+        for i in range(basic_count(lay.q, d))
     ]
-    leftovers = [lay.pt(0, a(e)) for e in range(nsets * d, r)]
-    return sets, leftovers
 
 
 def _row_layout(lay: Layout, leftover=None):
@@ -129,8 +123,8 @@ def _row_layout(lay: Layout, leftover=None):
     Columns are 0 plus alpha^e for e on the cycle 0..q^d-2 (consecutive
     powers wrap around).  `leftover` pins where the q^d mod (d+1) spare
     columns sit: ("alpha", e) puts them at exponents e..e+t-1, ("zero", e)
-    uses column 0 plus exponents e..e+t-2.  Returns (sets, leftovers) as
-    lists of columns.
+    uses column 0 plus exponents e..e+t-2.  Returns the sets as lists of
+    columns.
     """
     q, d, a = lay.q, lay.d, lay.col.alpha_pow
     N = q**d - 1
@@ -141,7 +135,6 @@ def _row_layout(lay: Layout, leftover=None):
     kind, e = leftover
     sets: list[list[int]] = []
     if kind == "alpha":
-        lo = [a(e + i) for i in range(t)]
         start = e + t
         sets.append([0] + [a(start + i) for i in range(d)])
         pos = start + d
@@ -151,28 +144,25 @@ def _row_layout(lay: Layout, leftover=None):
     elif kind == "zero":
         if t == 0:
             raise ValueError("row has no leftover to place on the zero slot")
-        lo = [0] + [a(e + i) for i in range(t - 1)]
         pos = e + t - 1
         for _ in range(M):
             sets.append([a(pos + i) for i in range(d + 1)])
             pos += d + 1
     else:
         raise ValueError(f"unknown leftover kind {kind!r}")
-    return sets, lo
+    return sets
 
 
-def row_sets(lay: Layout, x: int, leftover=None):
+def row_sets(lay: Layout, x: int, leftover=None) -> Sets:
     """The floor(q^d/(d+1)) disjoint recovery sets drawn from row x.
 
-    The first set couples the zero slot with d consecutive powers, the
-    others are d+1 consecutive powers; remaining slots are returned as
-    leftover points.
+    By default the first set couples the zero slot with d consecutive
+    powers and the others are d+1 consecutive powers; the slots left over
+    are where `leftover` puts them (see `_row_layout`).
     """
     if not x:
         raise ValueError("row 0 holds the target space itself, not a row")
-    col_sets, col_leftovers = _row_layout(lay, leftover)
-    sets = [frozenset(lay.pt(x, y) for y in cs) for cs in col_sets]
-    return sets, [lay.pt(x, y) for y in col_leftovers]
+    return [frozenset(lay.pt(x, y) for y in cs) for cs in _row_layout(lay, leftover)]
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +221,12 @@ def _shifted(f, exps, shift):
 @functools.lru_cache(maxsize=None)
 def _base_partition(m: int) -> QuintriplePartition:
     if m == 4:
-        f = extension(2, 4, (1, 1, 0, 0, 1))
+        f = extension(2, 4)
         s = (0, 1, 3, 4, 7)
         quints = [_oriented(_shifted(f, s, i)) for i in (0, 5, 10)]
         return QuintriplePartition(4, tuple(quints), None, ())
     if m == 5:
-        f = extension(2, 5, (1, 0, 1, 0, 0, 1))
+        f = extension(2, 5)
         s1 = (5, 0, 2, 7, 10)
         quints = [_oriented(_shifted(f, s1, i)) for i in (0, 1, 12, 13)]
         quints.append(_oriented(_shifted(f, (16, 4, 27, 29, 30), 0)))
@@ -244,7 +234,7 @@ def _base_partition(m: int) -> QuintriplePartition:
         spare = tuple(sorted(f.alpha_pow(e) for e in (9, 24)))
         return QuintriplePartition(5, tuple(quints), dep4, spare)
     if m == 6:
-        f = extension(2, 6, (1, 1, 0, 0, 0, 0, 1))
+        f = extension(2, 6)
         s1 = (0, 1, 6, 13, 35)
         s4 = (7, 9, 12, 19, 41)
         quints = []
@@ -425,7 +415,7 @@ def _three_subspace_rows(k: int) -> Sets:
     """
     if k == 6:
         return _d4_k6_sets()
-    lay = Layout(2, k, 4, (1, 1, 0, 0, 1))
+    lay = Layout(2, k, 4)
     colf, pt = lay.col, lay.pt
     a = colf.alpha_pow
     m = k - 4
@@ -433,7 +423,7 @@ def _three_subspace_rows(k: int) -> Sets:
     sets = [frozenset(pt(0, a(4 * i + j)) for j in range(4)) for i in range(3)]
     first_leftovers = [a(12), a(13), a(14)]
     if k == 5:
-        return sets + row_sets(lay, 1)[0]
+        return sets + row_sets(lay, 1)
 
     # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
     maps, base = lifted_ladder(m, 3, {0: 3, 1: 4, 2: 5}[m % 3])
@@ -495,13 +485,13 @@ def _three_subspace_rows(k: int) -> Sets:
     for x in lay.rows:
         lo = leftover_col.get(x, 0)
         spec = ("zero", 0) if lo == 0 else ("alpha", colf.dlog(lo))
-        sets.extend(row_sets(lay, x, spec)[0])
+        sets.extend(row_sets(lay, x, spec))
     return sets + extra
 
 
 def _d4_k6_sets() -> Sets:
     """The pinned thirteen-set family for (q, k, d) = (2, 6, 4)."""
-    lay = Layout(2, 6, 4, (1, 1, 0, 0, 1))
+    lay = Layout(2, 6, 4)
     a, pt = lay.col.alpha_pow, lay.pt
     sets = [
         frozenset(pt(0, a(e)) for e in (3, 4, 5, 6)),
@@ -529,7 +519,7 @@ def _line_group_rows(k: int) -> Sets:
     each; leftovers are stitched over groups of four disjoint lines of
     F_2^{k-5} into 8-sets, with the parity-dependent remainder (a spare
     line or a 3-subspace) absorbing the first-row leftover."""
-    lay = Layout(2, k, 5, (1, 0, 1, 0, 0, 1))
+    lay = Layout(2, k, 5)
     a, pt = lay.col.alpha_pow, lay.pt
     m = k - 5
     u1, u2, u3, u4, u5 = (a(i) for i in range(5))
@@ -538,8 +528,7 @@ def _line_group_rows(k: int) -> Sets:
         frozenset(pt(0, a(1 + 5 * i + j)) for j in range(5)) for i in range(6)
     ]
 
-    lp = binary_line_partition(m)
-    lines = [(p.from_field[1], p.from_field[2], p.from_field[3]) for p in lp.parts]
+    lines = [ff[1:4] for ff in binary_line_partition(m)]
     leftover_spec: dict[int, tuple] = {}
     extra: list[frozenset[Point]] = []
 
@@ -586,7 +575,7 @@ def _line_group_rows(k: int) -> Sets:
             pt(z1 ^ z2 ^ z3, u4), pt(z1 ^ z2 ^ z3, u5)}))
 
     for x in lay.rows:
-        sets.extend(row_sets(lay, x, leftover_spec[x])[0])
+        sets.extend(row_sets(lay, x, leftover_spec[x]))
     return sets + extra
 
 
@@ -599,8 +588,8 @@ def _perfect_code_balls(k: int, d: int) -> Sets:
     """For d = 2^m - 1, each nonzero row splits into 2^d/(d+1) translated
     Hamming balls, every ball spanning the target."""
     lay = Layout(2, k, d)
-    sets, _ = basic_sets_from_Td(lay)
-    balls = hamming_partition((d + 1).bit_length() - 1).balls
+    sets = basic_sets_from_Td(lay)
+    balls = hamming_partition((d + 1).bit_length() - 1)
     for x in lay.rows:
         for ball in balls:
             sets.append(frozenset(lay.pt(x, word) for word in ball))
@@ -616,9 +605,9 @@ def _consecutive_powers(q: int, k: int, d: int) -> Sets:
     """The baseline: floor((q^d-1)/(d(q-1))) sets inside the target plus
     floor(q^d/(d+1)) sets per row; leftovers are not used."""
     lay = Layout(q, k, d)
-    sets, _ = basic_sets_from_Td(lay)
+    sets = basic_sets_from_Td(lay)
     for x in lay.rows:
-        sets.extend(row_sets(lay, x)[0])
+        sets.extend(row_sets(lay, x))
     return sets
 
 
@@ -649,16 +638,16 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
     lay = Layout(q, k, d)
     colf, pt = lay.col, lay.pt
     t = q**d % (d + 1)
-    sets, _ = basic_sets_from_Td(lay)
+    sets = basic_sets_from_Td(lay)
     leftover_spec: dict[int, tuple] = {}
     extra: list[frozenset[Point]] = []
     target = canonical_target(q, k, d)
     amb = extension(lay.fld, k - d)
 
-    for part in full_spread(q, k - d, 2).parts:
+    for part in full_spread(q, k - d, 2):
         # row encodings are those of F_{q^(k-d)}, so a line's elements are rows
         line = {amb.from_vector(canonical_point(amb.to_vector(e), lay.fld))
-                for e in part.elements()}
+                for e in part[1:]}
         line_rows = sorted(line, key=lay.row_vector)
         for gi in range(0, len(line_rows), d + 2):
             group = line_rows[gi: gi + d + 2]
@@ -685,7 +674,7 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
                     extra.append(frozenset(layer))
 
     for x in lay.rows:
-        sets.extend(row_sets(lay, x, leftover_spec.get(x))[0])
+        sets.extend(row_sets(lay, x, leftover_spec.get(x)))
     return sets + extra
 
 
@@ -715,13 +704,16 @@ def _search_layer_values(lay: Layout, xs, tail, target):
 @dataclass(frozen=True)
 class Construction:
     """One builder: its method tag, where it applies, the closed-form
-    number of sets it gives there, and the builder itself."""
+    number of sets it gives there, and the builder itself.  `optimal`
+    names the argument that proves the family maximum wherever the entry
+    applies, or is None when there is none."""
 
     method: str
     applies: Callable[[int, int, int], bool]
     size: Callable[[int, int, int], int]
     build: Callable[[int, int, int], Sets]
     notes: Callable[[int, int, int], list[str]] = lambda q, k, d: []
+    optimal: str | None = None
 
 
 def _tight_size(q: int, k: int, d: int) -> int:
@@ -731,7 +723,10 @@ def _tight_size(q: int, k: int, d: int) -> int:
 # Ordered: construct() takes the first entry that applies, and the last
 # applies everywhere.  bound() reads its constructive lower bound here.
 REGISTRY = (
-    Construction("whole-space", lambda q, k, d: d == k, _tight_size, _consecutive_powers),
+    Construction(
+        "whole-space", lambda q, k, d: d == k, _tight_size, _consecutive_powers,
+        optimal="whole-space",
+    ),
     Construction(
         "quintriple-rows",
         lambda q, k, d: q == 2 and d == 2,
@@ -743,6 +738,7 @@ REGISTRY = (
         lambda q, k, d: q == 2 and d == 4,
         lambda q, k, d: 13 if k == 6 else (11 * 2 ** (k - 3) - 1) // 7,
         lambda q, k, d: _three_subspace_rows(k),
+        optimal="three-subspace-rows",
     ),
     Construction(
         "line-group-rows",
@@ -757,12 +753,14 @@ REGISTRY = (
         lambda q, k, d: q == 2 and d >= 3 and d & (d + 1) == 0,
         _tight_size,
         lambda q, k, d: _perfect_code_balls(k, d),
+        optimal="perfect-code",
     ),
     Construction(
         "consecutive-powers+line-leftovers",
         lambda q, k, d: q > 2 and _line_leftover_gap(q, k, d) is None,
         lambda q, k, d: _tight_size(q, k, d) + num_points(q, k - d) * (q**d % (d + 1)) // (d + 2),
         _line_leftovers,
+        optimal="line-leftovers",
     ),
     Construction(
         "consecutive-powers", lambda q, k, d: True, _tight_size, _consecutive_powers,

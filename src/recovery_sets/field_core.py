@@ -48,19 +48,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, ceiling: int = DEFAULT_FACTOR_CEILING) -> list[int]:
+def factorize(n: int) -> list[int]:
     """Distinct prime factors of n, by trial division.
 
-    Raises ValueError if a divisor beyond `ceiling` would be needed while a
-    composite cofactor might remain.
+    Raises ValueError if a divisor beyond DEFAULT_FACTOR_CEILING would be
+    needed while a composite cofactor might remain.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     primes = []
     f = 2
     while f * f <= n:
-        if f > ceiling:
-            raise ValueError(f"factorization of {n} exceeds ceiling {ceiling}")
+        if f > DEFAULT_FACTOR_CEILING:
+            raise ValueError(f"factorization of {n} exceeds ceiling {DEFAULT_FACTOR_CEILING}")
         if n % f == 0:
             primes.append(f)
             while n % f == 0:
@@ -129,14 +129,15 @@ class PrimeField:
 
 
 class ExtField:
-    """F_{q^n} presented over a base field F_q by a primitive modulus.
+    """F_{q^n} presented over a base field F_q by the primitive modulus
+    `find_primitive_poly` picks.
 
     The modulus is a monic degree-n polynomial over the base, given as a
     coefficient tuple of length n+1, constant term first.  alpha is the
     class of x; antilog[i] = alpha**i enumerates every nonzero element.
     """
 
-    def __init__(self, base, n: int, modulus: Sequence[int] | None = None):
+    def __init__(self, base, n: int):
         if n < 1:
             raise ValueError("extension degree must be >= 1")
         self.base = base
@@ -146,12 +147,7 @@ class ExtField:
         self.order = base.order**n
         if self.order > MAX_FIELD_ORDER:
             raise ValueError(f"field order {self.order} exceeds supported ceiling")
-        if modulus is None:
-            modulus = find_primitive_poly(base, n)
-        modulus = tuple(modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree n")
-        self.modulus = modulus
+        self.modulus = find_primitive_poly(base, n)
         self._build_tables()
 
     def _build_tables(self):
@@ -268,14 +264,13 @@ def field(q: int) -> Field:
 
 
 @functools.lru_cache(maxsize=None)
-def _extension_cached(base_order: int, n: int, modulus: tuple | None) -> ExtField:
-    return ExtField(field(base_order), n, modulus)
+def _extension_cached(base_order: int, n: int) -> ExtField:
+    return ExtField(field(base_order), n)
 
 
-def extension(base, n: int, modulus: Sequence[int] | None = None) -> ExtField:
+def extension(base, n: int) -> ExtField:
     """F_{q^n} over F_q (`base` is a field or its order); instances cached."""
-    base_order = base if isinstance(base, int) else base.order
-    return _extension_cached(base_order, n, tuple(modulus) if modulus is not None else None)
+    return _extension_cached(base if isinstance(base, int) else base.order, n)
 
 
 def _poly_mul_mod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], base) -> list[int]:
@@ -526,10 +521,6 @@ class Subspace:
         if any(len(v) != ambient for v in vecs):
             raise ValueError("vectors have mixed ambient dimensions")
         return cls(ambient, rref(vecs, fld))
-
-    def contains(self, vec: Vector, fld: Field) -> bool:
-        q = fld.order
-        return Echelon(q, (pack(row, q) for row in self.basis)).contains(pack(vec, q))
 
 
 def span_contains(generators: Iterable[Vector], target: Subspace | Iterable[Vector], fld: Field) -> bool:

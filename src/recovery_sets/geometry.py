@@ -9,14 +9,13 @@ row 0 carries the points inside the target space.
 Spreads and partial spreads of F_q^n come in two flavours used by the
 recovery-set constructions: the multiplicative coset spread (t | n) and
 the lifted matrix-code partial spread ([I_t | M_a] for a ranging over
-F_{q^{n-t}}).  Each part exposes an F_q-linear bijection with the field
-F_{q^t} so that structures found once in the field can be transported
-into every part.
+F_{q^{n-t}}).  Each part is returned as its F_q-linear bijection with the
+field F_{q^t} (a from_field tuple, see `_part_from_span`), so that
+structures found once in the field can be transported into every part.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .field_core import (
@@ -76,12 +75,12 @@ class Layout:
     Row 0 is the target itself; its nonzero columns are the points of U.
     """
 
-    def __init__(self, q: int, k: int, d: int, modulus=None):
+    def __init__(self, q: int, k: int, d: int):
         if not 1 <= d <= k:
             raise ValueError(f"need 1 <= d <= k, got d={d}, k={k}")
         self.q, self.k, self.d = q, k, d
         self.fld = field(q)
-        self.col = extension(self.fld, d, modulus)
+        self.col = extension(self.fld, d)
         m = k - d
         # coordinate tuples, cached: every point a builder makes needs both
         self._row_vectors: dict[int, Vector] = {}
@@ -120,31 +119,15 @@ class Layout:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpreadPart:
-    """One t-subspace of a partition, with its field identification.
+def _part_from_span(amb: ExtField, images: list[int]) -> tuple[int, ...]:
+    """One t-subspace of a partition as its field identification, built
+    from the images of the polynomial basis of F_{q^t}.
 
-    from_field[c] is the ambient element (integer encoding over F_q)
+    Entry c is the ambient element (integer encoding over F_q)
     corresponding to the element of F_{q^t} encoded by c; the map is
     F_q-linear and bijective, so additive structure transports through it.
+    Its nonzero entries are the nonzero vectors of the part.
     """
-
-    from_field: tuple[int, ...]
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple(e for e in self.from_field if e)
-
-
-@dataclass
-class PartialSpread:
-    q: int
-    ambient_dim: int
-    part_dim: int
-    parts: list[SpreadPart]
-
-
-def _part_from_span(amb: ExtField, images: list[int]) -> SpreadPart:
-    """Build a SpreadPart from the images of the field's polynomial basis."""
     part_f = extension(amb.base, len(images))
     from_field = []
     for c in part_f.elements():
@@ -154,14 +137,14 @@ def _part_from_span(amb: ExtField, images: list[int]) -> SpreadPart:
             if ci:
                 acc = amb.add(acc, amb.mul(ci, img))
         from_field.append(acc)
-    return SpreadPart(tuple(from_field))
+    return tuple(from_field)
 
 
-def full_spread(q: int, n: int, t: int) -> PartialSpread:
+def full_spread(q: int, n: int, t: int) -> list[tuple[int, ...]]:
     """Partition of the nonzero vectors of F_q^n into (q^n-1)/(q^t-1)
     pairwise disjoint t-subspaces, via multiplicative cosets of the
     subfield F_{q^t}; part i is alpha^i times the subfield, and its field
-    identification divides by alpha^i."""
+    identification divides by alpha^i.  Returns each part's from_field."""
     if t < 1 or n % t != 0:
         raise ValueError(f"{t} does not divide {n}")
     fld = field(q)
@@ -174,15 +157,16 @@ def full_spread(q: int, n: int, t: int) -> PartialSpread:
         shift = amb.alpha_pow(i)
         images = [amb.mul(shift, b) for b in sub_basis]
         parts.append(_part_from_span(amb, images))
-    return PartialSpread(q, n, t, parts)
+    return parts
 
 
-def lifted_partial_spread(q: int, n: int, t: int) -> PartialSpread:
+def lifted_partial_spread(q: int, n: int, t: int) -> list[tuple[int, ...]]:
     """q^{n-t} pairwise disjoint t-subspaces spanned by [I_t | M_a], where
     row i of M_a is the F_q-vector of a*gamma^(i-1) for a primitive gamma
     of F_{q^{n-t}}; distinct a give matrices whose difference has full
     rank, so the lifted subspaces meet only in zero.  They leave out the
-    (n-t)-subspace of vectors whose t leading coordinates vanish."""
+    (n-t)-subspace of vectors whose t leading coordinates vanish.
+    Returns each part's from_field, one per a in order."""
     if t < 1 or t > n - t:
         raise ValueError(f"lifting needs t <= n - t, got t={t}, n={n}")
     fld = field(q)
@@ -196,7 +180,7 @@ def lifted_partial_spread(q: int, n: int, t: int) -> PartialSpread:
             high = ext.mul(a, ext.alpha_pow(i)) if a else 0
             images.append(q**i + high * qt)
         parts.append(_part_from_span(amb, images))
-    return PartialSpread(q, n, t, parts)
+    return parts
 
 
 def lifted_ladder(n: int, t: int, stop: int) -> tuple[list[tuple[int, ...]], int]:
@@ -209,23 +193,22 @@ def lifted_ladder(n: int, t: int, stop: int) -> tuple[list[tuple[int, ...]], int
     maps: list[tuple[int, ...]] = []
     shift = 0
     while n - shift > stop:
-        for part in lifted_partial_spread(2, n - shift, t).parts:
-            maps.append(tuple(e << shift for e in part.from_field))
+        for ff in lifted_partial_spread(2, n - shift, t):
+            maps.append(tuple(e << shift for e in ff))
         shift += t
     return maps, n - shift
 
 
-def binary_line_partition(n: int) -> PartialSpread:
-    """Partition of F_2^n minus zero into 2-subspaces (lines), plus one
-    residual 3-subspace when n is odd.  Even n uses the full coset
-    spread; odd n >= 5 peels lifted partial spreads until the 3-subspace
-    base remains."""
+def binary_line_partition(n: int) -> list[tuple[int, ...]]:
+    """The from_field maps of 2-subspaces (lines) partitioning F_2^n minus
+    zero, except for one residual 3-subspace on the top coordinates when
+    n is odd.  Even n uses the full coset spread; odd n >= 5 peels lifted
+    partial spreads until the 3-subspace base remains."""
     if n < 2:
         raise ValueError("need n >= 2")
     if n % 2 == 0:
         return full_spread(2, n, 2)
-    maps, _ = lifted_ladder(n, 2, 3)
-    return PartialSpread(2, n, 2, [SpreadPart(ff) for ff in maps])
+    return lifted_ladder(n, 2, 3)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -233,42 +216,27 @@ def binary_line_partition(n: int) -> PartialSpread:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerfectCodePartition:
-    """The length-(2^m - 1) Hamming code and its radius-1 ball partition.
+def hamming_partition(m: int) -> list[frozenset[int]]:
+    """The radius-1 balls around the codewords of the length-(2^m - 1)
+    Hamming code, ordered by codeword; together they partition F_2^n.
 
     Words are integer bitmasks over the n = 2^m - 1 positions; position j
     carries syndrome j + 1, so the parity-check matrix columns are all
-    nonzero m-bit values in order.  Ball i is codeword i together with its
-    n single-bit neighbours.
+    nonzero m-bit values in order.  The code is spanned by the systematic
+    generators: for every syndrome s that is not a power of two, bit s - 1
+    plus the parity bits 2^r - 1 for each bit r set in s.
     """
-
-    m: int
-    length: int
-    codewords: tuple[int, ...]
-    balls: tuple[frozenset[int], ...] = dc_field(repr=False)
-
-
-def hamming_partition(m: int) -> PerfectCodePartition:
     if m < 2:
         raise ValueError("need m >= 2")
     if m > 4:
         raise ValueError("ball partition materialization is capped at m = 4")
     n = (1 << m) - 1
-    f2 = field(2)
-    h_rows = [tuple((j + 1) >> r & 1 for j in range(n)) for r in range(m)]
-    from .field_core import nullspace
-
-    kernel = nullspace(h_rows, n, f2)
-    codewords = []
-    for coeffs in product((0, 1), repeat=len(kernel)):
-        w = 0
-        for c, vec in zip(coeffs, kernel):
-            if c:
-                w ^= sum(b << j for j, b in enumerate(vec))
-        codewords.append(w)
-    codewords.sort()
-    balls = tuple(
-        frozenset([c] + [c ^ (1 << j) for j in range(n)]) for c in codewords
-    )
-    return PerfectCodePartition(m, n, tuple(codewords), balls)
+    codewords = [0]
+    for s in range(3, n + 1):
+        if s & (s - 1):
+            g = 1 << (s - 1)
+            for r in range(m):
+                if s >> r & 1:
+                    g |= 1 << ((1 << r) - 1)
+            codewords += [c ^ g for c in codewords]
+    return [frozenset([c] + [c ^ (1 << j) for j in range(n)]) for c in sorted(codewords)]

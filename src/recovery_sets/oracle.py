@@ -14,8 +14,9 @@ over all later points, the packer at every node over the alive pool.
 Points are packed once, and spans are `field_core.Echelon`s grown by
 copy-and-insert.
 
-Results that exhaust the node or time budget are reported as lower
-bounds, never as exact values.
+Results that exhaust the node or time budget, or whose search was capped
+below k points per set, are reported as lower bounds, never as exact
+values.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ class OracleResult:
     exact: bool
     witness: RecoveryFamily
     nodes: int
-    elapsed: float
 
     @property
     def status(self) -> str:
@@ -118,22 +118,19 @@ def _packed_instance(q: int, k: int, d: int):
     return points, target, [pack(p, q) for p in points], [pack(r, q) for r in target.basis]
 
 
-def minimal_recovery_sets(q: int, k: int, d: int, size_cap: int | None = None):
+def minimal_recovery_sets(q: int, k: int, d: int):
     """All inclusion-minimal recovery sets for the canonical target, as
     sorted point tuples, ordered by size then lexicographically.
 
     Minimal sets are linearly independent (a dependent member is always
     removable), so their size never exceeds k.
     """
-    if size_cap is not None and size_cap < d:
-        raise ValueError("size cap below target dimension")
     points, _, vecs, target_rows = _packed_instance(q, k, d)
-    cap = min(size_cap or k, k)
     n = len(points)
     found = [
         tuple(points[i] for i in s)
         for p in range(n)
-        for s in _minimal_sets(q, vecs, target_rows, p, list(range(p + 1, n)), cap, lambda: None)
+        for s in _minimal_sets(q, vecs, target_rows, p, list(range(p + 1, n)), k, lambda: None)
     ]
     found.sort(key=lambda s: (len(s), s))
     return found
@@ -141,7 +138,11 @@ def minimal_recovery_sets(q: int, k: int, d: int, size_cap: int | None = None):
 
 def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleResult:
     """Maximum number of pairwise disjoint recovery sets for the canonical
-    d-subspace of F_q^k, with a witness family."""
+    d-subspace of F_q^k, with a witness family.
+
+    Minimal sets have at most k points, so a `max_set_size` below k can
+    exclude sets an optimal family needs: the result is then a lower bound.
+    """
     cfg = cfg or SearchConfig()
     points, target, vecs, target_rows = _packed_instance(q, k, d)
     cap = min(cfg.max_set_size or k, k)
@@ -153,10 +154,10 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
     start_time = time.monotonic()
     nodes = 0
     best: list[list[int]] = []
-    exact = True
+    exact = cap == k
 
     def check_budget():
-        nonlocal exact, nodes
+        nonlocal nodes
         nodes += 1
         if cfg.node_limit is not None and nodes > cfg.node_limit:
             raise _Budget
@@ -206,6 +207,4 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
         [frozenset(points[i] for i in s) for s in best],
         "oracle-packing",
     )
-    return OracleResult(
-        q, k, d, len(best), exact, witness, nodes, time.monotonic() - start_time
-    )
+    return OracleResult(q, k, d, len(best), exact, witness, nodes)

@@ -156,11 +156,11 @@ def test_criterion_7_general_q():
 def test_criterion_8_structural():
     started = time.monotonic()
 
-    def check_partial_spread(ps, universe_size, covered_all):
+    def check_partial_spread(parts, q, t, universe_size, covered_all):
         cover = set()
-        for part in ps.parts:
-            els = set(part.elements())
-            assert len(els) == ps.q**ps.part_dim - 1
+        for ff in parts:
+            els = set(ff) - {0}
+            assert len(els) == q**t - 1
             assert not (cover & els)
             cover |= els
         if covered_all:
@@ -169,29 +169,26 @@ def test_criterion_8_structural():
 
     # coset spreads and lifted partial spreads used by the constructions
     for q, n, t in ((2, 2, 2), (2, 4, 2), (2, 6, 2), (7, 2, 2), (2, 8, 4)):
-        ps = full_spread(q, n, t)
-        check_partial_spread(ps, q**n - 1, covered_all=True)
+        check_partial_spread(full_spread(q, n, t), q, t, q**n - 1, covered_all=True)
     for q, n, t in [(2, m, 4) for m in range(8, 13)] + [(2, m, 3) for m in (6, 7, 8, 9)] \
             + [(2, m, 2) for m in (4, 5, 6, 7)]:
-        ps = lifted_partial_spread(q, n, t)
-        cover = check_partial_spread(ps, q**n - 1, covered_all=False)
+        cover = check_partial_spread(lifted_partial_spread(q, n, t), q, t, q**n - 1,
+                                     covered_all=False)
         assert len(cover) == (q**n - 1) - (q ** (n - t) - 1)
     for m in range(2, 8):
-        lp = binary_line_partition(m)
         cover = set()
-        for part in lp.parts:
-            els = set(part.elements())
+        for ff in binary_line_partition(m):
+            els = set(ff) - {0}
             assert not (cover & els)
             cover |= els
         expected = 2**m - 1 if m % 2 == 0 else 2**m - 8
         assert len(cover) == expected
     for m in (2, 3):
-        pc = hamming_partition(m)
         seen = set()
-        for b in pc.balls:
+        for b in hamming_partition(m):
             assert not (seen & b)
             seen |= b
-        assert len(seen) == 2 ** pc.length
+        assert len(seen) == 2 ** (2**m - 1)
 
     # layout bijection over the stated grid: the target points and every
     # (row, column) slot give each point of PG(k-1,q) exactly once

@@ -11,7 +11,7 @@ from recovery_sets.constructions import (
     quintriple_partition,
     row_sets,
 )
-from recovery_sets.geometry import Layout
+from recovery_sets.geometry import Layout, num_points
 from recovery_sets.verifier import verify_family
 
 
@@ -23,22 +23,40 @@ def assert_valid(family, size=None):
     return cert
 
 
+def leftovers(sets, row_points):
+    """The points of a row that no set uses, in row order."""
+    used = set().union(*sets)
+    return [p for p in row_points if p not in used]
+
+
+def target_points(lay):
+    return [lay.pt(0, lay.col.alpha_pow(e)) for e in range(num_points(lay.q, lay.d))]
+
+
+def row_points(lay, x):
+    """Row x in column order: the zero column, then alpha^0, alpha^1, ..."""
+    return [lay.pt(x, 0)] + [lay.pt(x, lay.col.alpha_pow(e)) for e in range(lay.col.order - 1)]
+
+
 class TestBasicSets:
     def test_binary_d3(self):
-        sets, leftovers = basic_sets_from_Td(Layout(2, 3, 3))
+        lay = Layout(2, 3, 3)
+        sets = basic_sets_from_Td(lay)
         f8 = extension(2, 3)
         exp = lambda e: f8.to_vector(f8.alpha_pow(e))
         assert sets[0] == frozenset(exp(e) for e in (0, 1, 2))
         assert sets[1] == frozenset(exp(e) for e in (3, 4, 5))
-        assert leftovers == [exp(6)]
+        assert leftovers(sets, target_points(lay)) == [exp(6)]
 
     def test_binary_d1(self):
-        sets, leftovers = basic_sets_from_Td(Layout(2, 1, 1))
-        assert len(sets) == 1 and not leftovers
+        lay = Layout(2, 1, 1)
+        sets = basic_sets_from_Td(lay)
+        assert len(sets) == 1 and not leftovers(sets, target_points(lay))
 
     def test_q3_d2(self):
-        sets, leftovers = basic_sets_from_Td(Layout(3, 2, 2))
-        assert len(sets) == 2 and not leftovers
+        lay = Layout(3, 2, 2)
+        sets = basic_sets_from_Td(lay)
+        assert len(sets) == 2 and not leftovers(sets, target_points(lay))
         for s in sets:
             assert len(s) == 2 and Echelon(3, [pack(p, 3) for p in s]).rank == 2
 
@@ -50,15 +68,17 @@ class TestRowSets:
     )
     def test_shapes(self, q, d, nsets, size, nleft):
         # the row (1, 0) of F_q^2
-        sets, leftovers = row_sets(Layout(q, 2 + d, d), 1)
-        assert len(sets) == nsets and len(leftovers) == nleft
+        lay = Layout(q, 2 + d, d)
+        sets = row_sets(lay, 1)
+        lo = leftovers(sets, row_points(lay, 1))
+        assert len(sets) == nsets and len(lo) == nleft
         assert all(len(s) == size for s in sets)
         fld = field(q)
         target = canonical_target(q, 2 + d, d)
         for s in sets:
             assert span_contains(list(s), target, fld)
         # disjoint and consuming the whole row
-        all_pts = [p for s in sets for p in s] + leftovers
+        all_pts = [p for s in sets for p in s] + lo
         assert len(set(all_pts)) == len(all_pts) == q**d
 
     def test_zero_row_rejected(self):
@@ -69,11 +89,11 @@ class TestRowSets:
         # zero-slot leftover plus one alpha, and a pinned two-alpha run
         f32 = extension(2, 5)
         lay, x = Layout(2, 7, 5), (1, 0)
-        sets, lo = row_sets(lay, 1, ("zero", 3))
+        lo = leftovers(row_sets(lay, 1, ("zero", 3)), row_points(lay, 1))
         assert len(lo) == 2
         assert x + (0,) * 5 in lo
         assert x + f32.to_vector(f32.alpha_pow(3)) in lo
-        sets, lo = row_sets(lay, 1, ("alpha", 7))
+        lo = leftovers(row_sets(lay, 1, ("alpha", 7)), row_points(lay, 1))
         assert lo == [x + f32.to_vector(f32.alpha_pow(e)) for e in (7, 8)]
 
 

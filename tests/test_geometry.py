@@ -1,7 +1,7 @@
 import pytest
 from itertools import product
 
-from recovery_sets.field_core import extension, field
+from recovery_sets.field_core import extension, field, nullspace
 from recovery_sets.geometry import (
     Layout,
     binary_line_partition,
@@ -20,12 +20,13 @@ def brute_points(q, k):
     return {canonical_point(v, fld) for v in product(range(q), repeat=k) if any(v)}
 
 
-def spread_cover(ps):
-    """(cover set, True-if-disjoint) over all parts of a partial spread."""
+def spread_cover(parts):
+    """(cover set, True-if-disjoint) over the from_field maps of a partial
+    spread; a part's nonzero vectors are its nonzero entries."""
     cover = set()
     disjoint = True
-    for part in ps.parts:
-        els = set(part.elements())
+    for ff in parts:
+        els = set(ff) - {0}
         if cover & els:
             disjoint = False
         cover |= els
@@ -125,18 +126,18 @@ class TestLayout:
 class TestSpreads:
     def test_coset_spread_17_parts(self):
         s = full_spread(2, 8, 4)
-        assert len(s.parts) == 17
+        assert len(s) == 17
         cover, disjoint = spread_cover(s)
         assert disjoint and cover == set(range(1, 256))
 
     def test_whole_space(self):
         s = full_spread(2, 4, 4)
-        assert len(s.parts) == 1
-        assert set(s.parts[0].elements()) == set(range(1, 16))
+        assert len(s) == 1
+        assert set(s[0]) - {0} == set(range(1, 16))
 
     def test_21_lines(self):
         s = full_spread(2, 6, 2)
-        assert len(s.parts) == 21
+        assert len(s) == 21
         cover, disjoint = spread_cover(s)
         assert disjoint and cover == set(range(1, 64))
 
@@ -149,8 +150,7 @@ class TestSpreads:
         s = full_spread(q, n, t)
         f = extension(q, t)
         amb = extension(q, n)
-        for part in s.parts[:4]:
-            ff = part.from_field
+        for ff in s[:4]:
             assert ff[0] == 0 and len(set(ff)) == q**t
             for a in range(q**t):
                 for b in range(q**t):
@@ -158,23 +158,23 @@ class TestSpreads:
 
     def test_lifted_2_8_4(self):
         s = lifted_partial_spread(2, 8, 4)
-        assert len(s.parts) == 16
+        assert len(s) == 16
         cover, disjoint = spread_cover(s)
         residual_els = {e for e in range(1, 256) if e % 16 == 0}
         assert disjoint and cover == set(range(1, 256)) - residual_els
         # together with the residual as a 17th part this matches the coset count
-        assert len(s.parts) + 1 == len(full_spread(2, 8, 4).parts)
+        assert len(s) + 1 == len(full_spread(2, 8, 4))
 
     def test_lifted_2_7_3(self):
         s = lifted_partial_spread(2, 7, 3)
-        assert len(s.parts) == 16
+        assert len(s) == 16
         cover, disjoint = spread_cover(s)
         # what is left over is the 4-subspace with the 3 low bits zero
         assert disjoint and cover == {e for e in range(1, 128) if e % 8}
 
     def test_lifted_zero_codeword(self):
         s = lifted_partial_spread(3, 4, 2)
-        assert set(s.parts[0].elements()) == {e for e in range(1, 9)}
+        assert set(s[0]) - {0} == {e for e in range(1, 9)}
 
     def test_lifted_requires_room(self):
         with pytest.raises(ValueError):
@@ -184,8 +184,7 @@ class TestSpreads:
         s = lifted_partial_spread(2, 9, 3)
         f = extension(2, 3)
         amb = extension(2, 9)
-        for part in s.parts[:5]:
-            ff = part.from_field
+        for ff in s[:5]:
             for a in range(8):
                 for b in range(8):
                     assert ff[f.add(a, b)] == amb.add(ff[a], ff[b])
@@ -196,7 +195,7 @@ class TestLinePartition:
                                                   (3, 0, 3), (5, 8, 3), (7, 40, 3)])
     def test_counts_and_cover(self, n, lines, residual):
         lp = binary_line_partition(n)
-        assert len(lp.parts) == lines
+        assert len(lp) == lines
         cover, disjoint = spread_cover(lp)
         assert disjoint
         if residual is None:
@@ -213,25 +212,59 @@ class TestLinePartition:
             binary_line_partition(1)
 
 
+def syndrome(word):
+    """XOR of j + 1 over the set bits j of a word."""
+    s, j = 0, 0
+    while word:
+        if word & 1:
+            s ^= j + 1
+        word >>= 1
+        j += 1
+    return s
+
+
+def centre(ball):
+    """The one word of a radius-1 ball with zero syndrome."""
+    (c,) = [w for w in ball if syndrome(w) == 0]
+    return c
+
+
+def reference_balls(m):
+    """Balls around the kernel of the parity-check matrix, by codeword."""
+    n = (1 << m) - 1
+    h_rows = [tuple((j + 1) >> r & 1 for j in range(n)) for r in range(m)]
+    kernel = [sum(b << j for j, b in enumerate(v)) for v in nullspace(h_rows, n, field(2))]
+    codewords = {0}
+    for g in kernel:
+        codewords |= {c ^ g for c in codewords}
+    return [frozenset([c] + [c ^ (1 << j) for j in range(n)]) for c in sorted(codewords)]
+
+
 class TestHamming:
     def test_m2_repetition(self):
-        pc = hamming_partition(2)
-        assert pc.codewords == (0, 7)
-        assert all(len(b) == 4 for b in pc.balls)
+        balls = hamming_partition(2)
+        assert [centre(b) for b in balls] == [0, 7]
+        assert all(len(b) == 4 for b in balls)
 
     def test_m3_partition(self):
-        pc = hamming_partition(3)
-        assert len(pc.codewords) == 16
+        balls = hamming_partition(3)
+        assert len(balls) == 16
         seen = set()
-        for b in pc.balls:
+        for b in balls:
             assert len(b) == 8 and not (seen & b)
             seen |= b
         assert seen == set(range(128))
 
     def test_ball_structure(self):
-        pc = hamming_partition(3)
-        for c, ball in zip(pc.codewords, pc.balls):
+        balls = hamming_partition(3)
+        codewords = [centre(b) for b in balls]
+        assert codewords == sorted(codewords)
+        for c, ball in zip(codewords, balls):
             assert ball == frozenset([c] + [c ^ (1 << j) for j in range(7)])
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_parity_check_kernel(self, m):
+        assert list(hamming_partition(m)) == reference_balls(m)
 
     def test_bad_m(self):
         with pytest.raises(ValueError):

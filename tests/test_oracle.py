@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from recovery_sets.field_core import field, rref
+from recovery_sets.field_core import field, rref, span_contains
 from recovery_sets.geometry import enumerate_points
 from recovery_sets.constructions import canonical_target, construct
 from recovery_sets.oracle import SearchConfig, exact_N, minimal_recovery_sets
@@ -29,6 +29,19 @@ class TestExactValues:
         assert not result.exact
         assert result.status == "lower-bound-only"
         assert verify_family(result.witness).valid
+
+    def test_cap_below_k_is_a_lower_bound(self):
+        # minimal sets reach k = 4 points, so a cap of 2 leaves out sets
+        # every maximum family of N_2(4,2) = 5 needs
+        capped = exact_N(2, 4, 2, SearchConfig(max_set_size=2))
+        assert (capped.value, capped.status) == (1, "lower-bound-only")
+        assert verify_family(capped.witness).valid
+
+    def test_cap_at_k_is_exact(self):
+        capped = exact_N(2, 4, 2, SearchConfig(max_set_size=4))
+        full = exact_N(2, 4, 2)
+        assert capped.status == full.status == "exact"
+        assert (capped.value, capped.nodes, capped.witness.sets) == (full.value, full.nodes, full.witness.sets)
 
     def test_cap_below_d_rejected(self):
         with pytest.raises(ValueError):
@@ -65,18 +78,18 @@ def brute_minimal_sets(q, k, d, cap):
 
 class TestMinimalSets:
     def test_bases_of_F2_3(self):
-        sets = minimal_recovery_sets(2, 3, 3, size_cap=3)
+        sets = minimal_recovery_sets(2, 3, 3)
         assert len(sets) == 28
 
     def test_pairs_inside_target(self):
-        sets = minimal_recovery_sets(2, 4, 2, size_cap=2)
-        assert len(sets) == 3
+        pairs = [s for s in minimal_recovery_sets(2, 4, 2) if len(s) == 2]
+        assert len(pairs) == 3
 
     def test_matches_brute_enumeration(self):
-        assert minimal_recovery_sets(2, 4, 2, 4) == brute_minimal_sets(2, 4, 2, 4)
-        assert minimal_recovery_sets(3, 2, 2, 3) == brute_minimal_sets(3, 2, 2, 3)
+        assert minimal_recovery_sets(2, 4, 2) == brute_minimal_sets(2, 4, 2, 4)
+        assert minimal_recovery_sets(3, 2, 2) == brute_minimal_sets(3, 2, 2, 3)
         # q > 2 over an extension field
-        assert minimal_recovery_sets(4, 3, 2, 3) == brute_minimal_sets(4, 3, 2, 3)
+        assert minimal_recovery_sets(4, 3, 2) == brute_minimal_sets(4, 3, 2, 3)
 
     def test_antichain(self):
         sets = [frozenset(s) for s in minimal_recovery_sets(2, 4, 2)]
@@ -94,12 +107,9 @@ class TestMinimalSets:
             rows = {p[: k - d] for p in s}
             nonzero_rows = {r for r in rows if any(r)}
             if len(s) == d:
-                assert all(target.contains(p, fld) for p in s)
+                assert all(span_contains(target.basis, [p], fld) for p in s)
             if len(s) == d + 1:
                 assert len(nonzero_rows) <= 1
             if len(nonzero_rows) >= 2:
                 assert len(s) >= d + 2
 
-    def test_cap_below_d(self):
-        with pytest.raises(ValueError):
-            minimal_recovery_sets(2, 4, 2, size_cap=1)

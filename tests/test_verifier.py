@@ -22,7 +22,7 @@ class TestVerifyRecoverySet:
         from recovery_sets.geometry import Layout
 
         # the row (1, 0) of F_2^2
-        sets, _ = row_sets(Layout(2, 5, 3), 1)
+        sets = row_sets(Layout(2, 5, 3), 1)
         target = canonical_target(2, 5, 3)
         f2 = field(2)
         assert all(span_contains(list(s), target, f2) for s in sets)
