@@ -488,6 +488,11 @@ class Echelon:
         """True iff every one of the packed vectors lies in the span."""
         return all(self.contains(v) for v in vectors)
 
+    def residue(self, v):
+        """What is left of a packed vector once every pivot is cleared:
+        zero iff the vector lies in the span."""
+        return self._reduce(v)
+
     def copy(self) -> "Echelon":
         """An independent echelon of the same span: adding to the copy
         leaves this one unchanged."""

@@ -8,6 +8,15 @@ the alive pool or declares it unused, which visits every packing exactly
 once.  Bounds come from counting: sets inside the target need d points,
 all other sets need at least d+1.
 
+The search starts from an incumbent: the sets of `construct(q, k, d)`,
+once `verify_family` certifies them.  That family is the lower bound and
+the counting bound over all points is the upper bound; where they meet,
+the root node prunes itself and the value is proved with `nodes: 1`.
+Otherwise the packer must find a strictly larger family to replace it,
+so a budgeted run never reports fewer sets than the construction.  The
+builders are not trusted for anything but that lower bound: the packer
+run from an empty incumbent proves the same values (tests/test_oracle.py).
+
 One enumerator, `_minimal_sets`, lists the minimal sets whose smallest
 point is p within a pool: `minimal_recovery_sets` runs it for every p
 over all later points, the packer at every node over the alive pool.
@@ -27,7 +36,8 @@ from dataclasses import dataclass
 
 from .field_core import Echelon, pack
 from .geometry import enumerate_points
-from .constructions import RecoveryFamily, canonical_target
+from .constructions import RecoveryFamily, canonical_target, construct
+from .verifier import verify_family
 
 
 @dataclass
@@ -73,13 +83,15 @@ def _minimal_sets(q: int, vecs: list, target_rows: list, first: int, pool: list[
     A set grows by pool points outside its span, so it stays independent;
     a branch ends once it spans the target, at `cap` points, or when the
     rest of the pool cannot close the span.  `tick` runs at every node.
+    Sibling sets share `prefix`, where the first of them to span leaves
+    the tagged echelon of their common members for `_is_minimal`.
     """
     out: list[list[int]] = []
 
-    def extend(chosen: list[int], ech: Echelon, pos: int):
+    def extend(chosen: list[int], ech: Echelon, pos: int, prefix: list):
         tick()
         if ech.spans(target_rows):
-            if _is_minimal(q, chosen, vecs, target_rows):
+            if len(chosen) == len(target_rows) or _is_minimal(q, chosen, vecs, target_rows, prefix):
                 out.append(chosen)
             return
         if len(chosen) == cap:
@@ -90,25 +102,46 @@ def _minimal_sets(q: int, vecs: list, target_rows: list, first: int, pool: list[
                 break
         else:
             return
+        shared: list = []
         for idx in range(pos, len(pool)):
             grown = ech.copy()
             if grown.add(vecs[pool[idx]]):
-                extend(chosen + [pool[idx]], grown, idx + 1)
+                extend(chosen + [pool[idx]], grown, idx + 1, shared)
 
-    extend([first], Echelon(q, [vecs[first]]), 0)
+    extend([first], Echelon(q, [vecs[first]]), 0, [])
     return out
 
 
-def _is_minimal(q: int, chosen: list[int], vecs: list, target_rows: list) -> bool:
-    """No member of the spanning set `chosen` can be dropped.  The last
-    member never can: without it the set did not span one step earlier."""
-    if len(chosen) == len(target_rows):
-        return True
-    for skip in range(len(chosen) - 1):
-        ech = Echelon(q, (vecs[i] for j, i in enumerate(chosen) if j != skip))
-        if ech.spans(target_rows):
-            return False
-    return True
+def _is_minimal(q: int, chosen: list[int], vecs: list, target_rows: list, prefix: list) -> bool:
+    """No member of the spanning set `chosen` can be dropped.
+
+    The members are independent, so each target row has one expansion in
+    them, and a member can be dropped iff no expansion uses it.  The last
+    member never can: without it the set did not span one step earlier.
+    Each earlier member j gets a unit tag past its coordinates (bit j
+    below them for q = 2), the last member a zero tag; reducing a target
+    row, untagged, against them clears its coordinates and leaves minus
+    its expansion in the tags.  The tagged echelon of the earlier members
+    is built once into `prefix` and copied for every set that shares them.
+    """
+    w = len(chosen) - 1
+    if q == 2:
+        if not prefix:
+            prefix.append(Echelon(2, (vecs[i] << w | 1 << j for j, i in enumerate(chosen[:w]))))
+        ech = prefix[0].copy()
+        ech.add(vecs[chosen[w]] << w)
+        used = 0
+        for t in target_rows:
+            used |= ech.residue(t << w)
+        return used == (1 << w) - 1
+    zeros = (0,) * w
+    if not prefix:
+        units = [zeros[:j] + (1,) + zeros[j + 1:] for j in range(w)]
+        prefix.append(Echelon(q, (vecs[i] + units[j] for j, i in enumerate(chosen[:w]))))
+    ech = prefix[0].copy()
+    ech.add(vecs[chosen[w]] + zeros)
+    tags = [ech.residue(t + zeros)[len(t):] for t in target_rows]
+    return all(map(any, zip(*tags)))
 
 
 def _packed_instance(q: int, k: int, d: int):
@@ -136,25 +169,28 @@ def minimal_recovery_sets(q: int, k: int, d: int):
     return found
 
 
-def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleResult:
-    """Maximum number of pairwise disjoint recovery sets for the canonical
-    d-subspace of F_q^k, with a witness family.
+def _certified_seed(q: int, k: int, d: int, cap: int, points: list) -> list[list[int]]:
+    """The sets of at most `cap` points of construct(q, k, d), as point-id
+    lists, if the verifier certifies the family; otherwise none."""
+    family = construct(q, k, d)
+    if not verify_family(family).valid:
+        return []
+    index = {p: i for i, p in enumerate(points)}
+    return [sorted(index[p] for p in s) for s in family.sets if len(s) <= cap]
 
-    Minimal sets have at most k points, so a `max_set_size` below k can
-    exclude sets an optimal family needs: the result is then a lower bound.
-    """
-    cfg = cfg or SearchConfig()
-    points, target, vecs, target_rows = _packed_instance(q, k, d)
-    cap = min(cfg.max_set_size or k, k)
-    if cap < d:
-        raise ValueError("max_set_size below target dimension")
-    n = len(points)
+
+def _search(q: int, d: int, vecs: list, target_rows: list, cap: int, cfg: SearchConfig,
+            incumbent: list[list[int]]) -> tuple[list[list[int]], int, bool]:
+    """Pack minimal sets of at most `cap` points, starting from the family
+    `incumbent` (point-id lists) and replacing it only by larger ones.
+    Returns the best family, the node count, and whether the search ran
+    to the end of the tree."""
+    n = len(vecs)
     target_span = Echelon(q, target_rows)
     in_target = [target_span.contains(v) for v in vecs]
     start_time = time.monotonic()
     nodes = 0
-    best: list[list[int]] = []
-    exact = cap == k
+    best = incumbent
 
     def check_budget():
         nonlocal nodes
@@ -200,11 +236,27 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
     try:
         dfs([True] * n, [])
     except _Budget:
-        exact = False
+        return best, nodes, False
+    return best, nodes, True
 
+
+def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleResult:
+    """Maximum number of pairwise disjoint recovery sets for the canonical
+    d-subspace of F_q^k, with a witness family.
+
+    Minimal sets have at most k points, so a `max_set_size` below k can
+    exclude sets an optimal family needs: the result is then a lower bound.
+    """
+    cfg = cfg or SearchConfig()
+    cap = min(cfg.max_set_size or k, k)
+    if cap < d:
+        raise ValueError("max_set_size below target dimension")
+    points, target, vecs, target_rows = _packed_instance(q, k, d)
+    seed = _certified_seed(q, k, d, cap, points)
+    best, nodes, finished = _search(q, d, vecs, target_rows, cap, cfg, seed)
     witness = RecoveryFamily(
         q, k, d, target,
         [frozenset(points[i] for i in s) for s in best],
         "oracle-packing",
     )
-    return OracleResult(q, k, d, len(best), exact, witness, nodes)
+    return OracleResult(q, k, d, len(best), finished and cap == k, witness, nodes)

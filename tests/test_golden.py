@@ -54,14 +54,17 @@ CONSTRUCT = {
 
 # (q, k, d) or (q, k, d, node limit) -> (test id, sha1).  The payload
 # carries `nodes`, so these pin the search tree as well as the witness.
+# Where the certified construct() family meets the counting bound, the
+# witness is that family and the search stops at the root (`nodes: 1`).
 ORACLE = {
-    (2, 4, 2): ("qkd0", "768dd37ca7a97c18416c5a493f75e5c052b0650f"),
-    (3, 3, 2): ("qkd1", "75879f7cbc79b17b1196db94e8ce9539a1265044"),
+    (2, 4, 2): ("qkd0", "882b014d30e080b7bc34891646ea803fa64b943a"),
+    (3, 3, 2): ("qkd1", "9cde2d613e385435d29506a25d6925328b3fe83d"),
     (5, 3, 1): ("oracle-5-3-1", "986f83ec541a4289f72bda90bafa621878354e15"),
-    (4, 3, 2): ("oracle-4-3-2", "20f07cc55445f89dd171084d616d3c370927b0ef"),
-    (7, 3, 2): ("oracle-7-3-2", "b0b61f7b75444b85fdaca6ea1a57bb1c1cb3b2ac"),
-    # stops at the node limit with a 2-set witness: N_2(5,2) = 9 is not proved
-    (2, 5, 2, 18000): ("oracle-2-5-2-budgeted", "11a4658cc6cb058de38faea77385062d123b35a3"),
+    (4, 3, 2): ("oracle-4-3-2", "1f459e83e554c9f9af421f9dacdbe329b343a6f6"),
+    (7, 3, 2): ("oracle-7-3-2", "2c5e9f869099241245759bb5cbc0e8ef66d191cd"),
+    # stops at the node limit with the 9-set construct() family as its
+    # witness: the search never proves N_2(5,2) = 9, so it stays a lower bound
+    (2, 5, 2, 18000): ("oracle-2-5-2-budgeted", "45d3272d9516ed0d925d1e501a668b7d07e879db"),
 }
 
 BOUND_TABLE = "dee1544741257f45ef83bb173eb5e02829ea8827"

@@ -5,7 +5,8 @@ import pytest
 from recovery_sets.field_core import field, rref, span_contains
 from recovery_sets.geometry import enumerate_points
 from recovery_sets.constructions import canonical_target, construct
-from recovery_sets.oracle import SearchConfig, exact_N, minimal_recovery_sets
+from recovery_sets.oracle import (SearchConfig, _packed_instance, _search, exact_N,
+                                  minimal_recovery_sets)
 from recovery_sets.verifier import verify_family
 
 
@@ -24,17 +25,38 @@ class TestExactValues:
         for q, k, d in ((2, 3, 2), (2, 4, 2), (2, 4, 4), (3, 2, 2)):
             assert exact_N(q, k, d).value == len(construct(q, k, d).sets)
 
+    @pytest.mark.parametrize(
+        "q,k,d",
+        [(2, 2, 2), (2, 3, 2), (2, 4, 2), (2, 4, 4), (3, 2, 2), (3, 3, 2), (4, 3, 2)],
+    )
+    def test_search_from_empty_incumbent(self, q, k, d):
+        # exact_N starts from the construct() family and may prove it at the
+        # root; the packer alone, from no family, must reach the same value,
+        # or the checks above would compare construct() with itself
+        _, _, vecs, target_rows = _packed_instance(q, k, d)
+        best, nodes, finished = _search(q, d, vecs, target_rows, k, SearchConfig(), [])
+        assert finished and nodes > 1
+        assert len(best) == exact_N(q, k, d).value
+
+    def test_proved_at_the_root(self):
+        result = exact_N(2, 4, 2)
+        assert (result.value, result.status, result.nodes) == (5, "exact", 1)
+
     def test_budget_returns_lower_bound(self):
+        # the seeded construct() family is kept unless the search beats it
         result = exact_N(2, 10, 2, SearchConfig(node_limit=10**4))
         assert not result.exact
         assert result.status == "lower-bound-only"
+        assert result.value >= len(construct(2, 10, 2).sets) == 307
         assert verify_family(result.witness).valid
 
     def test_cap_below_k_is_a_lower_bound(self):
         # minimal sets reach k = 4 points, so a cap of 2 leaves out sets
-        # every maximum family of N_2(4,2) = 5 needs
+        # every maximum family of N_2(4,2) = 5 needs; the seed keeps only
+        # the construct() sets within the cap
         capped = exact_N(2, 4, 2, SearchConfig(max_set_size=2))
         assert (capped.value, capped.status) == (1, "lower-bound-only")
+        assert max(map(len, capped.witness.sets)) <= 2
         assert verify_family(capped.witness).valid
 
     def test_cap_at_k_is_exact(self):
@@ -90,6 +112,9 @@ class TestMinimalSets:
         assert minimal_recovery_sets(3, 2, 2) == brute_minimal_sets(3, 2, 2, 3)
         # q > 2 over an extension field
         assert minimal_recovery_sets(4, 3, 2) == brute_minimal_sets(4, 3, 2, 3)
+        # targets of dimension 3 and 1, for both the q = 2 and the q > 2 tags
+        assert minimal_recovery_sets(2, 4, 3) == brute_minimal_sets(2, 4, 3, 4)
+        assert minimal_recovery_sets(3, 3, 1) == brute_minimal_sets(3, 3, 1, 3)
 
     def test_antichain(self):
         sets = [frozenset(s) for s in minimal_recovery_sets(2, 4, 2)]
