@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -26,6 +27,9 @@ from .oracle import SearchConfig, exact_N
 from .verifier import verify_family
 
 SCHEMA_VERSION = "1"
+
+# (k, d) pairs a `bounds` table may span; the benchmark's 64 x 64 tables span 4,096.
+MAX_TABLE_PAIRS = 10**5
 
 EXIT_OK = 0
 EXIT_INVALID_FAMILY = 1
@@ -178,6 +182,14 @@ def _check_instance(q: int, k: int, d: int) -> None:
         raise CliError(f"field order {q}^{d} exceeds the ceiling {MAX_FIELD_ORDER}")
 
 
+def _check_digits(q: int, k: int) -> None:
+    """Refuse a table or model whose values, all below q^k, could pass
+    Python's limit on the digits of an int written out as text."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # no limit before 3.10.7
+    if limit and k * math.log10(q) >= limit:
+        raise CliError(f"values up to {q}^{k} pass the ceiling of {limit} digits per written int")
+
+
 def cmd_construct(args) -> int:
     started = time.monotonic()
     _check_instance(args.q, args.k, args.d)
@@ -200,6 +212,9 @@ def cmd_bounds(args) -> int:
         d_range = _parse_range(args.d)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if len(k_range) * len(d_range) > MAX_TABLE_PAIRS:
+        raise CliError(f"the k, d ranges span more pairs than the ceiling {MAX_TABLE_PAIRS}")
+    _check_digits(args.q, k_range.stop - 1)
     records = bounds_mod.bound_table(args.q, k_range, d_range, args.upper_variant)
     if not records:
         raise CliError("empty parameter range")
@@ -242,6 +257,7 @@ def cmd_ilp(args) -> int:
     started = time.monotonic()
     if args.k < 2:
         raise CliError("need k >= 2")
+    _check_digits(2, args.k)
     model = build_ilp_d2(args.k)
     if args.emit_model:
         print(export_model(model))
@@ -271,6 +287,8 @@ def cmd_oracle(args) -> int:
     try:
         if limit is not None and not limit.is_integer():
             raise ValueError(f"node_limit must be a positive integer, not {limit}")
+        if args.max_set_size is not None and args.max_set_size < args.d:
+            raise ValueError("max_set_size below target dimension")
         cfg = SearchConfig(
             max_set_size=args.max_set_size,
             node_limit=None if limit is None else int(limit),

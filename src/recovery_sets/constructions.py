@@ -9,14 +9,18 @@ Families for an arbitrary target are obtained by conjugation.
 The common skeleton: points inside U give floor((q^d-1)/(d(q-1))) sets of
 d consecutive alpha powers; every other row of the layout gives
 floor(q^d/(d+1)) sets, each either d+1 consecutive powers or the zero
-column plus d consecutive powers.  What remains per row (the leftovers)
-is stitched into cross-row sets; the stitching patterns depend on (q, d)
-and are what the specialized builders below implement.
+column plus d consecutive powers.  What remains per row (the leftovers,
+q^d mod (d+1) columns) is stitched into cross-row sets; the stitching
+patterns depend on (q, d) and are what the specialized builders below
+implement.  A builder names each stitched set once, as (row, column)
+cells, and `_stitched` reads every row's leftover run from those cells
+before it partitions the rest of the row.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
@@ -117,52 +121,72 @@ def basic_sets_from_Td(lay: Layout) -> Sets:
     ]
 
 
-def _row_layout(lay: Layout, leftover=None):
-    """Partition of the q^d columns of one row into spanning sets.
+def _row_layout(lay: Layout, leftover=()) -> list[list[int]]:
+    """Partition of the q^d columns of one row into spanning sets, as
+    lists of column values.
 
     Columns are 0 plus alpha^e for e on the cycle 0..q^d-2 (consecutive
-    powers wrap around).  `leftover` pins where the q^d mod (d+1) spare
-    columns sit: ("alpha", e) puts them at exponents e..e+t-1, ("zero", e)
-    uses column 0 plus exponents e..e+t-2.  Returns the sets as lists of
-    columns.
+    powers wrap around).  `leftover` is the set of the t = q^d mod (d+1)
+    columns the sets leave out: a run alpha^e, ..., alpha^(e+t-1), or the
+    zero column at the head of a run alpha^e, ..., alpha^(e+t-2), where a
+    lone zero column starts the sets at alpha^0.  Empty means the run of
+    the last t powers.  The sets take the powers that follow the run, the
+    first of them also the zero column when the run leaves it free.
     """
-    q, d, a = lay.q, lay.d, lay.col.alpha_pow
+    q, d, col = lay.q, lay.d, lay.col
     N = q**d - 1
-    M = q**d // (d + 1)
-    t = q**d - M * (d + 1)
-    if leftover is None:
-        leftover = ("alpha", (N - t) % N)
-    kind, e = leftover
-    sets: list[list[int]] = []
-    if kind == "alpha":
-        start = e + t
-        sets.append([0] + [a(start + i) for i in range(d)])
-        pos = start + d
-        for _ in range(M - 1):
-            sets.append([a(pos + i) for i in range(d + 1)])
-            pos += d + 1
-    elif kind == "zero":
-        if t == 0:
-            raise ValueError("row has no leftover to place on the zero slot")
-        pos = e + t - 1
-        for _ in range(M):
-            sets.append([a(pos + i) for i in range(d + 1)])
-            pos += d + 1
-    else:
-        raise ValueError(f"unknown leftover kind {kind!r}")
-    return sets
+    M, t = divmod(N + 1, d + 1)
+    lo = set(leftover)
+    exps = {col.log[c] for c in lo if 0 < c <= N}
+    heads = [e for e in exps if (e - 1) % N not in exps]
+    if lo and (len(lo) != t or len(exps) + (0 in lo) != t or len(heads) > 1):
+        raise ValueError(f"leftover {sorted(lo)} is not a run of {t} columns")
+    nxt = heads[0] + len(exps) if heads else 0
+    cols = [] if 0 in lo else [0]
+    cols += [col.alpha_pow(nxt + i) for i in range(M * (d + 1) - len(cols))]
+    return [cols[i: i + d + 1] for i in range(0, len(cols), d + 1)]
 
 
-def row_sets(lay: Layout, x: int, leftover=None) -> Sets:
+def row_sets(lay: Layout, x: int, leftover=()) -> Sets:
     """The floor(q^d/(d+1)) disjoint recovery sets drawn from row x.
 
-    By default the first set couples the zero slot with d consecutive
-    powers and the others are d+1 consecutive powers; the slots left over
-    are where `leftover` puts them (see `_row_layout`).
+    The row leaves over the `leftover` columns, a run that the stitched
+    sets of a builder take from it (see `_row_layout`).  By default the
+    first set couples the zero column with d consecutive powers, the
+    others are d+1 consecutive powers, and the last powers are left over.
     """
     if not x:
         raise ValueError("row 0 holds the target space itself, not a row")
     return [frozenset(lay.pt(x, y) for y in cs) for cs in _row_layout(lay, leftover)]
+
+
+Cell = tuple[int, int]
+
+
+def _stitched(lay: Layout, inside: Sets, stitched: list[list[Cell]],
+              spare: list[Cell] = ()) -> Sets:
+    """The sets inside the target, every row's sets, then the stitched
+    sets, given as lists of (row, column) cells.
+
+    A row leaves over the columns the stitched sets take from it plus its
+    `spare` cells, which no set uses; `_row_layout` partitions the rest.
+    Rows with the same leftover share one partition.  Cells on row 0 are
+    points of the target itself.
+    """
+    pt = lay.pt
+    left: dict[int, list[int]] = {}
+    for r, c in itertools.chain(spare, *stitched):
+        left.setdefault(r, []).append(c)
+    layouts: dict[frozenset[int], list[list[int]]] = {}
+    sets = list(inside)
+    for x in lay.rows:
+        lo = frozenset(left.get(x, ()))
+        cols = layouts.get(lo)
+        if cols is None:
+            cols = layouts[lo] = _row_layout(lay, lo)
+        sets.extend(frozenset(pt(x, c) for c in cs) for cs in cols)
+    # built from a set, a frozenset gets a table sized to its members
+    return sets + [frozenset({pt(r, c) for r, c in s}) for s in stitched]
 
 
 # ---------------------------------------------------------------------------
@@ -347,57 +371,35 @@ def quintriple_partition(m: int) -> QuintriplePartition:
 # ---------------------------------------------------------------------------
 
 
+# F_2^m for m < 4 holds no quintriple: a spare row (m = 1), a spare line
+# (m = 2), or the zero-sum 4-set and spares of the m = 7 base case (m = 3).
+_SMALL_REMAINDERS = {0: (None, ()), 1: (None, (1,)), 2: (None, (1, 2, 3)),
+                     3: ((1, 2, 4, 7), (3, 5, 6))}
+
+
 def _quintriple_rows(k: int) -> Sets:
     """Binary d = 2: one pair inside the target, one 3-set per other row,
     and one 5-set per quintriple of row leftovers, with the remainder
     classes contributing one final set."""
     lay = Layout(2, k, 2)
-    colf, pt = lay.col, lay.pt
+    a = lay.col.alpha_pow
     m = k - 2
-    u, v, w = colf.alpha_pow(0), colf.alpha_pow(1), colf.alpha_pow(2)
-    assert colf.add(u, v) == w
+    u, v, w = a(0), a(1), a(2)
+    assert lay.col.add(u, v) == w
 
-    sets = [frozenset({pt(0, u), pt(0, w)})]
-    leftover_col: dict[int, int] = {}
-    extra: list[frozenset[Point]] = []
-
-    def dep_four_set(dep: tuple[int, ...]) -> frozenset[Point]:
-        y1, y2, y3, y4 = sorted(dep)
-        leftover_col.update({y1: u, y2: 0, y3: 0, y4: 0})
-        return frozenset({pt(0, v), pt(y1, u), pt(y2, 0), pt(y3, 0), pt(y4, 0)})
-
-    def line_set(line: tuple[int, ...]) -> frozenset[Point]:
-        x1, x2, x3 = sorted(line)
-        leftover_col.update({x1: 0, x2: 0, x3: u})
-        return frozenset({pt(0, v), pt(x1, 0), pt(x2, 0), pt(x3, u)})
-
-    if m == 0:
-        pass
-    elif m == 1:
-        leftover_col[1] = 0
-    elif m == 2:
-        extra.append(line_set((1, 2, 3)))
-    elif m == 3:
-        extra.append(dep_four_set((1, 2, 4, 7)))
-        for s in (3, 5, 6):
-            leftover_col[s] = 0
-    else:
-        part = quintriple_partition(m)
-        for x1, x2, x3, x4, x5 in part.quintriples:
-            leftover_col.update({x1: 0, x2: u, x3: w, x4: v, x5: w})
-            extra.append(frozenset({pt(x1, 0), pt(x2, u), pt(x3, w), pt(x4, v), pt(x5, w)}))
-        if m % 4 == 2:
-            extra.append(line_set(part.spare))
-        else:
-            for s in part.spare:
-                leftover_col[s] = 0
-            if part.dependent_four:
-                extra.append(dep_four_set(part.dependent_four))
-
-    for x in lay.rows:
-        lo = leftover_col.get(x, 0)
-        sets.append(frozenset(pt(x, c) for c in (0, u, v, w) if c != lo))
-    return sets + extra
+    part = quintriple_partition(m) if m >= 4 else QuintriplePartition(m, (), *_SMALL_REMAINDERS[m])
+    stitched = [[(x1, 0), (x2, u), (x3, w), (x4, v), (x5, w)]
+                for x1, x2, x3, x4, x5 in part.quintriples]
+    spare = part.spare
+    if m % 4 == 2:
+        x1, x2, x3 = sorted(spare)
+        stitched.append([(0, v), (x1, 0), (x2, 0), (x3, u)])
+        spare = ()
+    elif part.dependent_four:
+        y1, y2, y3, y4 = sorted(part.dependent_four)
+        stitched.append([(0, v), (y1, u), (y2, 0), (y3, 0), (y4, 0)])
+    inside = [frozenset({lay.pt(0, u), lay.pt(0, w)})]
+    return _stitched(lay, inside, stitched, [(x, 0) for x in spare])
 
 
 # ---------------------------------------------------------------------------
@@ -416,97 +418,52 @@ def _three_subspace_rows(k: int) -> Sets:
     if k == 6:
         return _d4_k6_sets()
     lay = Layout(2, k, 4)
-    colf, pt = lay.col, lay.pt
-    a = colf.alpha_pow
+    colf = lay.col
+    a, add = colf.alpha_pow, colf.add
     m = k - 4
 
-    sets = [frozenset(pt(0, a(4 * i + j)) for j in range(4)) for i in range(3)]
-    first_leftovers = [a(12), a(13), a(14)]
+    inside = [frozenset(lay.pt(0, a(4 * i + j)) for j in range(4)) for i in range(3)]
     if k == 5:
-        return sets + row_sets(lay, 1)
+        return _stitched(lay, inside, [])
+    first_leftovers = [a(12), a(13), a(14)]
 
     # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
     maps, base = lifted_ladder(m, 3, {0: 3, 1: 4, 2: 5}[m % 3])
     shift = m - base
-    leftover_col: dict[int, int] = {}
-    extra: list[frozenset[Point]] = []
     u1, u2, u3, u4 = a(0), a(1), a(2), a(3)
 
-    def add_three_subspace(b1: int, b2: int, b3: int) -> None:
-        vals = {
-            b1: u1,
-            b2: colf.add(u1, u2),
-            b3: colf.add(u1, u3),
-            b1 ^ b2: 0,
-            b1 ^ b3: 0,
-            b2 ^ b3: colf.add(colf.add(u2, u3), u4),
-            b1 ^ b2 ^ b3: colf.add(u2, u3),
-        }
-        leftover_col.update(vals)
-        extra.append(frozenset(pt(r, c) for r, c in vals.items()))
+    def three_subspace(b1: int, b2: int, b3: int) -> list[Cell]:
+        return [(b1, u1), (b2, add(u1, u2)), (b3, add(u1, u3)), (b1 ^ b2, 0), (b1 ^ b3, 0),
+                (b2 ^ b3, add(add(u2, u3), u4)), (b1 ^ b2 ^ b3, add(u2, u3))]
 
-    for ff in maps:
-        add_three_subspace(ff[1], ff[2], ff[4])
-
-    if base == 3:
-        add_three_subspace(1 << shift, 2 << shift, 4 << shift)
-    elif base == 4:
-        add_three_subspace(1 << shift, 2 << shift, 4 << shift)
-        dep = tuple(sorted(e << shift for e in (8, 9, 10, 11)))
-        y1, y2, y3, y4 = dep
-        leftover_col.update({y1: u1, y2: 0, y3: 0, y4: 0})
-        extra.append(frozenset(
-            [pt(0, c) for c in first_leftovers] + [pt(y1, u1), pt(y2, 0), pt(y3, 0), pt(y4, 0)]
-        ))
-        for e in (12, 13, 14, 15):
-            leftover_col[e << shift] = 0
-    else:
-        add_three_subspace(1 << shift, 2 << shift, 4 << shift)
-        rest = sorted(e << shift for e in range(8, 32))
-        groups = [rest[0:8], rest[8:16], rest[16:24]]
-        basis_pool = [a(12), a(13), a(14), a(0)]
-        for gi, group in enumerate(groups):
-            w = first_leftovers[gi]
-            targets = [c for c in basis_pool if c != w][:3]
-            rows = [lay.row_vector(y) for y in group]
-            kernel = left_nullspace(rows, lay.fld)[:3]
-            values = [0] * 8
-            for r in range(4):
-                rhs = tuple(colf.to_vector(t)[r] for t in targets)
-                sol = solve_linear(kernel, rhs, lay.fld)
-                for j, bit in enumerate(sol):
-                    values[j] |= bit << r
-            pts = [pt(0, w)]
-            for y, val in zip(group, values):
-                leftover_col[y] = val
-                pts.append(pt(y, val))
-            extra.append(frozenset(pts))
-
-    for x in lay.rows:
-        lo = leftover_col.get(x, 0)
-        spec = ("zero", 0) if lo == 0 else ("alpha", colf.dlog(lo))
-        sets.extend(row_sets(lay, x, spec))
-    return sets + extra
+    stitched = [three_subspace(ff[1], ff[2], ff[4]) for ff in maps]
+    stitched.append(three_subspace(1 << shift, 2 << shift, 4 << shift))
+    spare: list[Cell] = []
+    if base == 4:
+        y1, y2, y3, y4 = (e << shift for e in (8, 9, 10, 11))
+        stitched.append([(0, c) for c in first_leftovers]
+                        + [(y1, u1), (y2, 0), (y3, 0), (y4, 0)])
+        spare = [(e << shift, 0) for e in (12, 13, 14, 15)]
+    elif base == 5:
+        for gi, w in enumerate(first_leftovers):
+            group = [e << shift for e in range(8 + 8 * gi, 16 + 8 * gi)]
+            targets = [c for c in first_leftovers + [u1] if c != w][:3]
+            kernel = left_nullspace([lay.row_vector(y) for y in group], lay.fld)[:3]
+            # bit r of each row's value solves the system for coordinate r
+            bits = [solve_linear(kernel, tuple(colf.to_vector(c)[r] for c in targets), lay.fld)
+                    for r in range(4)]
+            values = [sum(b << r for r, b in enumerate(col)) for col in zip(*bits)]
+            stitched.append([(0, w)] + list(zip(group, values)))
+    return _stitched(lay, inside, stitched, spare)
 
 
 def _d4_k6_sets() -> Sets:
     """The pinned thirteen-set family for (q, k, d) = (2, 6, 4)."""
     lay = Layout(2, 6, 4)
-    a, pt = lay.col.alpha_pow, lay.pt
-    sets = [
-        frozenset(pt(0, a(e)) for e in (3, 4, 5, 6)),
-        frozenset(pt(0, a(e)) for e in (7, 8, 9, 10)),
-        frozenset(pt(0, a(e)) for e in (14, 0, 1, 2)),
-    ]
-    for row in (1, 2, 3):
-        sets.append(frozenset(pt(row, a(e)) for e in (4, 5, 6, 7, 8)))
-        sets.append(frozenset(pt(row, a(e)) for e in (9, 10, 11, 12, 13)))
-        sets.append(frozenset([pt(row, 0)] + [pt(row, a(e)) for e in (0, 1, 2, 3)]))
-    sets.append(frozenset(
-        [pt(0, a(11)), pt(0, a(12)), pt(0, a(13)),
-         pt(1, a(14)), pt(2, a(14)), pt(3, a(14))]
-    ))
-    return sets
+    a = lay.col.alpha_pow
+    inside = [frozenset(lay.pt(0, a(e)) for e in range(s, s + 4)) for s in (3, 7, 14)]
+    stitched = [[(0, a(11)), (0, a(12)), (0, a(13)), (1, a(14)), (2, a(14)), (3, a(14))]]
+    return _stitched(lay, inside, stitched)
 
 
 # ---------------------------------------------------------------------------
@@ -520,63 +477,31 @@ def _line_group_rows(k: int) -> Sets:
     F_2^{k-5} into 8-sets, with the parity-dependent remainder (a spare
     line or a 3-subspace) absorbing the first-row leftover."""
     lay = Layout(2, k, 5)
-    a, pt = lay.col.alpha_pow, lay.pt
+    a = lay.col.alpha_pow
     m = k - 5
     u1, u2, u3, u4, u5 = (a(i) for i in range(5))
+    inside = [frozenset(lay.pt(0, a(1 + 5 * i + j)) for j in range(5)) for i in range(6)]
 
-    sets = [
-        frozenset(pt(0, a(1 + 5 * i + j)) for j in range(5)) for i in range(6)
-    ]
-
+    # in a group of four lines, each of the first three takes one row of the fourth
     lines = [ff[1:4] for ff in binary_line_partition(m)]
-    leftover_spec: dict[int, tuple] = {}
-    extra: list[frozenset[Point]] = []
-
     n_groups = len(lines) // 4
+    stitched: list[list[Cell]] = []
     for g in range(n_groups):
-        l1, l2, l3, l4 = lines[4 * g: 4 * g + 4]
-        x1, x2, x12 = l1
-        x3, x4, x34 = l2
-        x5, x6, x56 = l3
-        x7, x8, x78 = l4
-        for r, spec in ((x1, ("zero", 0)), (x2, ("zero", 1)), (x12, ("alpha", 2)),
-                        (x3, ("zero", 0)), (x4, ("zero", 1)), (x34, ("alpha", 2)),
-                        (x5, ("zero", 0)), (x6, ("zero", 1)), (x56, ("alpha", 2)),
-                        (x7, ("zero", 4)), (x8, ("zero", 4)), (x78, ("zero", 4))):
-            leftover_spec[r] = spec
-        extra.append(frozenset({
-            pt(x1, 0), pt(x2, 0), pt(x12, u3), pt(x7, 0),
-            pt(x1, u1), pt(x2, u2), pt(x12, u4), pt(x7, u5)}))
-        extra.append(frozenset({
-            pt(x3, 0), pt(x4, 0), pt(x34, u3), pt(x8, 0),
-            pt(x3, u1), pt(x4, u2), pt(x34, u4), pt(x8, u5)}))
-        extra.append(frozenset({
-            pt(x5, 0), pt(x6, 0), pt(x56, u3), pt(x78, 0),
-            pt(x5, u1), pt(x6, u2), pt(x56, u4), pt(x78, u5)}))
+        *three, last = lines[4 * g: 4 * g + 4]
+        for (x, y, xy), z in zip(three, last):
+            stitched.append([(x, 0), (x, u1), (y, 0), (y, u2), (xy, u3), (xy, u4),
+                             (z, 0), (z, u5)])
 
     if m % 2 == 0:
-        y1, y2, y12 = lines[4 * n_groups]
-        leftover_spec.update({y1: ("zero", 1), y2: ("zero", 2), y12: ("alpha", 3)})
-        extra.append(frozenset({
-            pt(0, u1), pt(y1, 0), pt(y1, u2), pt(y2, 0), pt(y2, u3),
-            pt(y12, u4), pt(y12, u5)}))
+        x, y, xy = lines[4 * n_groups]
+        more = []
     else:
-        shift = m - 3
-        z1, z2, z3 = 1 << shift, 2 << shift, 4 << shift
-        leftover_spec.update({
-            z1 ^ z2: ("zero", 1), z1 ^ z3: ("zero", 2), z2 ^ z3: ("alpha", 3),
-            z1: ("zero", 0), z2: ("zero", 1), z3: ("zero", 2),
-            z1 ^ z2 ^ z3: ("alpha", 3)})
-        extra.append(frozenset({
-            pt(0, u1), pt(z1 ^ z2, 0), pt(z1 ^ z2, u2), pt(z1 ^ z3, 0),
-            pt(z1 ^ z3, u3), pt(z2 ^ z3, u4), pt(z2 ^ z3, u5)}))
-        extra.append(frozenset({
-            pt(z1, 0), pt(z1, u1), pt(z2, 0), pt(z2, u2), pt(z3, 0), pt(z3, u3),
-            pt(z1 ^ z2 ^ z3, u4), pt(z1 ^ z2 ^ z3, u5)}))
-
-    for x in lay.rows:
-        sets.extend(row_sets(lay, x, leftover_spec[x]))
-    return sets + extra
+        z1, z2, z3 = (b << (m - 3) for b in (1, 2, 4))
+        x, y, xy = z1 ^ z2, z1 ^ z3, z2 ^ z3
+        more = [[(z1, 0), (z1, u1), (z2, 0), (z2, u2), (z3, 0), (z3, u3),
+                 (z1 ^ z2 ^ z3, u4), (z1 ^ z2 ^ z3, u5)]]
+    stitched.append([(0, u1), (x, 0), (x, u2), (y, 0), (y, u3), (xy, u4), (xy, u5)])
+    return _stitched(lay, inside, stitched + more)
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +530,7 @@ def _consecutive_powers(q: int, k: int, d: int) -> Sets:
     """The baseline: floor((q^d-1)/(d(q-1))) sets inside the target plus
     floor(q^d/(d+1)) sets per row; leftovers are not used."""
     lay = Layout(q, k, d)
-    sets = basic_sets_from_Td(lay)
-    for x in lay.rows:
-        sets.extend(row_sets(lay, x))
-    return sets
+    return _stitched(lay, basic_sets_from_Td(lay), [])
 
 
 def _line_leftover_gap(q: int, k: int, d: int) -> str | None:
@@ -636,11 +558,10 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
     a line spread of the rows: each line's q+1 rows split into groups of
     d+2, and each group yields q^d mod (d+1) layered sets."""
     lay = Layout(q, k, d)
-    colf, pt = lay.col, lay.pt
+    colf = lay.col
+    a = colf.alpha_pow
     t = q**d % (d + 1)
-    sets = basic_sets_from_Td(lay)
-    leftover_spec: dict[int, tuple] = {}
-    extra: list[frozenset[Point]] = []
+    stitched: list[list[Cell]] = []
     target = canonical_target(q, k, d)
     amb = extension(lay.fld, k - d)
 
@@ -652,45 +573,26 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
         for gi in range(0, len(line_rows), d + 2):
             group = line_rows[gi: gi + d + 2]
             xs, tail = group[:d], group[d:]
-            layer0 = [pt(x, colf.alpha_pow(j)) for j, x in enumerate(xs)]
-            layer0 += [pt(x, 0) for x in tail]
-            extra.append(frozenset(layer0))
-            for j, x in enumerate(xs):
-                leftover_spec[x] = ("alpha", j)
-            for x in tail:
-                leftover_spec[x] = ("zero", 0)
+            stitched.append([(x, a(j)) for j, x in enumerate(xs)] + [(x, 0) for x in tail])
             if t >= 2:
                 ws = _search_layer_values(lay, xs, tail, target)
                 if ws is None:
                     raise RuntimeError(f"no layered leftover values for a line group of {(q, k, d)}")
-                w1, w2 = ws
-                for x in tail:
-                    leftover_spec[x] = ("zero", colf.dlog(w1 if x == tail[0] else w2) + 1)
                 for i in range(1, t):
-                    layer = [pt(x, colf.mul(colf.alpha_pow(i), colf.alpha_pow(j)))
-                             for j, x in enumerate(xs)]
-                    layer.append(pt(tail[0], colf.mul(colf.alpha_pow(i), w1)))
-                    layer.append(pt(tail[1], colf.mul(colf.alpha_pow(i), w2)))
-                    extra.append(frozenset(layer))
-
-    for x in lay.rows:
-        sets.extend(row_sets(lay, x, leftover_spec.get(x)))
-    return sets + extra
+                    stitched.append([(x, a(i + j)) for j, x in enumerate(xs)]
+                                    + [(x, colf.mul(a(i), w)) for x, w in zip(tail, ws)])
+    return _stitched(lay, basic_sets_from_Td(lay), stitched)
 
 
 def _search_layer_values(lay: Layout, xs, tail, target):
     """Values for the two repeat rows of a layered leftover set, chosen so
     the scaled copies still span the target; the scan is deterministic."""
-    colf = lay.col
-    pool = [colf.alpha_pow(j) for j in range(min(colf.order - 1, 24))]
-    probe_cols = [colf.mul(colf.alpha_pow(1), colf.alpha_pow(j)) for j in range(lay.d)]
-    base = [lay.pt(x, c) for x, c in zip(xs, probe_cols)]
+    colf, a = lay.col, lay.col.alpha_pow
+    pool = [a(j) for j in range(min(colf.order - 1, 24))]
+    base = [lay.pt(x, a(1 + j)) for j, x in enumerate(xs)]
     for w1 in pool:
         for w2 in pool:
-            cand = base + [
-                lay.pt(tail[0], colf.mul(colf.alpha_pow(1), w1)),
-                lay.pt(tail[1], colf.mul(colf.alpha_pow(1), w2)),
-            ]
+            cand = base + [lay.pt(tail[0], colf.mul(a(1), w1)), lay.pt(tail[1], colf.mul(a(1), w2))]
             if span_contains(cand, target, lay.fld):
                 return w1, w2
     return None

@@ -239,11 +239,6 @@ class ExtField:
     def alpha_pow(self, i: int) -> int:
         return self.antilog[i % (self.order - 1)]
 
-    def dlog(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no discrete log")
-        return self.log[a]
-
     def elements(self) -> range:
         return range(self.order)
 

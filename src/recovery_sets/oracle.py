@@ -13,9 +13,11 @@ once `verify_family` certifies them.  That family is the lower bound and
 the counting bound over all points is the upper bound; where they meet,
 the root node prunes itself and the value is proved with `nodes: 1`.
 Otherwise the packer must find a strictly larger family to replace it,
-so a budgeted run never reports fewer sets than the construction.  The
-builders are not trusted for anything but that lower bound: the packer
-run from an empty incumbent proves the same values (tests/test_oracle.py).
+so a budgeted run never reports fewer sets than the construction.  A
+witness that is the seed untouched carries the builder's method; one the
+packer found is labelled `oracle-packing`.  The builders are not trusted
+for anything but that lower bound: the packer run from an empty
+incumbent proves the same values (tests/test_oracle.py).
 
 One enumerator, `_minimal_sets`, lists the minimal sets whose smallest
 point is p within a pool: `minimal_recovery_sets` runs it for every p
@@ -169,14 +171,15 @@ def minimal_recovery_sets(q: int, k: int, d: int):
     return found
 
 
-def _certified_seed(q: int, k: int, d: int, cap: int, points: list) -> list[list[int]]:
+def _certified_seed(q: int, k: int, d: int, cap: int, points: list) -> tuple[list[list[int]], str]:
     """The sets of at most `cap` points of construct(q, k, d), as point-id
-    lists, if the verifier certifies the family; otherwise none."""
+    lists, and the builder's method, if the verifier certifies the family;
+    otherwise no sets."""
     family = construct(q, k, d)
     if not verify_family(family).valid:
-        return []
+        return [], family.method
     index = {p: i for i, p in enumerate(points)}
-    return [sorted(index[p] for p in s) for s in family.sets if len(s) <= cap]
+    return [sorted(index[p] for p in s) for s in family.sets if len(s) <= cap], family.method
 
 
 def _search(q: int, d: int, vecs: list, target_rows: list, cap: int, cfg: SearchConfig,
@@ -252,11 +255,11 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
     if cap < d:
         raise ValueError("max_set_size below target dimension")
     points, target, vecs, target_rows = _packed_instance(q, k, d)
-    seed = _certified_seed(q, k, d, cap, points)
+    seed, method = _certified_seed(q, k, d, cap, points)
     best, nodes, finished = _search(q, d, vecs, target_rows, cap, cfg, seed)
     witness = RecoveryFamily(
         q, k, d, target,
         [frozenset(points[i] for i in s) for s in best],
-        "oracle-packing",
+        method if best is seed and seed else "oracle-packing",
     )
     return OracleResult(q, k, d, len(best), finished and cap == k, witness, nodes)

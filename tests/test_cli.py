@@ -188,6 +188,7 @@ class TestOracle:
         ("--time-limit", "0"),
         ("--time-limit", "nan"),
         ("--time-limit", "inf"),
+        ("--max-set-size", "1"),
     ])
     def test_bad_limit_refused(self, capsys, limit):
         code, out, err = run_cli(capsys, "oracle", "--q", "2", "--k", "4", "--d", "2", *limit)
@@ -202,6 +203,13 @@ class TestCeilings:
         ("oracle", "--q", "2", "--k", "30", "--d", "2"),
         ("construct", "--q", "2", "--k", "24", "--d", "2"),
         ("construct", "--q", "127", "--k", "4", "--d", "4"),
+        # values past Python's int-to-str digit limit, which ended in a
+        # traceback (the second after a partial document), and a table
+        # past the pair ceiling, which ran until killed
+        ("bounds", "--q", "2", "--k", "14300", "--d", "1"),
+        ("bounds", "--q", "2", "--k", "1000000", "--d", "2"),
+        ("ilp", "--k", "15000"),
+        ("bounds", "--q", "2", "--k", "1..100000", "--d", "1..100000"),
     ])
     def test_refused_up_front(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

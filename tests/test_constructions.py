@@ -86,15 +86,19 @@ class TestRowSets:
             row_sets(Layout(2, 4, 2), 0)
 
     def test_leftover_positions(self):
-        # zero-slot leftover plus one alpha, and a pinned two-alpha run
+        # the zero column heading a one-power run, a two-power run, and a
+        # run that wraps from the last power to alpha^0
         f32 = extension(2, 5)
+        a = f32.alpha_pow
         lay, x = Layout(2, 7, 5), (1, 0)
-        lo = leftovers(row_sets(lay, 1, ("zero", 3)), row_points(lay, 1))
-        assert len(lo) == 2
-        assert x + (0,) * 5 in lo
-        assert x + f32.to_vector(f32.alpha_pow(3)) in lo
-        lo = leftovers(row_sets(lay, 1, ("alpha", 7)), row_points(lay, 1))
-        assert lo == [x + f32.to_vector(f32.alpha_pow(e)) for e in (7, 8)]
+        for cols in ({0, a(3)}, {a(7), a(8)}, {a(30), a(0)}):
+            lo = leftovers(row_sets(lay, 1, cols), row_points(lay, 1))
+            assert sorted(lo) == sorted(lay.pt(1, c) for c in cols)
+        assert lo == [x + f32.to_vector(c) for c in (a(0), a(30))]
+        # t = 2 columns at d = 5: one is too few, and a gap is not a run
+        for cols in ({a(3)}, {a(3), a(5)}):
+            with pytest.raises(ValueError):
+                row_sets(lay, 1, cols)
 
 
 class TestQuintriples:

@@ -50,21 +50,25 @@ CONSTRUCT = {
     (2, 12, 2): ("qkd9", "ee9ce54f43f6991a2d595b8ff4fb3e4f0c2f9ade"),
     (2, 11, 4): ("qkd8", "5d2d3e68802146c5b088d69cd7655be1f7c2b494"),
     (2, 12, 5): ("qkd10", "ded8f548e00509a6787a55fa3fbaa0a1d037fdba"),
+    # line-spread leftovers with t = 19^3 mod 4 = 3: layered values from
+    # _search_layer_values and the zero-slot runs after them
+    (19, 5, 3): ("19-5-3", "e150b452195354dbf250d508a921ecc68eeaa771"),
 }
 
 # (q, k, d) or (q, k, d, node limit) -> (test id, sha1).  The payload
 # carries `nodes`, so these pin the search tree as well as the witness.
 # Where the certified construct() family meets the counting bound, the
-# witness is that family and the search stops at the root (`nodes: 1`).
+# witness is that family, labelled with its builder's method, and the
+# search stops at the root (`nodes: 1`).
 ORACLE = {
-    (2, 4, 2): ("qkd0", "882b014d30e080b7bc34891646ea803fa64b943a"),
-    (3, 3, 2): ("qkd1", "9cde2d613e385435d29506a25d6925328b3fe83d"),
+    (2, 4, 2): ("qkd0", "d6546ac5c6e58468b0d56da52e9276be3b63c69b"),
+    (3, 3, 2): ("qkd1", "f2ddece2d63ccbeed188021ba0aa487e682bdb7a"),
     (5, 3, 1): ("oracle-5-3-1", "986f83ec541a4289f72bda90bafa621878354e15"),
-    (4, 3, 2): ("oracle-4-3-2", "1f459e83e554c9f9af421f9dacdbe329b343a6f6"),
-    (7, 3, 2): ("oracle-7-3-2", "2c5e9f869099241245759bb5cbc0e8ef66d191cd"),
+    (4, 3, 2): ("oracle-4-3-2", "b23245357a33ecc7c927c170c2bb8be4214f4847"),
+    (7, 3, 2): ("oracle-7-3-2", "60780e3edfb77e9aadb1fa0bb5d93b6b6f9218a3"),
     # stops at the node limit with the 9-set construct() family as its
     # witness: the search never proves N_2(5,2) = 9, so it stays a lower bound
-    (2, 5, 2, 18000): ("oracle-2-5-2-budgeted", "45d3272d9516ed0d925d1e501a668b7d07e879db"),
+    (2, 5, 2, 18000): ("oracle-2-5-2-budgeted", "7ed4d1a01e08a10067edebd32b2ea9bc0f68bb39"),
 }
 
 BOUND_TABLE = "dee1544741257f45ef83bb173eb5e02829ea8827"

@@ -42,6 +42,13 @@ class TestExactValues:
         result = exact_N(2, 4, 2)
         assert (result.value, result.status, result.nodes) == (5, "exact", 1)
 
+    def test_witness_names_its_builder(self):
+        # the seed returned untouched keeps its builder's method; a family
+        # the packer found past the root is its own
+        assert exact_N(2, 4, 2).witness.method == "quintriple-rows"
+        result = exact_N(5, 3, 1)
+        assert result.nodes > 1 and result.witness.method == "oracle-packing"
+
     def test_budget_returns_lower_bound(self):
         # the seeded construct() family is kept unless the search beats it
         result = exact_N(2, 10, 2, SearchConfig(node_limit=10**4))
