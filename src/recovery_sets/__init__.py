@@ -27,7 +27,6 @@ from .constructions import (
     construct,
     find_quintriple_partition_m7,
     quintriple_partition,
-    row_sets,
 )
 from .verifier import Certificate, verify_family
 from .bounds import BoundsRecord, bound, bound_table

@@ -28,8 +28,9 @@ from .verifier import verify_family
 
 SCHEMA_VERSION = "1"
 
-# (k, d) pairs a `bounds` table may span; the benchmark's 64 x 64 tables span 4,096.
-MAX_TABLE_PAIRS = 10**5
+# A `bounds` table's (k, d) pairs times the digits of its largest value,
+# ceil(k_max * log10 q): 8.1 * 10^6 at --q 2 --k 1..300 --d 1..300 (about 2 s).
+MAX_TABLE_SIZE = 10**7
 
 EXIT_OK = 0
 EXIT_INVALID_FAMILY = 1
@@ -212,8 +213,11 @@ def cmd_bounds(args) -> int:
         d_range = _parse_range(args.d)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    if len(k_range) * len(d_range) > MAX_TABLE_PAIRS:
-        raise CliError(f"the k, d ranges span more pairs than the ceiling {MAX_TABLE_PAIRS}")
+    # stop - start, not len(), which overflows past 2^63
+    digits = max(1, math.ceil((k_range.stop - 1) * math.log10(args.q)))
+    size = (k_range.stop - k_range.start) * (d_range.stop - d_range.start) * digits
+    if size > MAX_TABLE_SIZE:
+        raise CliError(f"table size {size} (pairs times digits per value) passes the ceiling {MAX_TABLE_SIZE}")
     _check_digits(args.q, k_range.stop - 1)
     records = bounds_mod.bound_table(args.q, k_range, d_range, args.upper_variant)
     if not records:

@@ -147,19 +147,6 @@ def _row_layout(lay: Layout, leftover=()) -> list[list[int]]:
     return [cols[i: i + d + 1] for i in range(0, len(cols), d + 1)]
 
 
-def row_sets(lay: Layout, x: int, leftover=()) -> Sets:
-    """The floor(q^d/(d+1)) disjoint recovery sets drawn from row x.
-
-    The row leaves over the `leftover` columns, a run that the stitched
-    sets of a builder take from it (see `_row_layout`).  By default the
-    first set couples the zero column with d consecutive powers, the
-    others are d+1 consecutive powers, and the last powers are left over.
-    """
-    if not x:
-        raise ValueError("row 0 holds the target space itself, not a row")
-    return [frozenset(lay.pt(x, y) for y in cs) for cs in _row_layout(lay, leftover)]
-
-
 Cell = tuple[int, int]
 
 

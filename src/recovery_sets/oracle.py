@@ -3,10 +3,10 @@ instances, by exhaustive packing of minimal recovery sets.
 
 A minimal recovery set is an independent point set whose span contains
 the target and loses it on removing any member.  The packer repeatedly
-either assigns the smallest alive point to some minimal set drawn from
-the alive pool or declares it unused, which visits every packing exactly
-once.  Bounds come from counting: sets inside the target need d points,
-all other sets need at least d+1.
+either assigns the smallest free point to one of its minimal sets whose
+points are all free or declares it unused, which visits every packing
+exactly once.  Bounds come from counting: sets inside the target need d
+points, all other sets need at least d+1.
 
 The search starts from an incumbent: the sets of `construct(q, k, d)`,
 once `verify_family` certifies them.  That family is the lower bound and
@@ -20,10 +20,13 @@ for anything but that lower bound: the packer run from an empty
 incumbent proves the same values (tests/test_oracle.py).
 
 One enumerator, `_minimal_sets`, lists the minimal sets whose smallest
-point is p within a pool: `minimal_recovery_sets` runs it for every p
-over all later points, the packer at every node over the alive pool.
-Points are packed once, and spans are `field_core.Echelon`s grown by
-copy-and-insert.
+point is p, over all later points: `minimal_recovery_sets` runs it for
+every p, the packer once for each p it reaches.  Minimality is a property
+of the set alone, so the packer's candidates at p are the members of p's
+list that lie in the free points.  It holds free points, sets and
+families as int bitmasks over point ids; its `nodes` count packing nodes
+plus enumeration steps, each point's enumeration once.  Points are
+packed once, and spans are `field_core.Echelon`s grown by copy-and-insert.
 
 Results that exhaust the node or time budget, or whose search was capped
 below k points per set, are reported as lower bounds, never as exact
@@ -76,21 +79,21 @@ class _Budget(Exception):
     pass
 
 
-def _minimal_sets(q: int, vecs: list, target_rows: list, first: int, pool: list[int],
+def _minimal_sets(q: int, vecs: list, target_rows: list, first: int,
                   cap: int, tick) -> list[list[int]]:
-    """The minimal recovery sets whose smallest point is `first`, the rest
-    drawn from `pool` (increasing point ids above `first`), as id lists.
+    """The minimal recovery sets whose smallest point is `first`, as
+    increasing id lists in depth-first order.
 
     Points and target rows come packed for `Echelon` (see `field_core.pack`).
-    A set grows by pool points outside its span, so it stays independent;
-    a branch ends once it spans the target, at `cap` points, or when the
-    rest of the pool cannot close the span.  `tick` runs at every node.
-    Sibling sets share `prefix`, where the first of them to span leaves
-    the tagged echelon of their common members for `_is_minimal`.
+    A set grows by later points outside its span, so it stays independent;
+    a branch ends once it spans the target or at `cap` points.  `tick`
+    runs at every node.  Sibling sets share `prefix`, where the first of
+    them to span leaves the tagged echelon of their common members for
+    `_is_minimal`.
     """
     out: list[list[int]] = []
 
-    def extend(chosen: list[int], ech: Echelon, pos: int, prefix: list):
+    def extend(chosen: list[int], ech: Echelon, prefix: list):
         tick()
         if ech.spans(target_rows):
             if len(chosen) == len(target_rows) or _is_minimal(q, chosen, vecs, target_rows, prefix):
@@ -98,19 +101,13 @@ def _minimal_sets(q: int, vecs: list, target_rows: list, first: int, pool: list[
             return
         if len(chosen) == cap:
             return
-        rest = ech.copy()
-        for i in pool[pos:]:
-            if rest.add(vecs[i]) and rest.spans(target_rows):
-                break
-        else:
-            return
         shared: list = []
-        for idx in range(pos, len(pool)):
+        for i in range(chosen[-1] + 1, len(vecs)):
             grown = ech.copy()
-            if grown.add(vecs[pool[idx]]):
-                extend(chosen + [pool[idx]], grown, idx + 1, shared)
+            if grown.add(vecs[i]):
+                extend(chosen + [i], grown, shared)
 
-    extend([first], Echelon(q, [vecs[first]]), 0, [])
+    extend([first], Echelon(q, [vecs[first]]), [])
     return out
 
 
@@ -161,36 +158,41 @@ def minimal_recovery_sets(q: int, k: int, d: int):
     removable), so their size never exceeds k.
     """
     points, _, vecs, target_rows = _packed_instance(q, k, d)
-    n = len(points)
     found = [
         tuple(points[i] for i in s)
-        for p in range(n)
-        for s in _minimal_sets(q, vecs, target_rows, p, list(range(p + 1, n)), k, lambda: None)
+        for p in range(len(points))
+        for s in _minimal_sets(q, vecs, target_rows, p, k, lambda: None)
     ]
     found.sort(key=lambda s: (len(s), s))
     return found
 
 
-def _certified_seed(q: int, k: int, d: int, cap: int, points: list) -> tuple[list[list[int]], str]:
-    """The sets of at most `cap` points of construct(q, k, d), as point-id
-    lists, and the builder's method, if the verifier certifies the family;
-    otherwise no sets."""
+def _certified_seed(q: int, k: int, d: int, cap: int, points: list) -> tuple[list[int], str]:
+    """The sets of at most `cap` points of construct(q, k, d), as bitmasks
+    over point ids, and the builder's method, if the verifier certifies
+    the family; otherwise no sets."""
     family = construct(q, k, d)
     if not verify_family(family).valid:
         return [], family.method
-    index = {p: i for i, p in enumerate(points)}
-    return [sorted(index[p] for p in s) for s in family.sets if len(s) <= cap], family.method
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    return [sum(map(bit.get, s)) for s in family.sets if len(s) <= cap], family.method
 
 
 def _search(q: int, d: int, vecs: list, target_rows: list, cap: int, cfg: SearchConfig,
-            incumbent: list[list[int]]) -> tuple[list[list[int]], int, bool]:
+            incumbent: list[int]) -> tuple[list[int], int, bool]:
     """Pack minimal sets of at most `cap` points, starting from the family
-    `incumbent` (point-id lists) and replacing it only by larger ones.
-    Returns the best family, the node count, and whether the search ran
-    to the end of the tree."""
-    n = len(vecs)
+    `incumbent` and replacing it only by larger ones; sets are bitmasks
+    over point ids.  Returns the best family, the node count, and whether
+    the search ran to the end of the tree.
+
+    `sets_from[p]` holds p's minimal sets, sorted by size then ids and
+    enumerated the first time the search reaches p; a node at p tries
+    those that lie in `free`, then leaves p unused.  `nodes` counts
+    packing nodes plus enumeration steps, each point's enumeration once.
+    """
     target_span = Echelon(q, target_rows)
-    in_target = [target_span.contains(v) for v in vecs]
+    inside = sum(1 << i for i, v in enumerate(vecs) if target_span.contains(v))
+    sets_from: dict[int, list[int]] = {}
     start_time = time.monotonic()
     nodes = 0
     best = incumbent
@@ -204,40 +206,30 @@ def _search(q: int, d: int, vecs: list, target_rows: list, cap: int, cfg: Search
             if time.monotonic() - start_time > cfg.time_limit:
                 raise _Budget
 
-    def packing_bound(alive: list[bool]) -> int:
-        a = sum(1 for i in range(n) if alive[i] and in_target[i])
-        b = sum(1 for i in range(n) if alive[i] and not in_target[i])
-        x = a // d
-        return x + (a - x * d + b) // (d + 1)
-
-    def dfs(alive: list[bool], family: list[list[int]]):
+    def dfs(free: int, family: list[int]):
         nonlocal best
         check_budget()
         if len(family) > len(best):
-            best = [list(s) for s in family]
-        if len(family) + packing_bound(alive) <= len(best):
+            best = family.copy()
+        # counting bound: sets inside the target take d free points, others d+1
+        x = (free & inside).bit_count() // d
+        if len(family) + x + (free.bit_count() - x * d) // (d + 1) <= len(best):
             return
-        p = next((i for i in range(n) if alive[i]), None)
-        if p is None:
-            return
-        pool = [i for i in range(p + 1, n) if alive[i]]
-        sets = _minimal_sets(q, vecs, target_rows, p, pool, cap, check_budget)
-        sets.sort(key=lambda s: (len(s), s))
-        for s in sets:
-            for i in s:
-                alive[i] = False
-            family.append(s)
-            dfs(alive, family)
-            family.pop()
-            for i in s:
-                alive[i] = True
+        p = (free & -free).bit_length() - 1
+        if p not in sets_from:
+            found = _minimal_sets(q, vecs, target_rows, p, cap, check_budget)
+            found.sort(key=lambda s: (len(s), s))
+            sets_from[p] = [sum(1 << i for i in s) for s in found]
+        for s in sets_from[p]:
+            if s & free == s:
+                family.append(s)
+                dfs(free ^ s, family)
+                family.pop()
         # branch: point p used by no set
-        alive[p] = False
-        dfs(alive, family)
-        alive[p] = True
+        dfs(free ^ 1 << p, family)
 
     try:
-        dfs([True] * n, [])
+        dfs((1 << len(vecs)) - 1, [])
     except _Budget:
         return best, nodes, False
     return best, nodes, True
@@ -259,7 +251,7 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
     best, nodes, finished = _search(q, d, vecs, target_rows, cap, cfg, seed)
     witness = RecoveryFamily(
         q, k, d, target,
-        [frozenset(points[i] for i in s) for s in best],
+        [frozenset(p for i, p in enumerate(points) if s >> i & 1) for s in best],
         method if best is seed and seed else "oracle-packing",
     )
     return OracleResult(q, k, d, len(best), finished and cap == k, witness, nodes)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from recovery_sets.bounds import (
@@ -138,3 +140,36 @@ class TestTable:
             bound(2, 3, 4)
         with pytest.raises(ValueError):
             bound(10, 3, 2)
+
+
+# (2, k, 4) for k >= 7: `exact:three-subspace-rows` has no upper argument
+# that reaches it, so `upper` is clamped down to the claim
+def _d4_claim(r):
+    return (r.q, r.d) == (2, 4) and r.k >= 7
+
+
+@functools.cache
+def _exact_rows():
+    return [
+        r
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for r in bound_table(q, range(1, 65), range(1, 65))
+        if r.exact is not None
+    ]
+
+
+def _without_upper_argument(rows):
+    # `bound()` tags an upper bound only if it equals the reported `upper`,
+    # so a row has no `upper:` tag exactly when `upper` was clamped to `exact`
+    return [(r.q, r.k, r.d) for r in rows if not any(t.startswith("upper:") for t in r.provenance)]
+
+
+class TestExactArguments:
+    def test_every_exact_has_an_upper_argument(self):
+        rows = [r for r in _exact_rows() if not _d4_claim(r)]
+        assert len(rows) == 2657 and len(_exact_rows()) - len(rows) == 58
+        assert _without_upper_argument(rows) == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2(d): d = 4 exact for k >= 7 has no upper argument")
+    def test_d4_three_subspace_rows(self):
+        assert _without_upper_argument([r for r in _exact_rows() if _d4_claim(r)]) == []

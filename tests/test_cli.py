@@ -204,12 +204,16 @@ class TestCeilings:
         ("construct", "--q", "2", "--k", "24", "--d", "2"),
         ("construct", "--q", "127", "--k", "4", "--d", "4"),
         # values past Python's int-to-str digit limit, which ended in a
-        # traceback (the second after a partial document), and a table
-        # past the pair ceiling, which ran until killed
+        # traceback (the second after a partial document), and tables past
+        # the size ceiling: the first ran until killed, the next two took
+        # 100 s and 49 s, the last ended in an OverflowError
         ("bounds", "--q", "2", "--k", "14300", "--d", "1"),
         ("bounds", "--q", "2", "--k", "1000000", "--d", "2"),
         ("ilp", "--k", "15000"),
         ("bounds", "--q", "2", "--k", "1..100000", "--d", "1..100000"),
+        ("bounds", "--q", "2", "--k", "13700..14016", "--d", "1..315"),
+        ("bounds", "--q", "2", "--k", "1..14000", "--d", "1..7"),
+        ("bounds", "--q", "2", "--k", "1..100000000000000000000", "--d", "1"),
     ])
     def test_refused_up_front(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

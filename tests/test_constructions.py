@@ -9,7 +9,7 @@ from recovery_sets.constructions import (
     construction_for,
     find_quintriple_partition_m7,
     quintriple_partition,
-    row_sets,
+    _row_layout,
 )
 from recovery_sets.geometry import Layout, num_points
 from recovery_sets.verifier import verify_family
@@ -31,6 +31,11 @@ def leftovers(sets, row_points):
 
 def target_points(lay):
     return [lay.pt(0, lay.col.alpha_pow(e)) for e in range(num_points(lay.q, lay.d))]
+
+
+def row_one_sets(lay, leftover=()):
+    """`_row_layout`'s sets of columns, placed on row 1."""
+    return [frozenset(lay.pt(1, c) for c in cs) for cs in _row_layout(lay, leftover)]
 
 
 def row_points(lay, x):
@@ -69,7 +74,7 @@ class TestRowSets:
     def test_shapes(self, q, d, nsets, size, nleft):
         # the row (1, 0) of F_q^2
         lay = Layout(q, 2 + d, d)
-        sets = row_sets(lay, 1)
+        sets = row_one_sets(lay)
         lo = leftovers(sets, row_points(lay, 1))
         assert len(sets) == nsets and len(lo) == nleft
         assert all(len(s) == size for s in sets)
@@ -81,10 +86,6 @@ class TestRowSets:
         all_pts = [p for s in sets for p in s] + lo
         assert len(set(all_pts)) == len(all_pts) == q**d
 
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError):
-            row_sets(Layout(2, 4, 2), 0)
-
     def test_leftover_positions(self):
         # the zero column heading a one-power run, a two-power run, and a
         # run that wraps from the last power to alpha^0
@@ -92,13 +93,13 @@ class TestRowSets:
         a = f32.alpha_pow
         lay, x = Layout(2, 7, 5), (1, 0)
         for cols in ({0, a(3)}, {a(7), a(8)}, {a(30), a(0)}):
-            lo = leftovers(row_sets(lay, 1, cols), row_points(lay, 1))
+            lo = leftovers(row_one_sets(lay, cols), row_points(lay, 1))
             assert sorted(lo) == sorted(lay.pt(1, c) for c in cols)
         assert lo == [x + f32.to_vector(c) for c in (a(0), a(30))]
         # t = 2 columns at d = 5: one is too few, and a gap is not a run
         for cols in ({a(3)}, {a(3), a(5)}):
             with pytest.raises(ValueError):
-                row_sets(lay, 1, cols)
+                _row_layout(lay, cols)
 
 
 class TestQuintriples:

@@ -63,7 +63,7 @@ CONSTRUCT = {
 ORACLE = {
     (2, 4, 2): ("qkd0", "d6546ac5c6e58468b0d56da52e9276be3b63c69b"),
     (3, 3, 2): ("qkd1", "f2ddece2d63ccbeed188021ba0aa487e682bdb7a"),
-    (5, 3, 1): ("oracle-5-3-1", "986f83ec541a4289f72bda90bafa621878354e15"),
+    (5, 3, 1): ("oracle-5-3-1", "77a2177e7c7c0cf2910401222b1e74d3a995ae57"),
     (4, 3, 2): ("oracle-4-3-2", "b23245357a33ecc7c927c170c2bb8be4214f4847"),
     (7, 3, 2): ("oracle-7-3-2", "60780e3edfb77e9aadb1fa0bb5d93b6b6f9218a3"),
     # stops at the node limit with the 9-set construct() family as its

@@ -10,6 +10,22 @@ from recovery_sets.oracle import (SearchConfig, _packed_instance, _search, exact
 from recovery_sets.verifier import verify_family
 
 
+# (q, k, d) -> the family _search finds from an empty incumbent, as sorted
+# point-id lists in the order it packs them
+EMPTY_INCUMBENT_WITNESSES = {
+    (2, 2, 2): [[0, 1]],
+    (2, 3, 2): [[0, 1], [2, 3, 4]],
+    (2, 4, 2): [[0, 1], [2, 3, 4], [5, 6, 7, 11], [8, 9, 10], [12, 13, 14]],
+    (2, 4, 4): [[0, 1, 3, 7], [2, 4, 6, 8], [5, 9, 10, 13]],
+    (3, 2, 2): [[0, 1], [2, 3]],
+    (3, 3, 2): [[0, 1], [2, 3], [4, 5, 7], [6, 8, 11], [9, 10, 12]],
+    (4, 3, 2): [[0, 1], [2, 3], [4, 5, 6], [7, 8, 9], [10, 11, 13], [12, 14, 15], [16, 17, 18]],
+    (5, 3, 1): [[0], [1, 2], [3, 4], [5, 6, 11], [7, 8], [9, 10], [12, 13], [14, 15], [16, 17],
+                [18, 19], [20, 21, 26], [22, 23], [24, 25], [27, 28], [29, 30]],
+    (3, 3, 1): [[0], [1, 2], [3, 4, 7], [5, 6], [8, 9], [10, 11]],
+}
+
+
 class TestExactValues:
     @pytest.mark.parametrize(
         "q,k,d,value",
@@ -25,17 +41,17 @@ class TestExactValues:
         for q, k, d in ((2, 3, 2), (2, 4, 2), (2, 4, 4), (3, 2, 2)):
             assert exact_N(q, k, d).value == len(construct(q, k, d).sets)
 
-    @pytest.mark.parametrize(
-        "q,k,d",
-        [(2, 2, 2), (2, 3, 2), (2, 4, 2), (2, 4, 4), (3, 2, 2), (3, 3, 2), (4, 3, 2)],
-    )
+    @pytest.mark.parametrize("q,k,d", list(EMPTY_INCUMBENT_WITNESSES))
     def test_search_from_empty_incumbent(self, q, k, d):
         # exact_N starts from the construct() family and may prove it at the
         # root; the packer alone, from no family, must reach the same value,
-        # or the checks above would compare construct() with itself
+        # or the checks above would compare construct() with itself.  The
+        # witness, as point ids in packing order, pins the search tree.
         _, _, vecs, target_rows = _packed_instance(q, k, d)
         best, nodes, finished = _search(q, d, vecs, target_rows, k, SearchConfig(), [])
         assert finished and nodes > 1
+        ids = [[i for i in range(s.bit_length()) if s >> i & 1] for s in best]
+        assert ids == EMPTY_INCUMBENT_WITNESSES[q, k, d]
         assert len(best) == exact_N(q, k, d).value
 
     def test_proved_at_the_root(self):

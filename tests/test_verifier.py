@@ -18,14 +18,15 @@ class TestVerifyRecoverySet:
 
     def test_zero_column_plus_run(self):
         # (x,0) together with d consecutive powers spans the target
-        from recovery_sets.constructions import row_sets
+        from recovery_sets.constructions import _row_layout
         from recovery_sets.geometry import Layout
 
         # the row (1, 0) of F_2^2
-        sets = row_sets(Layout(2, 5, 3), 1)
+        lay = Layout(2, 5, 3)
+        sets = [[lay.pt(1, c) for c in cs] for cs in _row_layout(lay)]
         target = canonical_target(2, 5, 3)
         f2 = field(2)
-        assert all(span_contains(list(s), target, f2) for s in sets)
+        assert all(span_contains(s, target, f2) for s in sets)
 
     def test_single_point_fails(self):
         target = canonical_target(2, 4, 2)
