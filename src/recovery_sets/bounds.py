@@ -20,23 +20,26 @@ def general_upper(q: int, k: int, d: int) -> int:
     return basic_count(q, d) + (l * (q - 1) + q**k - q**d) // ((d + 1) * (q - 1))
 
 
-def row_structure_upper(q: int, k: int, d: int, variant: str = "corrected") -> int:
-    """Refinement counting cross-row sets at size d+2.
+def row_structure_upper(q: int, k: int, d: int) -> int:
+    """Refinement of the size count by the rows of the stored array.
 
-    The middle term is floor(q^d/(d+1)) per row; the "printed" variant
-    reproduces the formula with q^k in that numerator instead (kept
-    selectable because the two disagree and only one can be meant).
+    For a minimal set s outside the target U, |s| - d is the dimension
+    of its image modulo U, so a set inside one row has d+1 points and a
+    cross-row set at least d+2.  The bound adds three terms:
+    - the basic_count(q, d) sets inside the target;
+    - floor(q^d/(d+1)) single-row sets per row, since a row holds q^d
+      points;
+    - the cross-row term floor((2l + rows*t)/(d+2)), over the l target
+      points the basic sets leave, counted twice, and the t = q^d mod
+      (d+1) points each row leaves.
+
+    (2,9,5) = 85 is the one exact value of the q in {2,3,4,5,7,8,9},
+    k <= 40 tables that rests on this bound alone.
     """
     rows = (q ** (k - d) - 1) // (q - 1)
     l = ((q**d - 1) // (q - 1)) % d
     t = q**d % (d + 1)
-    if variant == "corrected":
-        middle = q**d // (d + 1)
-    elif variant == "printed":
-        middle = q**k // (d + 1)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return basic_count(q, d) + rows * middle + (2 * l + rows * t) // (d + 2)
+    return basic_count(q, d) + rows * (q**d // (d + 1)) + (2 * l + rows * t) // (d + 2)
 
 
 def dimension_one_exact(q: int, k: int) -> int:
@@ -75,7 +78,7 @@ class BoundsRecord:
         }
 
 
-def bound(q: int, k: int, d: int, row_upper_variant: str = "corrected") -> BoundsRecord:
+def bound(q: int, k: int, d: int) -> BoundsRecord:
     """Best known bounds on N_q(k,d), with the exact value where known.
 
     `lower` is the size of the family construct(q, k, d) builds, or the
@@ -88,7 +91,7 @@ def bound(q: int, k: int, d: int, row_upper_variant: str = "corrected") -> Bound
     lowers: list[tuple[int, str]] = [(built, entry.method)]
     uppers: list[tuple[int, str]] = [
         (general_upper(q, k, d), "size-count"),
-        (row_structure_upper(q, k, d, row_upper_variant), "row-structure"),
+        (row_structure_upper(q, k, d), "row-structure"),
     ]
     exacts: list[tuple[int, str]] = []
 
@@ -135,9 +138,12 @@ def bound(q: int, k: int, d: int, row_upper_variant: str = "corrected") -> Bound
 
 
 def bound_table(q: int, k_range, d_range, row_upper_variant: str = "corrected") -> list[BoundsRecord]:
+    # row_upper_variant stays for perfbench/tracer.py until ROADMAP item 1 step B
+    if row_upper_variant != "corrected":
+        raise ValueError(f"unknown row_upper_variant {row_upper_variant!r}")
     records = []
     for k in k_range:
         for d in d_range:
             if 1 <= d <= k:
-                records.append(bound(q, k, d, row_upper_variant))
+                records.append(bound(q, k, d))
     return records

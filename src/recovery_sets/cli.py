@@ -140,10 +140,15 @@ def family_payload(family: RecoveryFamily) -> dict:
 def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
     warnings = []
     try:
-        q, k, d = int(payload["q"]), int(payload["k"]), int(payload["d"])
+        q, k, d = payload["q"], payload["k"], payload["d"]
+        # JSON integers only: type() is int refuses bools, floats and strings
+        if not all(type(x) is int for x in (q, k, d)):
+            raise ValueError("q, k and d must be integers")
         _check_instance(q, k, d)
         fld = field(q)
-        raw_target = [tuple(int(c) for c in row) for row in payload["target"]]
+        raw_target = [tuple(row) for row in payload["target"]]
+        if any(type(c) is not int or not 0 <= c < q for row in raw_target for c in row):
+            raise ValueError(f"target coordinates must be integers in 0..{q - 1}")
         target = Subspace.span(raw_target, fld, k) if raw_target else canonical_target(q, k, d)
         if target.dim != d:
             raise ValueError("target basis does not have dimension d")
@@ -151,8 +156,8 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
         for raw_set in payload["sets"]:
             pts = set()
             for raw_pt in raw_set:
-                vec = tuple(int(c) for c in raw_pt)
-                if len(vec) != k or any(not 0 <= c < q for c in vec):
+                vec = tuple(raw_pt)
+                if len(vec) != k or any(type(c) is not int or not 0 <= c < q for c in vec):
                     raise ValueError(f"bad point {raw_pt}")
                 canon = canonical_point(vec, fld)
                 if canon != vec:
@@ -219,7 +224,7 @@ def cmd_bounds(args) -> int:
     if size > MAX_TABLE_SIZE:
         raise CliError(f"table size {size} (pairs times digits per value) passes the ceiling {MAX_TABLE_SIZE}")
     _check_digits(args.q, k_range.stop - 1)
-    records = bounds_mod.bound_table(args.q, k_range, d_range, args.upper_variant)
+    records = bounds_mod.bound_table(args.q, k_range, d_range)
     if not records:
         raise CliError("empty parameter range")
     if args.format == "csv":
@@ -229,9 +234,10 @@ def cmd_bounds(args) -> int:
             print(f"{r.q},{r.k},{r.d},{r.lower},{r.upper},{exact},{';'.join(r.provenance)}")
         return EXIT_OK
     payload = {"rows": [r.to_payload() for r in records]}
+    # "upper_variant" stays for perfbench/tracer.py until ROADMAP item 1 step B
     doc = _document(
         "bounds",
-        {"q": args.q, "k": args.k, "d": args.d, "upper_variant": args.upper_variant},
+        {"q": args.q, "k": args.k, "d": args.d, "upper_variant": "corrected"},
         payload,
         started,
     )
@@ -291,10 +297,7 @@ def cmd_oracle(args) -> int:
     try:
         if limit is not None and not limit.is_integer():
             raise ValueError(f"node_limit must be a positive integer, not {limit}")
-        if args.max_set_size is not None and args.max_set_size < args.d:
-            raise ValueError("max_set_size below target dimension")
         cfg = SearchConfig(
-            max_set_size=args.max_set_size,
             node_limit=None if limit is None else int(limit),
             time_limit=args.time_limit,
         )
@@ -309,6 +312,7 @@ def cmd_oracle(args) -> int:
         "witness": family_payload(result.witness),
         "witness_certificate": cert.to_payload(),
     }
+    # "threads" stays for perfbench/tracer.py until ROADMAP item 1 step B
     doc = _document(
         "oracle",
         {"q": args.q, "k": args.k, "d": args.d, "threads": 1},
@@ -339,12 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=str, required=True, help="value or range lo..hi")
     p.add_argument("--d", type=str, required=True, help="value or range lo..hi")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument(
-        "--upper-variant",
-        choices=("corrected", "printed"),
-        default="corrected",
-        help="middle term of the row-structure upper bound",
-    )
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="re-verify a family JSON document")
@@ -360,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--max-set-size", type=int, default=None)
     p.add_argument("--node-limit", type=float, default=None)
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_oracle)

@@ -33,21 +33,6 @@ DEFAULT_FACTOR_CEILING = 1 << 20
 MAX_FIELD_ORDER = 1 << 24
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def factorize(n: int) -> list[int]:
     """Distinct prime factors of n, by trial division.
 
@@ -90,7 +75,7 @@ class PrimeField:
     """F_p with elements 0..p-1; alpha is the smallest primitive root."""
 
     def __init__(self, p: int):
-        if not is_prime(p):
+        if factorize(p) != [p]:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p

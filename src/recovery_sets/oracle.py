@@ -28,9 +28,8 @@ families as int bitmasks over point ids; its `nodes` count packing nodes
 plus enumeration steps, each point's enumeration once.  Points are
 packed once, and spans are `field_core.Echelon`s grown by copy-and-insert.
 
-Results that exhaust the node or time budget, or whose search was capped
-below k points per set, are reported as lower bounds, never as exact
-values.
+Results that exhaust the node or time budget are reported as lower
+bounds, never as exact values.
 """
 
 from __future__ import annotations
@@ -47,13 +46,13 @@ from .verifier import verify_family
 
 @dataclass
 class SearchConfig:
-    max_set_size: int | None = None
+    max_set_size: None = None  # stays for perfbench/tracer.py until ROADMAP item 1 step B
     node_limit: int | None = None
     time_limit: float | None = None
 
     def __post_init__(self):
-        if self.max_set_size is not None and self.max_set_size < 1:
-            raise ValueError("max_set_size must be positive")
+        if self.max_set_size is not None:
+            raise ValueError(f"max_set_size must be None, not {self.max_set_size!r}")
         if self.node_limit is not None and (type(self.node_limit) is not int or self.node_limit < 1):
             raise ValueError(f"node_limit must be a positive integer, not {self.node_limit!r}")
         if self.time_limit is not None and not 0 < self.time_limit < math.inf:
@@ -79,17 +78,16 @@ class _Budget(Exception):
     pass
 
 
-def _minimal_sets(q: int, vecs: list, target_rows: list, first: int,
-                  cap: int, tick) -> list[list[int]]:
+def _minimal_sets(q: int, vecs: list, target_rows: list, first: int, tick) -> list[list[int]]:
     """The minimal recovery sets whose smallest point is `first`, as
     increasing id lists in depth-first order.
 
     Points and target rows come packed for `Echelon` (see `field_core.pack`).
     A set grows by later points outside its span, so it stays independent;
-    a branch ends once it spans the target or at `cap` points.  `tick`
-    runs at every node.  Sibling sets share `prefix`, where the first of
-    them to span leaves the tagged echelon of their common members for
-    `_is_minimal`.
+    a branch ends once it spans the target, which k independent points
+    always do.  `tick` runs at every node.  Sibling sets share `prefix`,
+    where the first of them to span leaves the tagged echelon of their
+    common members for `_is_minimal`.
     """
     out: list[list[int]] = []
 
@@ -98,8 +96,6 @@ def _minimal_sets(q: int, vecs: list, target_rows: list, first: int,
         if ech.spans(target_rows):
             if len(chosen) == len(target_rows) or _is_minimal(q, chosen, vecs, target_rows, prefix):
                 out.append(chosen)
-            return
-        if len(chosen) == cap:
             return
         shared: list = []
         for i in range(chosen[-1] + 1, len(vecs)):
@@ -161,29 +157,29 @@ def minimal_recovery_sets(q: int, k: int, d: int):
     found = [
         tuple(points[i] for i in s)
         for p in range(len(points))
-        for s in _minimal_sets(q, vecs, target_rows, p, k, lambda: None)
+        for s in _minimal_sets(q, vecs, target_rows, p, lambda: None)
     ]
     found.sort(key=lambda s: (len(s), s))
     return found
 
 
-def _certified_seed(q: int, k: int, d: int, cap: int, points: list) -> tuple[list[int], str]:
-    """The sets of at most `cap` points of construct(q, k, d), as bitmasks
-    over point ids, and the builder's method, if the verifier certifies
-    the family; otherwise no sets."""
+def _certified_seed(q: int, k: int, d: int, points: list) -> tuple[list[int], str]:
+    """The sets of construct(q, k, d), as bitmasks over point ids, and the
+    builder's method, if the verifier certifies the family; otherwise no
+    sets."""
     family = construct(q, k, d)
     if not verify_family(family).valid:
         return [], family.method
     bit = {p: 1 << i for i, p in enumerate(points)}
-    return [sum(map(bit.get, s)) for s in family.sets if len(s) <= cap], family.method
+    return [sum(map(bit.get, s)) for s in family.sets], family.method
 
 
-def _search(q: int, d: int, vecs: list, target_rows: list, cap: int, cfg: SearchConfig,
+def _search(q: int, d: int, vecs: list, target_rows: list, cfg: SearchConfig,
             incumbent: list[int]) -> tuple[list[int], int, bool]:
-    """Pack minimal sets of at most `cap` points, starting from the family
-    `incumbent` and replacing it only by larger ones; sets are bitmasks
-    over point ids.  Returns the best family, the node count, and whether
-    the search ran to the end of the tree.
+    """Pack minimal sets, starting from the family `incumbent` and
+    replacing it only by larger ones; sets are bitmasks over point ids.
+    Returns the best family, the node count, and whether the search ran
+    to the end of the tree.
 
     `sets_from[p]` holds p's minimal sets, sorted by size then ids and
     enumerated the first time the search reaches p; a node at p tries
@@ -217,7 +213,7 @@ def _search(q: int, d: int, vecs: list, target_rows: list, cap: int, cfg: Search
             return
         p = (free & -free).bit_length() - 1
         if p not in sets_from:
-            found = _minimal_sets(q, vecs, target_rows, p, cap, check_budget)
+            found = _minimal_sets(q, vecs, target_rows, p, check_budget)
             found.sort(key=lambda s: (len(s), s))
             sets_from[p] = [sum(1 << i for i in s) for s in found]
         for s in sets_from[p]:
@@ -237,21 +233,14 @@ def _search(q: int, d: int, vecs: list, target_rows: list, cap: int, cfg: Search
 
 def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleResult:
     """Maximum number of pairwise disjoint recovery sets for the canonical
-    d-subspace of F_q^k, with a witness family.
-
-    Minimal sets have at most k points, so a `max_set_size` below k can
-    exclude sets an optimal family needs: the result is then a lower bound.
-    """
+    d-subspace of F_q^k, with a witness family."""
     cfg = cfg or SearchConfig()
-    cap = min(cfg.max_set_size or k, k)
-    if cap < d:
-        raise ValueError("max_set_size below target dimension")
     points, target, vecs, target_rows = _packed_instance(q, k, d)
-    seed, method = _certified_seed(q, k, d, cap, points)
-    best, nodes, finished = _search(q, d, vecs, target_rows, cap, cfg, seed)
+    seed, method = _certified_seed(q, k, d, points)
+    best, nodes, finished = _search(q, d, vecs, target_rows, cfg, seed)
     witness = RecoveryFamily(
         q, k, d, target,
         [frozenset(p for i, p in enumerate(points) if s >> i & 1) for s in best],
         method if best is seed and seed else "oracle-packing",
     )
-    return OracleResult(q, k, d, len(best), finished and cap == k, witness, nodes)
+    return OracleResult(q, k, d, len(best), finished, witness, nodes)

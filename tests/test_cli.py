@@ -131,7 +131,20 @@ class TestVerifyRoundTrip:
         '{"q":2,"k":100000,"d":1,"target":[],"sets":[]}',
         '{"q":1e400,"k":3,"d":1,"target":[],"sets":[]}',
         '[1,2]',
-    ], ids=["huge-k", "overflowing-q", "not-an-object"])
+        # JSON integers only, targets in range like points
+        '{"q":2,"k":2,"d":1,"target":[],"sets":[[[0,1.5]]]}',
+        '{"q":2,"k":2,"d":1,"target":[],"sets":[[[0,true]]]}',
+        '{"q":2,"k":2,"d":1,"target":[],"sets":[[[0,"1"]]]}',
+        '{"q":2.5,"k":2,"d":1,"target":[],"sets":[[[0,1]]]}',
+        '{"q":2,"k":"2","d":1,"target":[],"sets":[[[0,1]]]}',
+        '{"q":2,"k":2,"d":1,"target":[[0,3]],"sets":[[[0,1]]]}',
+        '{"q":2,"k":2,"d":1,"target":[[0,-1]],"sets":[[[0,1]]]}',
+        '{"q":2,"k":2,"d":1,"target":[[0,1.5]],"sets":[[[0,1]]]}',
+        '{"q":2,"k":1,"d":1,"target":[],"sets":["1"]}',
+        '{"q":4,"k":2,"d":1,"target":[[0,9]],"sets":[]}',
+    ], ids=["huge-k", "overflowing-q", "not-an-object", "float-coordinate", "bool-coordinate",
+            "string-coordinate", "float-q", "string-k", "target-3-at-q-2", "negative-target",
+            "float-target", "string-point", "target-9-at-q-4"])
     def test_refused_up_front(self, capsys, tmp_path, text):
         path = tmp_path / "doc.json"
         path.write_text(text)
@@ -188,13 +201,24 @@ class TestOracle:
         ("--time-limit", "0"),
         ("--time-limit", "nan"),
         ("--time-limit", "inf"),
-        ("--max-set-size", "1"),
     ])
     def test_bad_limit_refused(self, capsys, limit):
         code, out, err = run_cli(capsys, "oracle", "--q", "2", "--k", "4", "--d", "2", *limit)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert limit[0][2:].replace("-", "_") in err
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("argv", [
+        ("bounds", "--q", "2", "--k", "4", "--d", "2", "--upper-variant", "printed"),
+        ("oracle", "--q", "2", "--k", "4", "--d", "2", "--max-set-size", "1"),
+    ], ids=["upper-variant", "max-set-size"])
+    def test_refused_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestCeilings:

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from recovery_sets.field_core import (
     Echelon,
+    PrimeField,
     Subspace,
     extension,
     factorize,
@@ -59,6 +60,11 @@ class TestPrimitivePolys:
         assert prime_power(49) == (7, 2)
         with pytest.raises(ValueError):
             prime_power(6)
+
+    @pytest.mark.parametrize("p", [0, 1, 4, 9, 15])
+    def test_prime_field_rejects_non_primes(self, p):
+        with pytest.raises(ValueError):
+            PrimeField(p)
 
 
 class TestExtField:

@@ -48,7 +48,7 @@ class TestExactValues:
         # or the checks above would compare construct() with itself.  The
         # witness, as point ids in packing order, pins the search tree.
         _, _, vecs, target_rows = _packed_instance(q, k, d)
-        best, nodes, finished = _search(q, d, vecs, target_rows, k, SearchConfig(), [])
+        best, nodes, finished = _search(q, d, vecs, target_rows, SearchConfig(), [])
         assert finished and nodes > 1
         ids = [[i for i in range(s.bit_length()) if s >> i & 1] for s in best]
         assert ids == EMPTY_INCUMBENT_WITNESSES[q, k, d]
@@ -73,24 +73,13 @@ class TestExactValues:
         assert result.value >= len(construct(2, 10, 2).sets) == 307
         assert verify_family(result.witness).valid
 
-    def test_cap_below_k_is_a_lower_bound(self):
-        # minimal sets reach k = 4 points, so a cap of 2 leaves out sets
-        # every maximum family of N_2(4,2) = 5 needs; the seed keeps only
-        # the construct() sets within the cap
-        capped = exact_N(2, 4, 2, SearchConfig(max_set_size=2))
-        assert (capped.value, capped.status) == (1, "lower-bound-only")
-        assert max(map(len, capped.witness.sets)) <= 2
-        assert verify_family(capped.witness).valid
-
-    def test_cap_at_k_is_exact(self):
-        capped = exact_N(2, 4, 2, SearchConfig(max_set_size=4))
-        full = exact_N(2, 4, 2)
-        assert capped.status == full.status == "exact"
-        assert (capped.value, capped.nodes, capped.witness.sets) == (full.value, full.nodes, full.witness.sets)
-
-    def test_cap_below_d_rejected(self):
+    def test_max_set_size_only_none(self):
+        # kept for perfbench/tracer.py until ROADMAP item 1 step B
+        cfg = SearchConfig(max_set_size=None, node_limit=5, time_limit=None)
+        result = exact_N(2, 5, 2, cfg)
+        assert (result.status, result.nodes) == ("lower-bound-only", 6)
         with pytest.raises(ValueError):
-            exact_N(2, 4, 3, SearchConfig(max_set_size=2))
+            SearchConfig(max_set_size=2)
 
 
 def rank(vecs, fld):
