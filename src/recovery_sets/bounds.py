@@ -1,10 +1,12 @@
 """Lower/upper/exact values for the maximum number N_q(k,d) of pairwise
 disjoint recovery sets.
 
-The constructive lower bound is the closed-form size of the registry
-entry that construct() builds for (q, k, d).  Upper bounds, the
-non-constructive d = 6 bracket and the exact-value arguments live here.
-Each record carries provenance tags naming where each value comes from.
+`lower` is the closed-form size of the registry entry that construct()
+builds for (q, k, d), `upper` the least of the upper bounds implemented
+here, and `exact` is set exactly where the two meet.  The one exception
+is d = 1, where the dimension-one theorem says the row-structure bound
+is met, so `lower` is lifted to it.  Each record carries provenance tags
+naming where each value comes from.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ def row_structure_upper(q: int, k: int, d: int) -> int:
       points the basic sets leave, counted twice, and the t = q^d mod
       (d+1) points each row leaves.
 
-    (2,9,5) = 85 is the one exact value of the q in {2,3,4,5,7,8,9},
-    k <= 40 tables that rests on this bound alone.
+    At d = 1 (l = 0, t = q mod 2, rows = the L lines through the target
+    point) it is the dimension-one value 1 + floor(q/2)*L, plus
+    floor(L/3) for odd q, which the paper proves is N_q(k,1).  It is the
+    only upper bound that meets the construction at (2,9,5) = 85 and on
+    the line-leftovers rows such as (7,6,2) and (9,7,3).
     """
     rows = (q ** (k - d) - 1) // (q - 1)
     l = ((q**d - 1) // (q - 1)) % d
@@ -42,18 +47,12 @@ def row_structure_upper(q: int, k: int, d: int) -> int:
     return basic_count(q, d) + rows * (q**d // (d + 1)) + (2 * l + rows * t) // (d + 2)
 
 
-def dimension_one_exact(q: int, k: int) -> int:
-    if q % 2 == 0:
-        return 1 + (q**k - q) // (2 * (q - 1))
-    return 1 + (q ** (k - 1) - 1) // 2 + (q ** (k - 1) - 1) // (3 * (q - 1))
-
-
 def d2_packing_upper(k: int) -> int:
     return (3 * 2**k + 3) // 10
 
 
-def d6_bracket(k: int) -> tuple[int, int]:
-    return (91 * 2 ** (k - 6) + 12) // 10, (91 * 2 ** (k - 6) + 35) // 10
+def d6_upper(k: int) -> int:
+    return (91 * 2 ** (k - 6) + 35) // 10
 
 
 @dataclass(frozen=True)
@@ -79,62 +78,36 @@ class BoundsRecord:
 
 
 def bound(q: int, k: int, d: int) -> BoundsRecord:
-    """Best known bounds on N_q(k,d), with the exact value where known.
+    """Best known bounds on N_q(k,d), with the exact value where they meet.
 
-    `lower` is the size of the family construct(q, k, d) builds, or the
-    non-constructive d = 6 formula where that is larger; `upper` is the
-    least of the upper bounds.  When an exact value is known, both are
-    clamped to it, so `lower` can exceed what construct() builds.
+    `lower` is the size of the family construct(q, k, d) builds and
+    `upper` the least of the upper bounds; `exact` is set, tagged
+    `exact:bounds-met`, exactly when the two are equal.  At d = 1 the
+    dimension-one theorem says the row-structure bound is met, so `lower`
+    is lifted to `upper` (tagged `exact:dimension-one`) and carries a
+    `lower:` tag only where construct() reaches it.
     """
     entry = construction_for(q, k, d)
     built = entry.size(q, k, d)
-    lowers: list[tuple[int, str]] = [(built, entry.method)]
-    uppers: list[tuple[int, str]] = [
-        (general_upper(q, k, d), "size-count"),
-        (row_structure_upper(q, k, d), "row-structure"),
-    ]
-    exacts: list[tuple[int, str]] = []
-
-    if entry.optimal:
-        exacts.append((built, entry.optimal))
-    if d == 1:
-        exacts.append((dimension_one_exact(q, k), "dimension-one"))
-    if q**d % (d + 1) == 0:
-        # no row leaves a leftover, so the family meets the size count
-        exacts.append((built, "no-row-leftovers"))
+    uppers = [(general_upper(q, k, d), "size-count"), (row_structure_upper(q, k, d), "row-structure")]
     if q == 2 and d == 2:
         uppers.append((d2_packing_upper(k), "packing-lp"))
     if entry.method == "line-group-rows":
         uppers.append((built + 1, "line-group-rows"))
     if q == 2 and d == 6 and k >= 7:
-        lo, hi = d6_bracket(k)
-        lowers.append((lo, "six-dim-formula"))
-        uppers.append((hi, "six-dim-formula"))
+        uppers.append((d6_upper(k), "six-dim-formula"))
 
-    provenance = []
-    values = {v for v, _ in exacts}
-    if len(values) > 1:
-        raise AssertionError(f"conflicting exact values for N_{q}({k},{d}): {exacts}")
-    exact = values.pop() if values else None
-    lower = max(v for v, _ in lowers)
     upper = min(v for v, _ in uppers)
-    if exact is not None:
-        lower = max(lower, exact)
-        upper = min(upper, exact)
-    for v, tag in lowers:
-        if v == lower:
-            provenance.append("lower:" + tag)
-    for v, tag in uppers:
-        if v == upper:
-            provenance.append("upper:" + tag)
-    for v, tag in exacts:
-        provenance.append("exact:" + tag)
-    if lower > upper:
-        raise AssertionError(f"crossed bounds for N_{q}({k},{d}): {lower} > {upper}")
-    if exact is None and lower == upper:
-        exact = lower
+    if built > upper:
+        raise AssertionError(f"crossed bounds for N_{q}({k},{d}): {built} > {upper}")
+    lower = upper if d == 1 else built
+    provenance = ["lower:" + entry.method] if lower == built else []
+    provenance += ["upper:" + tag for v, tag in uppers if v == upper]
+    if d == 1:
+        provenance.append("exact:dimension-one")
+    elif lower == upper:
         provenance.append("exact:bounds-met")
-    return BoundsRecord(q, k, d, lower, upper, exact, tuple(dict.fromkeys(provenance)))
+    return BoundsRecord(q, k, d, lower, upper, lower if lower == upper else None, tuple(provenance))
 
 
 def bound_table(q: int, k_range, d_range, row_upper_variant: str = "corrected") -> list[BoundsRecord]:

@@ -18,7 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .field_core import MAX_FIELD_ORDER, Subspace, field, prime_power
+from .field_core import MAX_FIELD_ORDER, Subspace, extension, field, prime_power
 from .geometry import DEFAULT_POINT_LIMIT, canonical_point, num_points
 from . import bounds as bounds_mod
 from .constructions import RecoveryFamily, canonical_target, construct
@@ -115,8 +115,6 @@ def _parse_range(text: str) -> range:
 
 
 def family_payload(family: RecoveryFamily) -> dict:
-    from .field_core import extension
-
     fld = field(family.q)
     p, e = prime_power(family.q)
     return {
@@ -160,6 +158,8 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
                 if len(vec) != k or any(type(c) is not int or not 0 <= c < q for c in vec):
                     raise ValueError(f"bad point {raw_pt}")
                 canon = canonical_point(vec, fld)
+                if canon in pts:
+                    raise ValueError(f"point {raw_pt} repeats a point of its set")
                 if canon != vec:
                     warnings.append(f"normalized non-canonical representative {list(vec)}")
                 pts.add(canon)

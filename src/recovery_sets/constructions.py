@@ -593,16 +593,13 @@ def _search_layer_values(lay: Layout, xs, tail, target):
 @dataclass(frozen=True)
 class Construction:
     """One builder: its method tag, where it applies, the closed-form
-    number of sets it gives there, and the builder itself.  `optimal`
-    names the argument that proves the family maximum wherever the entry
-    applies, or is None when there is none."""
+    number of sets it gives there, and the builder itself."""
 
     method: str
     applies: Callable[[int, int, int], bool]
     size: Callable[[int, int, int], int]
     build: Callable[[int, int, int], Sets]
     notes: Callable[[int, int, int], list[str]] = lambda q, k, d: []
-    optimal: str | None = None
 
 
 def _tight_size(q: int, k: int, d: int) -> int:
@@ -612,10 +609,7 @@ def _tight_size(q: int, k: int, d: int) -> int:
 # Ordered: construct() takes the first entry that applies, and the last
 # applies everywhere.  bound() reads its constructive lower bound here.
 REGISTRY = (
-    Construction(
-        "whole-space", lambda q, k, d: d == k, _tight_size, _consecutive_powers,
-        optimal="whole-space",
-    ),
+    Construction("whole-space", lambda q, k, d: d == k, _tight_size, _consecutive_powers),
     Construction(
         "quintriple-rows",
         lambda q, k, d: q == 2 and d == 2,
@@ -627,7 +621,6 @@ REGISTRY = (
         lambda q, k, d: q == 2 and d == 4,
         lambda q, k, d: 13 if k == 6 else (11 * 2 ** (k - 3) - 1) // 7,
         lambda q, k, d: _three_subspace_rows(k),
-        optimal="three-subspace-rows",
     ),
     Construction(
         "line-group-rows",
@@ -642,14 +635,12 @@ REGISTRY = (
         lambda q, k, d: q == 2 and d >= 3 and d & (d + 1) == 0,
         _tight_size,
         lambda q, k, d: _perfect_code_balls(k, d),
-        optimal="perfect-code",
     ),
     Construction(
         "consecutive-powers+line-leftovers",
         lambda q, k, d: q > 2 and _line_leftover_gap(q, k, d) is None,
         lambda q, k, d: _tight_size(q, k, d) + num_points(q, k - d) * (q**d % (d + 1)) // (d + 2),
         _line_leftovers,
-        optimal="line-leftovers",
     ),
     Construction(
         "consecutive-powers", lambda q, k, d: True, _tight_size, _consecutive_powers,

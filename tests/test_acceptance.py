@@ -9,7 +9,7 @@ verifier recertifies every family from raw points).
 import time
 from fractions import Fraction
 
-from recovery_sets.bounds import bound, d6_bracket
+from recovery_sets.bounds import bound, d6_upper
 from recovery_sets.constructions import (
     construct,
     find_quintriple_partition_m7,
@@ -211,8 +211,7 @@ def test_criterion_9_consistency():
         fam = construct(q, k, d)
         rec = bound(q, k, d)
         assert rec.lower <= len(fam.sets) <= rec.upper, (q, k, d, rec, len(fam.sets))
-    lo, hi = d6_bracket(7)
-    assert (lo, hi) == (19, 21)
+    assert d6_upper(7) == 21
     elapsed = time.monotonic() - started
     print(f"\nPASS criterion 9: every grid family sits between its lower and "
-          f"upper bound; the d=6 formulas print (19, 21) at k=7 ({elapsed:.1f}s)")
+          f"upper bound; the d=6 formula upper prints 21 at k=7 ({elapsed:.1f}s)")

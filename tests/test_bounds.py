@@ -6,12 +6,11 @@ from recovery_sets.bounds import (
     bound,
     bound_table,
     d2_packing_upper,
-    d6_bracket,
-    dimension_one_exact,
+    d6_upper,
     general_upper,
     row_structure_upper,
 )
-from recovery_sets.constructions import REGISTRY
+from recovery_sets.constructions import REGISTRY, construction_for
 
 
 def d2_exact(k):
@@ -39,7 +38,7 @@ class TestFormulas:
             assert lo == r.lower <= r.upper <= lo + 1
 
     def test_d6_values_at_7(self):
-        assert d6_bracket(7) == (19, 21)
+        assert d6_upper(7) == 21
 
     def test_whole_space(self):
         assert bound(2, 7, 7).exact == 18
@@ -49,14 +48,27 @@ class TestFormulas:
     def test_dimension_one(self):
         assert bound(2, 5, 1).exact == 1 + (2**5 - 2) // 2
         assert bound(4, 3, 1).exact == 1 + (4**3 - 4) // 6
-        assert dimension_one_exact(3, 3) == 1 + 4 + (9 - 1) // 6
+        assert bound(3, 3, 1).exact == row_structure_upper(3, 3, 1) == 1 + 4 + (9 - 1) // 6
+
+    def test_row_structure_is_dimension_one_at_d1(self):
+        # the paper's N_q(k,1) = 1 + floor(q/2)*L, plus floor(L/3) for odd q,
+        # L the lines through the target point, is the row-structure bound
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 256):
+            for k in range(1, 30):
+                lines = (q ** (k - 1) - 1) // (q - 1)
+                want = 1 + q // 2 * lines + (lines // 3 if q % 2 else 0)
+                assert row_structure_upper(q, k, 1) == want, (q, k)
 
     def test_d4(self):
         assert bound(2, 4, 4).exact == 3
         assert bound(2, 5, 4).exact == 6
         assert bound(2, 6, 4).exact == 13
+        # for k >= 7 no upper bound in code reaches the certified family
         for k in range(7, 14):
-            assert bound(2, k, 4).exact == d4_exact(k)
+            r = bound(2, k, 4)
+            assert r.lower == d4_exact(k) and r.exact is None
+            assert r.upper == min(general_upper(2, k, 4), row_structure_upper(2, k, 4))
+        assert [bound(2, k, 4).upper for k in range(7, 13)] == [26, 51, 102, 203, 406, 811]
 
     def test_perfect_code(self):
         assert bound(2, 6, 3).exact == (2**3 - 1) // 3 + (2**6 - 2**3) // 4 == 16
@@ -117,7 +129,13 @@ class TestTable:
     def test_d4_rows(self):
         # floor((11*2^5-1)/7) = 50: the certified family at k = 8 has 50 sets
         rows = bound_table(2, range(6, 9), range(4, 5))
-        assert [r.exact for r in rows] == [13, 25, 50]
+        assert [(r.lower, r.upper, r.exact) for r in rows] == [(13, 13, 13), (25, 26, None), (50, 51, None)]
+
+    def test_d6_rows(self):
+        # lower is the certified consecutive-power family, not the formula
+        rows = bound_table(2, range(9, 13), range(6, 7))
+        assert [(r.lower, r.upper, r.exact) for r in rows] == [
+            (73, 74, None), (145, 147, None), (289, 293, None), (577, 585, None)]
 
     def test_order_deterministic(self):
         rows = bound_table(2, range(3, 6), range(1, 4))
@@ -147,37 +165,35 @@ class TestTable:
             bound(10, 3, 2)
 
 
-# (2, k, 4) for k >= 7: `exact:three-subspace-rows` has no upper argument
-# that reaches it, so `upper` is clamped down to the claim
-def _d4_claim(r):
-    return (r.q, r.d) == (2, 4) and r.k >= 7
-
-
 @functools.cache
-def _exact_rows():
-    return [
-        r
-        for q in (2, 3, 4, 5, 7, 8, 9)
-        for r in bound_table(q, range(1, 65), range(1, 65))
-        if r.exact is not None
-    ]
-
-
-def _without_upper_argument(rows):
-    # `bound()` tags an upper bound only if it equals the reported `upper`,
-    # so a row has no `upper:` tag exactly when `upper` was clamped to `exact`
-    return [(r.q, r.k, r.d) for r in rows if not any(t.startswith("upper:") for t in r.provenance)]
+def _rows():
+    return [r for q in (2, 3, 4, 5, 7, 8, 9) for r in bound_table(q, range(1, 65), range(1, 65))]
 
 
 class TestExactArguments:
     def test_every_exact_has_an_upper_argument(self):
-        rows = [r for r in _exact_rows() if not _d4_claim(r)]
-        assert len(rows) == 2657 and len(_exact_rows()) - len(rows) == 58
-        assert _without_upper_argument(rows) == []
+        # `upper` is the least implemented upper bound, tagged, and never
+        # clamped down to a claimed exact value
+        for r in _rows():
+            assert any(t.startswith("upper:") for t in r.provenance), r
+            assert r.exact == (r.lower if r.lower == r.upper else None), r
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2(d): d = 4 exact for k >= 7 has no upper argument")
-    def test_d4_three_subspace_rows(self):
-        assert _without_upper_argument([r for r in _exact_rows() if _d4_claim(r)]) == []
+    def test_lower_is_the_construction(self):
+        for r in _rows():
+            if r.d != 1:
+                entry = construction_for(r.q, r.k, r.d)
+                assert r.lower == entry.size(r.q, r.k, r.d), r
+                assert "lower:" + entry.method in r.provenance, r
+
+    def test_every_tag_names_one_argument(self):
+        for r in _rows():
+            exact_tags = [t for t in r.provenance if t.startswith("exact:")]
+            if r.d == 1:
+                assert exact_tags == ["exact:dimension-one"], r
+            elif r.exact is not None:
+                assert exact_tags == ["exact:bounds-met"], r
+            else:
+                assert exact_tags == [], r
 
 
 # (q, k, d) -> N_q(k, d) as exact_N proves it, over the cells of at most

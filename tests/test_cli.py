@@ -142,9 +142,13 @@ class TestVerifyRoundTrip:
         '{"q":2,"k":2,"d":1,"target":[[0,1.5]],"sets":[[[0,1]]]}',
         '{"q":2,"k":1,"d":1,"target":[],"sets":["1"]}',
         '{"q":4,"k":2,"d":1,"target":[[0,9]],"sets":[]}',
+        # one projective point twice in a set: the same vector, or two representatives
+        '{"q":2,"k":2,"d":1,"target":[],"sets":[[[0,1],[0,1]]]}',
+        '{"q":3,"k":2,"d":1,"target":[],"sets":[[[0,1],[0,2]]]}',
     ], ids=["huge-k", "overflowing-q", "not-an-object", "float-coordinate", "bool-coordinate",
             "string-coordinate", "float-q", "string-k", "target-3-at-q-2", "negative-target",
-            "float-target", "string-point", "target-9-at-q-4"])
+            "float-target", "string-point", "target-9-at-q-4", "repeated-point",
+            "repeated-representative"])
     def test_refused_up_front(self, capsys, tmp_path, text):
         path = tmp_path / "doc.json"
         path.write_text(text)

@@ -1,9 +1,10 @@
-"""Golden hashes: construct and oracle payloads, and the bound table numbers.
+"""Golden hashes: construct and oracle payloads, and the bound table.
 
 Each hash is sha1 over a compact JSON rendering of what the CLI reports.
 They pin "same behaviour" across refactors: a change that alters a payload
-byte or a lower/upper/exact number fails here.  The bound table hash
-leaves provenance out, so renaming a provenance tag does not count.
+byte, a lower/upper/exact number or a provenance tag fails here.  The
+bound table has two hashes, numbers and provenance, so a failure says
+which of the two changed.
 """
 
 import hashlib
@@ -71,7 +72,8 @@ ORACLE = {
     (2, 5, 2, 18000): ("oracle-2-5-2-budgeted", "7ed4d1a01e08a10067edebd32b2ea9bc0f68bb39"),
 }
 
-BOUND_TABLE = "dee1544741257f45ef83bb173eb5e02829ea8827"
+BOUND_TABLE = "062c13e8b497f54676b793e7fea80529bd620233"
+BOUND_PROVENANCE = "75945b2fab8980b11d3694dca05e22036cd351e0"
 
 
 def _cells(table):
@@ -92,10 +94,15 @@ def test_oracle_payload(capsys, qkd, sha1):
     assert _payload_hash(capsys, *argv) == sha1
 
 
+def _bound_rows():
+    return [r for q in (2, 3, 4, 5, 7, 8, 9) for r in bound_table(q, range(1, 65), range(1, 65))]
+
+
 def test_bound_table_numbers():
-    rows = [
-        [r.q, r.k, r.d, r.lower, r.upper, r.exact]
-        for q in (2, 3, 4, 5, 7, 8, 9)
-        for r in bound_table(q, range(1, 65), range(1, 65))
-    ]
+    rows = [[r.q, r.k, r.d, r.lower, r.upper, r.exact] for r in _bound_rows()]
     assert _digest(rows) == BOUND_TABLE
+
+
+def test_bound_table_provenance():
+    rows = [[r.q, r.k, r.d, list(r.provenance)] for r in _bound_rows()]
+    assert _digest(rows) == BOUND_PROVENANCE

@@ -2,12 +2,10 @@
 certifies the family, its size is the entry's closed form, and it reaches
 the lower bound that bound() reports.
 
-Two gaps of ROADMAP item 2 need new builders and are marked as strict
-xfails, so closing a gap forces the marker to go:
-- d = 1 with odd q: the dimension-one exact value exceeds the
-  consecutive-power family (item 2(b), e.g. N_3(3,1) = 6 against 5 built);
-- binary d = 6 with k >= 9: the six-dim formula exceeds the
-  consecutive-power family (item 2(c), e.g. 74 against 73 at k = 9).
+One gap of ROADMAP item 2 needs a new builder and is marked as a strict
+xfail, so closing it forces the marker to go: d = 1 with odd q, where
+bound() lifts `lower` to the dimension-one exact value, above the
+consecutive-power family (item 2(b), e.g. N_3(3,1) = 6 against 5 built).
 """
 
 import pytest
@@ -28,8 +26,6 @@ def _cells():
                 marks = []
                 if d == 1 and q % 2 and k >= 3:
                     marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 2(b): d=1, odd q")]
-                elif q == 2 and d == 6 and k >= 9:
-                    marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 2(c): binary d=6")]
                 yield pytest.param(q, k, d, marks=marks, id=f"{q}-{k}-{d}")
             k += 1
 
