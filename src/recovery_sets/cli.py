@@ -7,6 +7,11 @@ Payloads are deterministic for fixed parameters; timing stays outside
 the payload.  Exit codes: 0 success, 1 invalid family, 2 bad input
 (including instances past the point or field-order ceilings), 3 internal
 verification failure.
+
+The module imports only the standard library; each command imports the
+submodules it runs when it starts, so a fresh process compiles no more of
+the package than its command needs (`ilp` loads only `ilp`; `bounds`
+loads neither the verifier nor the oracle).
 """
 
 from __future__ import annotations
@@ -16,15 +21,6 @@ import json
 import math
 import sys
 import time
-from fractions import Fraction
-
-from .field_core import MAX_FIELD_ORDER, Subspace, extension, field, prime_power
-from .geometry import DEFAULT_POINT_LIMIT, canonical_point, num_points
-from . import bounds as bounds_mod
-from .constructions import RecoveryFamily, canonical_target, construct
-from .ilp import DualSolution, build_ilp_d2, check_dual, export_model, solve_ilp
-from .oracle import SearchConfig, exact_N
-from .verifier import verify_family
 
 SCHEMA_VERSION = "1"
 
@@ -115,6 +111,8 @@ def _parse_range(text: str) -> range:
 
 
 def family_payload(family: RecoveryFamily) -> dict:
+    from .field_core import extension, field, prime_power
+
     fld = field(family.q)
     p, e = prime_power(family.q)
     return {
@@ -136,6 +134,10 @@ def family_payload(family: RecoveryFamily) -> dict:
 
 
 def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
+    from .constructions import RecoveryFamily, canonical_target
+    from .field_core import Subspace, field
+    from .geometry import canonical_point
+
     warnings = []
     try:
         q, k, d = payload["q"], payload["k"], payload["d"]
@@ -175,6 +177,9 @@ def _check_instance(q: int, k: int, d: int) -> None:
     """Refuse bad parameters and instances past the point or field-order
     ceilings before any tables are built.  The column field F_{q^d} is the
     largest field a builder or payload needs once the points fit."""
+    from .field_core import MAX_FIELD_ORDER, prime_power
+    from .geometry import DEFAULT_POINT_LIMIT, num_points
+
     try:
         prime_power(q)
     except ValueError as exc:
@@ -197,6 +202,9 @@ def _check_digits(q: int, k: int) -> None:
 
 
 def cmd_construct(args) -> int:
+    from .constructions import construct
+    from .verifier import verify_family
+
     started = time.monotonic()
     _check_instance(args.q, args.k, args.d)
     family = construct(args.q, args.k, args.d)
@@ -211,6 +219,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import bound_table
+    from .field_core import prime_power
+
     started = time.monotonic()
     try:
         prime_power(args.q)
@@ -224,7 +235,7 @@ def cmd_bounds(args) -> int:
     if size > MAX_TABLE_SIZE:
         raise CliError(f"table size {size} (pairs times digits per value) passes the ceiling {MAX_TABLE_SIZE}")
     _check_digits(args.q, k_range.stop - 1)
-    records = bounds_mod.bound_table(args.q, k_range, d_range)
+    records = bound_table(args.q, k_range, d_range)
     if not records:
         raise CliError("empty parameter range")
     if args.format == "csv":
@@ -246,11 +257,15 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verifier import verify_family
+
     started = time.monotonic()
     try:
-        with open(args.path) as fh:
+        with open(args.path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: bytes that are not UTF-8, or text that is not JSON;
+    # RecursionError: arrays or objects nested past the parser's depth
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliError(f"cannot read family document: {exc}") from exc
     for key in ("payload", "family"):
         if not isinstance(doc, dict):
@@ -264,6 +279,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_ilp(args) -> int:
+    from fractions import Fraction
+
+    from .ilp import DualSolution, build_ilp_d2, check_dual, export_model, solve_ilp
+
     started = time.monotonic()
     if args.k < 2:
         raise CliError("need k >= 2")
@@ -291,6 +310,9 @@ def cmd_ilp(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import SearchConfig, exact_N
+    from .verifier import verify_family
+
     started = time.monotonic()
     _check_instance(args.q, args.k, args.d)
     limit = args.node_limit  # parsed as a float, so that 1e6 reads as 10^6

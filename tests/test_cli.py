@@ -145,13 +145,16 @@ class TestVerifyRoundTrip:
         # one projective point twice in a set: the same vector, or two representatives
         '{"q":2,"k":2,"d":1,"target":[],"sets":[[[0,1],[0,1]]]}',
         '{"q":3,"k":2,"d":1,"target":[],"sets":[[[0,1],[0,2]]]}',
+        # bytes that are not UTF-8, and arrays nested past the parser's depth
+        b"\xff\xfe",
+        "[" * 200_000,
     ], ids=["huge-k", "overflowing-q", "not-an-object", "float-coordinate", "bool-coordinate",
             "string-coordinate", "float-q", "string-k", "target-3-at-q-2", "negative-target",
             "float-target", "string-point", "target-9-at-q-4", "repeated-point",
-            "repeated-representative"])
+            "repeated-representative", "not-utf-8", "nested-too-deep"])
     def test_refused_up_front(self, capsys, tmp_path, text):
         path = tmp_path / "doc.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
