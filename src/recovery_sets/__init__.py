@@ -26,8 +26,7 @@ _NAMES = {
     ),
     "constructions": (
         "QuintriplePartition", "RecoveryFamily", "basic_sets_from_Td", "canonical_target",
-        "conjugate_family", "construct", "find_quintriple_partition_m7",
-        "quintriple_partition",
+        "conjugate_family", "construct", "quintriple_partition",
     ),
     "verifier": ("Certificate", "verify_family"),
     "bounds": ("BoundsRecord", "bound", "bound_table"),

@@ -29,10 +29,8 @@ from .field_core import (
     Subspace,
     extension,
     field,
-    left_nullspace,
     pack,
     prime_power,
-    solve_linear,
     span_contains,
 )
 from .geometry import (
@@ -121,7 +119,7 @@ def basic_sets_from_Td(lay: Layout) -> Sets:
     ]
 
 
-def _row_layout(lay: Layout, leftover=()) -> list[list[int]]:
+def _row_layout(lay: Layout, leftover) -> list[list[int]]:
     """Partition of the q^d columns of one row into spanning sets, as
     lists of column values.
 
@@ -261,9 +259,9 @@ def _base_partition(m: int) -> QuintriplePartition:
     raise ValueError(f"no base partition for m={m}")
 
 
-# Deterministic DFS output of find_quintriple_partition_m7(), pinned so the
-# m = 7 base case costs nothing at build time; tests re-run the search and
-# compare.
+# Deterministic DFS output of the m = 7 search in tests/quintriple_search.py,
+# pinned so the m = 7 base case costs nothing at build time; the tests re-run
+# the search and compare.
 _M7_QUINTRIPLES: tuple[tuple[int, int, int, int, int], ...] = (
     (8, 16, 24, 17, 25), (9, 18, 27, 19, 26), (10, 20, 30, 21, 31),
     (11, 22, 29, 23, 28), (12, 32, 44, 33, 45), (13, 34, 47, 35, 46),
@@ -274,60 +272,6 @@ _M7_QUINTRIPLES: tuple[tuple[int, int, int, int, int], ...] = (
     (58, 84, 110, 85, 111), (59, 86, 109, 87, 108), (60, 88, 100, 89, 101),
     (61, 90, 103, 91, 102), (62, 92, 98, 93, 99), (63, 94, 97, 95, 96),
 )
-
-
-def find_quintriple_partition_m7() -> QuintriplePartition:
-    """Deterministic backtracking search for the m = 7 partition.
-
-    The seven vectors of the embedded F_2^3 are reserved as the remainder
-    (they supply the zero-sum 4-set {1,2,4,7} and spares {3,5,6}); the
-    other 120 vectors are tiled by quintriples, always covering the
-    smallest still-uncovered element first.
-    """
-    alive = set(range(8, 128))
-    out: list[tuple[int, int, int, int, int]] = []
-
-    def candidates(x):
-        cands = []
-        pairs = [(a, a ^ x) for a in sorted(alive) if a < (a ^ x) and (a ^ x) in alive and a != x]
-        for i, (a, b) in enumerate(pairs):
-            for c, dd in pairs[i + 1:]:
-                if len({a, b, c, dd}) == 4:
-                    cands.append((x, a, b, c, dd))
-        for y in sorted(alive):
-            if y == x:
-                continue
-            head = x ^ y
-            if head not in alive or head in (x, y):
-                continue
-            used = {x, y, head}
-            for c in sorted(alive):
-                dd = c ^ head
-                if c < dd and dd in alive and c not in used and dd not in used:
-                    cands.append((head, x, y, c, dd))
-        return cands
-
-    def dfs() -> bool:
-        if not alive:
-            return True
-        x = min(alive)
-        for cand in candidates(x):
-            s = set(cand)
-            if len(s) != 5:
-                continue
-            alive.difference_update(s)
-            out.append(cand)
-            if dfs():
-                return True
-            out.pop()
-            alive.update(s)
-        return False
-
-    if not dfs():
-        raise RuntimeError("m=7 quintriple search failed")
-    part = QuintriplePartition(7, tuple(out), (1, 2, 4, 7), (3, 5, 6))
-    part.validate()
-    return part
 
 
 @functools.lru_cache(maxsize=None)
@@ -399,14 +343,15 @@ def _three_subspace_rows(k: int) -> Sets:
 
     Rows are tiled with three 5-sets each; the one leftover per row is
     positioned so that, over each 3-subspace of rows, the seven leftovers
-    recover the target through the (3,4) pattern.  The terminal block of
-    the 3-subspace ladder spends the three first-row leftovers.
+    recover the target through the (3,4) pattern.  A terminal block F_2^4
+    of the 3-subspace ladder spends the three first-row leftovers in one
+    set with four of its rows; a terminal F_2^5 spends them in three fixed
+    9-sets, one per coset of a 3-subspace.
     """
     if k == 6:
         return _d4_k6_sets()
     lay = Layout(2, k, 4)
-    colf = lay.col
-    a, add = colf.alpha_pow, colf.add
+    a, add = lay.col.alpha_pow, lay.col.add
     m = k - 4
 
     inside = [frozenset(lay.pt(0, a(4 * i + j)) for j in range(4)) for i in range(3)]
@@ -432,15 +377,18 @@ def _three_subspace_rows(k: int) -> Sets:
                         + [(y1, u1), (y2, 0), (y3, 0), (y4, 0)])
         spare = [(e << shift, 0) for e in (12, 13, 14, 15)]
     elif base == 5:
-        for gi, w in enumerate(first_leftovers):
+        # Group gi is the coset y_j = (8 + 8 gi + j) << shift, j < 8, of a
+        # 3-subspace, so y0+y1+y4+y5, y0+y2+y4+y6 and y0+y1+y2+y3 vanish.
+        # Rows y0, y1, y2 take the columns v_j = alpha^e_j (alpha a root of
+        # x^4+x+1) and the other rows column 0, so the set spans (0, c) for
+        # c = v0+v1, v0+v2 and v0+v1+v2: these are the two first-row
+        # leftovers other than w and u1 = alpha^0, which with (0, w) span
+        # the target.
+        exponents = ((8, 6, 2), (10, 11, 5), (4, 11, 1))
+        for gi, (w, exps) in enumerate(zip(first_leftovers, exponents)):
             group = [e << shift for e in range(8 + 8 * gi, 16 + 8 * gi)]
-            targets = [c for c in first_leftovers + [u1] if c != w][:3]
-            kernel = left_nullspace([lay.row_vector(y) for y in group], lay.fld)[:3]
-            # bit r of each row's value solves the system for coordinate r
-            bits = [solve_linear(kernel, tuple(colf.to_vector(c)[r] for c in targets), lay.fld)
-                    for r in range(4)]
-            values = [sum(b << r for r, b in enumerate(col)) for col in zip(*bits)]
-            stitched.append([(0, w)] + list(zip(group, values)))
+            stitched.append([(0, w)] + [(y, a(e)) for y, e in zip(group, exps)]
+                            + [(y, 0) for y in group[3:]])
     return _stitched(lay, inside, stitched, spare)
 
 

@@ -16,7 +16,9 @@ enumerate all q^n - 1 nonzero elements before returning to 1.
 `Echelon` is the one span kernel of the library: the builders (through
 `span_contains`), the verifier and the oracle all ask it whether a set of
 vectors spans a subspace.  It works on vectors in the form `pack` gives:
-the coordinate bitmask for q = 2, the coordinate tuple for q > 2.
+the coordinate bitmask for q = 2, the coordinate tuple for q > 2.  `rref`
+answers no span question; it gives a `Subspace` its canonical basis, the
+one form in which a target is stored and written out.
 """
 
 from __future__ import annotations
@@ -79,15 +81,11 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p
-        self.e = 1
-        self.n = 1
         self.order = p
-        for g in range(1, p):
-            if all(pow(g, (p - 1) // r, p) != 1 for r in factorize(p - 1)) if p > 2 else g == 1:
-                self.alpha = g
-                break
+        alpha = next(g for g in range(1, p)
+                     if p == 2 or all(pow(g, (p - 1) // r, p) != 1 for r in factorize(p - 1)))
         # x - alpha, stored constant term first
-        self.modulus = ((p - self.alpha) % p, 1)
+        self.modulus = ((p - alpha) % p, 1)
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -105,9 +103,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
-
-    def elements(self) -> range:
-        return range(self.p)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -160,7 +155,6 @@ class ExtField:
             raise ValueError(f"modulus {mod} is not primitive over order-{q} base")
         self.antilog = tuple(antilog)
         self.log = tuple(log)
-        self.alpha = self.antilog[1 % size] if size > 1 else self.antilog[0]
 
     def _encode(self, digits: Sequence[int]) -> int:
         enc = 0
@@ -307,8 +301,6 @@ def find_primitive_poly(base, n: int) -> tuple[int, ...]:
     has multiplicative order q^n - 1 wins.  Primitivity is certified
     against the prime factors of q^n - 1.
     """
-    if isinstance(base, int):
-        base = field(base)
     if n < 1:
         raise ValueError("degree must be >= 1")
     q = base.order
@@ -423,7 +415,7 @@ class Echelon:
 
     __slots__ = ("rows", "_tables")
 
-    def __init__(self, q: int, vectors: Iterable = ()):
+    def __init__(self, q: int, vectors: Iterable):
         self.rows: list = []
         self._tables = None if q == 2 else _tables(q)
         for v in vectors:
@@ -480,10 +472,6 @@ class Echelon:
         other._tables, other.rows = self._tables, self.rows.copy()
         return other
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
 
 @dataclass(frozen=True)
 class Subspace:
@@ -497,78 +485,19 @@ class Subspace:
         return len(self.basis)
 
     @classmethod
-    def span(cls, vectors: Iterable[Vector], fld: Field, ambient: int | None = None) -> "Subspace":
+    def span(cls, vectors: Iterable[Vector], fld: Field, ambient: int) -> "Subspace":
         vecs = list(vectors)
-        if ambient is None:
-            if not vecs:
-                raise ValueError("ambient dimension required for empty span")
-            ambient = len(vecs[0])
         if any(len(v) != ambient for v in vecs):
             raise ValueError("vectors have mixed ambient dimensions")
         return cls(ambient, rref(vecs, fld))
 
 
-def span_contains(generators: Iterable[Vector], target: Subspace | Iterable[Vector], fld: Field) -> bool:
+def span_contains(generators: Iterable[Vector], target: Subspace, fld: Field) -> bool:
     """True iff every basis row of the target lies in the span of the generators."""
     gens = list(generators)
-    rows = target.basis if isinstance(target, Subspace) else list(target)
-    dims = {len(v) for v in gens} | {len(r) for r in rows}
-    if len(dims) > 1:
+    if any(len(v) != target.ambient for v in gens):
         raise ValueError("generators and target have mixed ambient dimensions")
     q = fld.order
     ech = Echelon(q, (pack(g, q) for g in gens))
-    return ech.spans(pack(r, q) for r in rows)
+    return ech.spans(pack(r, q) for r in target.basis)
 
-
-def nullspace(rows: Sequence[Vector], ncols: int, fld: Field) -> list[Vector]:
-    """Basis of {x : M x = 0} for the matrix M with the given rows."""
-    reduced = rref(rows, fld)
-    pivots = []
-    for r in reduced:
-        for j, c in enumerate(r):
-            if c:
-                pivots.append(j)
-                break
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, pj in zip(reduced, pivots):
-            vec[pj] = fld.neg(r[f])
-        basis.append(tuple(vec))
-    return basis
-
-
-def left_nullspace(rows: Sequence[Vector], fld: Field) -> list[Vector]:
-    """Basis of {c : sum_i c_i * rows[i] = 0}."""
-    if not rows:
-        return []
-    ncols = len(rows)
-    transposed = [tuple(r[j] for r in rows) for j in range(len(rows[0]))]
-    return nullspace(transposed, ncols, fld)
-
-
-def solve_linear(rows: Sequence[Vector], rhs: Sequence[int], fld: Field) -> Vector | None:
-    """One solution x of M x = rhs, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    augmented = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
-    reduced = rref(augmented, fld)
-    x = [0] * ncols
-    for r in reduced:
-        pivot = next((j for j, c in enumerate(r) if c), None)
-        if pivot == ncols:
-            return None
-        if pivot is None:
-            continue
-        x[pivot] = r[ncols]
-    # plug back: works because reduced rows are fully back-substituted
-    for r, b in zip(rows, rhs):
-        acc = 0
-        for c, xi in zip(r, x):
-            acc = fld.add(acc, fld.mul(c, xi))
-        if acc != b:
-            return None
-    return tuple(x)

@@ -32,7 +32,6 @@ CONSTRAINTS = (
 
 @dataclass(frozen=True)
 class IlpModel:
-    k: int
     variables: tuple[str, ...]
     constraints: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
@@ -49,7 +48,7 @@ def build_ilp_d2(k: int) -> IlpModel:
     if k < 2:
         raise ValueError("need k >= 2")
     b = 2**k - 4
-    return IlpModel(k, VARIABLES, CONSTRAINTS, (3, b, b))
+    return IlpModel(VARIABLES, CONSTRAINTS, (3, b, b))
 
 
 def export_model(model: IlpModel) -> str:
@@ -70,14 +69,11 @@ def dual_constraints(model: IlpModel) -> list[tuple[tuple[int, ...], str]]:
     return out
 
 
-def check_dual(z: DualSolution | tuple, k: int) -> tuple[bool, Fraction, list[str]]:
+def check_dual(z: DualSolution, k: int) -> tuple[bool, Fraction, list[str]]:
     """Exact feasibility check of dual multipliers, and their objective
     3*z1 + (2^k-4)*(z2+z3); for the known optimum (1/2, 1/5, 1/10) the
     objective is 3/2 + 3(2^(k-1)-2)/5."""
-    if isinstance(z, DualSolution):
-        zs = (z.z1, z.z2, z.z3)
-    else:
-        zs = tuple(Fraction(v) for v in z)
+    zs = (z.z1, z.z2, z.z3)
     model = build_ilp_d2(k)
     violated = []
     if any(v < 0 for v in zs):

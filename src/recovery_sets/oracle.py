@@ -61,9 +61,6 @@ class SearchConfig:
 
 @dataclass
 class OracleResult:
-    q: int
-    k: int
-    d: int
     value: int
     exact: bool
     witness: RecoveryFamily
@@ -243,4 +240,4 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
         [frozenset(p for i, p in enumerate(points) if s >> i & 1) for s in best],
         method if best is seed and seed else "oracle-packing",
     )
-    return OracleResult(q, k, d, len(best), finished, witness, nodes)
+    return OracleResult(len(best), finished, witness, nodes)

@@ -10,11 +10,7 @@ import time
 from fractions import Fraction
 
 from recovery_sets.bounds import bound, d6_upper
-from recovery_sets.constructions import (
-    construct,
-    find_quintriple_partition_m7,
-    quintriple_partition,
-)
+from recovery_sets.constructions import construct, quintriple_partition
 from recovery_sets.geometry import (
     Layout,
     binary_line_partition,
@@ -24,9 +20,11 @@ from recovery_sets.geometry import (
     lifted_partial_spread,
     num_points,
 )
-from recovery_sets.ilp import build_ilp_d2, check_dual, solve_ilp
+from recovery_sets.ilp import DualSolution, build_ilp_d2, check_dual, solve_ilp
 from recovery_sets.oracle import exact_N
 from recovery_sets.verifier import verify_family
+
+from quintriple_search import find_quintriple_partition_m7
 
 # families the acceptance criteria exercise, shared by criterion 9
 GRID = (
@@ -73,7 +71,7 @@ def test_criterion_2_d2_exactness():
         if k in sizes:
             assert optimum == sizes[k], (k, optimum, sizes[k])
         feasible, objective, violated = check_dual(
-            (Fraction(1, 2), Fraction(1, 5), Fraction(1, 10)), k
+            DualSolution(Fraction(1, 2), Fraction(1, 5), Fraction(1, 10)), k
         )
         assert feasible and not violated
         assert objective == Fraction(3, 2) + Fraction(3 * (2 ** (k - 1) - 2), 5)

@@ -7,12 +7,13 @@ from recovery_sets.constructions import (
     conjugate_family,
     construct,
     construction_for,
-    find_quintriple_partition_m7,
     quintriple_partition,
     _row_layout,
 )
 from recovery_sets.geometry import Layout, num_points
 from recovery_sets.verifier import verify_family
+
+from quintriple_search import find_quintriple_partition_m7
 
 
 def assert_valid(family, size=None):
@@ -63,7 +64,7 @@ class TestBasicSets:
         sets = basic_sets_from_Td(lay)
         assert len(sets) == 2 and not leftovers(sets, target_points(lay))
         for s in sets:
-            assert len(s) == 2 and Echelon(3, [pack(p, 3) for p in s]).rank == 2
+            assert len(s) == 2 and len(Echelon(3, [pack(p, 3) for p in s]).rows) == 2
 
 
 class TestRowSets:
@@ -259,14 +260,14 @@ class TestDispatcher:
 class TestConjugation:
     def test_arbitrary_target(self):
         f2 = field(2)
-        target = Subspace.span([(1, 1, 0, 0), (0, 1, 1, 0)], f2)
+        target = Subspace.span([(1, 1, 0, 0), (0, 1, 1, 0)], f2, 4)
         fam = conjugate_family(construct(2, 4, 2), target)
         cert = assert_valid(fam, 5)
         assert fam.target == target
 
     def test_q3_target(self):
         f3 = field(3)
-        target = Subspace.span([(1, 2, 0), (0, 0, 1)], f3)
+        target = Subspace.span([(1, 2, 0), (0, 0, 1)], f3, 3)
         fam = conjugate_family(construct(3, 3, 2), target)
         assert_valid(fam)
         assert fam.target == target

@@ -1,7 +1,7 @@
 import pytest
 from itertools import product
 
-from recovery_sets.field_core import extension, field, nullspace
+from recovery_sets.field_core import extension, field
 from recovery_sets.geometry import (
     Layout,
     binary_line_partition,
@@ -230,14 +230,10 @@ def centre(ball):
 
 
 def reference_balls(m):
-    """Balls around the kernel of the parity-check matrix, by codeword."""
+    """Balls around the words of zero syndrome, found among all 2^n words."""
     n = (1 << m) - 1
-    h_rows = [tuple((j + 1) >> r & 1 for j in range(n)) for r in range(m)]
-    kernel = [sum(b << j for j, b in enumerate(v)) for v in nullspace(h_rows, n, field(2))]
-    codewords = {0}
-    for g in kernel:
-        codewords |= {c ^ g for c in codewords}
-    return [frozenset([c] + [c ^ (1 << j) for j in range(n)]) for c in sorted(codewords)]
+    codewords = [w for w in range(1 << n) if syndrome(w) == 0]
+    return [frozenset([c] + [c ^ (1 << j) for j in range(n)]) for c in codewords]
 
 
 class TestHamming:

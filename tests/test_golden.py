@@ -54,6 +54,8 @@ CONSTRUCT = {
     # line-spread leftovers with t = 19^3 mod 4 = 3: layered values from
     # _search_layer_values and the zero-slot runs after them
     (19, 5, 3): ("19-5-3", "e150b452195354dbf250d508a921ecc68eeaa771"),
+    # with (2, 9, 4): the three 9-sets of a terminal F_2^5 block at a second k
+    (2, 12, 4): ("2-12-4", "be96b684520ae347b379b569ac78b0cc2e78b3b7"),
 }
 
 # (q, k, d) or (q, k, d, node limit) -> (test id, sha1).  The payload

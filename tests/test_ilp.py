@@ -81,7 +81,7 @@ class TestSolve:
     def test_unbounded_detected(self):
         from recovery_sets.ilp import IlpModel
 
-        m = IlpModel(0, ("A", "B"), ((1, 0),), (5,))
+        m = IlpModel(("A", "B"), ((1, 0),), (5,))
         with pytest.raises(ValueError):
             solve_ilp(m)
 
@@ -95,17 +95,17 @@ class TestDual:
             assert obj == Fraction(3, 2) + Fraction(3 * (2 ** (k - 1) - 2), 5)
 
     def test_perturbed_dual_infeasible(self):
-        ok, _, violated = check_dual((Fraction(1, 2), Fraction(1, 5), Fraction(1, 20)), 6)
+        ok, _, violated = check_dual(DualSolution(Fraction(1, 2), Fraction(1, 5), Fraction(1, 20)), 6)
         assert not ok
         # 3*z2 + 4*z3 = 3/5 + 1/5 < 1: the three-in-one-row type is uncovered
         assert "Y3" in violated
 
     def test_all_ones_feasible(self):
-        ok, obj, _ = check_dual((1, 1, 1), 4)
+        ok, obj, _ = check_dual(DualSolution(1, 1, 1), 4)
         assert ok and obj == 3 + 2 * (2**4 - 4)
 
     def test_negative_rejected(self):
-        ok, _, violated = check_dual((Fraction(-1, 2), 1, 1), 4)
+        ok, _, violated = check_dual(DualSolution(Fraction(-1, 2), 1, 1), 4)
         assert not ok and "nonnegativity" in violated
 
     def test_dual_columns_transpose_primal(self):
@@ -125,6 +125,6 @@ class TestDual:
             (Fraction(2, 3), Fraction(1, 4), Fraction(1, 8)),
         ]
         for z in duals:
-            ok, obj, _ = check_dual(z, k)
+            ok, obj, _ = check_dual(DualSolution(*z), k)
             if ok:
                 assert Fraction(opt) <= obj

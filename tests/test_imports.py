@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "Subspace", "basic_sets_from_Td", "binary_line_partition", "bound", "bound_table", "bounds",
     "build_ilp_d2", "canonical_point", "canonical_target", "check_dual", "conjugate_family",
     "construct", "constructions", "enumerate_points", "exact_N", "export_model", "extension",
-    "field", "field_core", "find_primitive_poly", "find_quintriple_partition_m7", "full_spread",
+    "field", "field_core", "find_primitive_poly", "full_spread",
     "geometry", "hamming_partition", "ilp", "lifted_partial_spread", "minimal_recovery_sets",
     "oracle", "quintriple_partition", "solve_ilp", "span_contains", "verifier", "verify_family",
 ]

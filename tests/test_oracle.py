@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from recovery_sets.field_core import field, rref, span_contains
+from recovery_sets.field_core import Subspace, field, rref, span_contains
 from recovery_sets.geometry import enumerate_points
 from recovery_sets.constructions import canonical_target, construct
 from recovery_sets.oracle import (SearchConfig, _packed_instance, _search, exact_N,
@@ -144,7 +144,7 @@ class TestMinimalSets:
             rows = {p[: k - d] for p in s}
             nonzero_rows = {r for r in rows if any(r)}
             if len(s) == d:
-                assert all(span_contains(target.basis, [p], fld) for p in s)
+                assert all(span_contains(target.basis, Subspace.span([p], fld, k), fld) for p in s)
             if len(s) == d + 1:
                 assert len(nonzero_rows) <= 1
             if len(nonzero_rows) >= 2:

@@ -23,7 +23,7 @@ class TestVerifyRecoverySet:
 
         # the row (1, 0) of F_2^2
         lay = Layout(2, 5, 3)
-        sets = [[lay.pt(1, c) for c in cs] for cs in _row_layout(lay)]
+        sets = [[lay.pt(1, c) for c in cs] for cs in _row_layout(lay, ())]
         target = canonical_target(2, 5, 3)
         f2 = field(2)
         assert all(span_contains(s, target, f2) for s in sets)
