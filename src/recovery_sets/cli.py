@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from itertools import chain
 
 SCHEMA_VERSION = "1"
 
@@ -135,7 +136,7 @@ def family_payload(family: RecoveryFamily) -> dict:
 
 def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
     from .constructions import RecoveryFamily, canonical_target
-    from .field_core import Subspace, field
+    from .field_core import Subspace, field, pack
     from .geometry import canonical_point
 
     warnings = []
@@ -152,17 +153,29 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
         target = Subspace.span(raw_target, fld, k) if raw_target else canonical_target(q, k, d)
         if target.dim != d:
             raise ValueError("target basis does not have dimension d")
+        raw_sets = payload["sets"]
+        # JSON integers only, in 0..q-1: pack refuses the rest but bools.  One
+        # scan of every coordinate looks for bools; only if it finds one, or
+        # something that is not a list, does the loop check each point.
+        try:
+            bools = bool in map(type, chain.from_iterable(chain.from_iterable(raw_sets)))
+        except TypeError:
+            bools = True
         sets = []
-        for raw_set in payload["sets"]:
+        for raw_set in raw_sets:
             pts = set()
             for raw_pt in raw_set:
                 vec = tuple(raw_pt)
-                if len(vec) != k or any(type(c) is not int or not 0 <= c < q for c in vec):
-                    raise ValueError(f"bad point {raw_pt}")
-                canon = canonical_point(vec, fld)
+                try:
+                    if len(vec) != k or bools and bool in map(type, vec):
+                        raise ValueError
+                    pack(vec, q)
+                except (TypeError, ValueError):
+                    raise ValueError(f"bad point {raw_pt}") from None
+                canon = vec if next(filter(None, vec), 0) == 1 else canonical_point(vec, fld)
                 if canon in pts:
                     raise ValueError(f"point {raw_pt} repeats a point of its set")
-                if canon != vec:
+                if canon is not vec:  # scaled by canonical_point
                     warnings.append(f"normalized non-canonical representative {list(vec)}")
                 pts.add(canon)
             sets.append(frozenset(pts))

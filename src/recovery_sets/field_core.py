@@ -15,15 +15,21 @@ enumerate all q^n - 1 nonzero elements before returning to 1.
 
 `Echelon` is the one span kernel of the library: the builders (through
 `span_contains`), the verifier and the oracle all ask it whether a set of
-vectors spans a subspace.  It works on vectors in the form `pack` gives:
-the coordinate bitmask for q = 2, the coordinate tuple for q > 2.  `rref`
-answers no span question; it gives a `Subspace` its canonical basis, the
-one form in which a target is stored and written out.
+vectors spans a subspace.  It works on vectors in the one form `pack`
+gives for every q, an int: the coordinate bitmask for q = 2, and for
+q > 2 one slot of whole bytes per coordinate, each base-p digit in a
+sub-slot wide enough that adding two vectors never carries between
+digits: F_q digits packed into machine words, after Boothby and Bradshaw
+(arXiv:0901.1413), with slots a byte wide so that scaling a vector is
+one `bytes.translate`.  `rref` answers no span question; it gives a
+`Subspace` its canonical basis, the one form in which a target is stored
+and written out.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -359,43 +365,139 @@ def rref(rows: Iterable[Vector], fld: Field) -> tuple[Vector, ...]:
 # "2", which int(..., 2) rejects
 _BITS = bytes.maketrans(bytes(range(256)), b"01" + b"2" * 254)
 
-# F_q tables up to this order are built whole (2 x 65,536 entries at most)
-_FULL_TABLE_ORDER = 256
+
+class _Slots:
+    """How `pack` lays out F_q^n for q = p^e > 2, and the tables `Echelon`
+    scales and adds with.
+
+    A coordinate takes a slot of whole bytes, one byte where it fits.
+    Base-p digit i of its element sits in sub-slot i, w bits wide: w = 1
+    for p = 2, where addition is XOR, and p.bit_length() + 1 for odd p,
+    so that a digit sum (at most 2p - 2) never carries out of its
+    sub-slot.  Where a slot is one byte, scaling a vector by c is one
+    `bytes.translate` with the table of c; wider slots are scaled
+    coordinate by coordinate with the field's own multiplication.
+    """
+
+    def __init__(self, q: int):
+        fld = self.field = field(q)
+        p, e = prime_power(q)
+        w = 1 if p == 2 else p.bit_length() + 1
+        self.p, self.e, self.w = p, e, w
+        self.nbytes = -(-e * w // 8)
+        self.bits = 8 * self.nbytes
+        self.mask = (1 << self.bits) - 1
+        # consts[n]: the bias and ones of the odd-p add over n slots, grown
+        # by `row`.  Per slot, 2^(w-1) - p in each sub-slot lifts a digit
+        # sum past p - 1 into the sub-slot's top bit, and ones marks the
+        # sub-slots' low bits.
+        self.consts = [(0, 0)]
+        self._bias = self._ones = b""
+        if p > 2:
+            self._bias = sum((1 << w - 1) - p << i * w for i in range(e)).to_bytes(self.nbytes, "big")
+            self._ones = sum(1 << i * w for i in range(e)).to_bytes(self.nbytes, "big")
+        # neg[c] and unit[c], indexed by the slot value of c: the tables
+        # that scale a one-byte-slot vector by -c and by 1/c.  encode lays
+        # out elements as slot values and sends every other byte to 255,
+        # which is a slot value only at q = 256.
+        self.neg = self.unit = self.encode = None
+        if self.nbytes == 1:
+            slot = [self.spread(x) for x in range(q)]
+            self.encode = bytes.maketrans(bytes(range(256)), bytes(slot) + b"\xff" * (256 - q))
+            self.neg, self.unit = [None] * 256, [None] * 256
+            for c in range(1, q):
+                for tables, m in ((self.neg, fld.neg(c)), (self.unit, fld.inv(c))):
+                    t = bytearray(256)
+                    for x in range(q):
+                        t[slot[x]] = slot[fld.mul(m, x)]
+                    tables[slot[c]] = bytes(t)
+
+    def spread(self, x: int) -> int:
+        """The slot value of the element x (x itself where e = 1 or p = 2)."""
+        p, w = self.p, self.w
+        return sum(x // p**i % p << i * w for i in range(self.e))
+
+    def gather(self, s: int) -> int:
+        """The element whose slot value is s."""
+        p, w = self.p, self.w
+        return sum((s >> i * w & (1 << w) - 1) * p**i for i in range(self.e))
+
+    def scale(self, v: int, c: int, negate: bool) -> int:
+        """v times -c (negate) or 1/c, coordinate by coordinate; c is a
+        slot value.  The path for slots wider than a byte."""
+        fld, bits, mask = self.field, self.bits, self.mask
+        m = self.gather(c)
+        m = fld.neg(m) if negate else fld.inv(m)
+        out = sh = 0
+        while v:
+            out |= self.spread(fld.mul(m, self.gather(v & mask))) << sh
+            v >>= bits
+            sh += bits
+        return out
+
+    def row(self, v: int) -> tuple:
+        """A nonzero reduced vector as an `Echelon` row: (shift of its
+        leading slot, the vector scaled to a unit there, its bytes where
+        slots are one byte, and the bias and ones of the odd-p add over
+        its slots)."""
+        b = None
+        if self.unit is None:
+            n = (v.bit_length() - 1) // self.bits + 1
+            c = v >> (n - 1) * self.bits
+            if c != 1:
+                v = self.scale(v, c, False)
+        else:
+            b = v.to_bytes((v.bit_length() + 7) >> 3, "big")
+            n = len(b)
+            if b[0] != 1:
+                b = b.translate(self.unit[b[0]])
+                v = _from_bytes(b, "big")
+        consts = self.consts
+        while len(consts) <= n:
+            m = len(consts)
+            consts.append((_from_bytes(self._bias * m, "big"), _from_bytes(self._ones * m, "big")))
+        return ((n - 1) * self.bits, v, b) + consts[n]
 
 
-def pack(vec: Sequence[int], q: int):
-    """A vector of F_q^k in the form `Echelon` works on: for q = 2 its
-    coordinate bitmask, first coordinate in the highest bit (ValueError
-    unless every coordinate is 0 or 1); for q > 2 its coordinate tuple."""
+_LAYOUTS: dict[int, _Slots] = {}
+_from_bytes = int.from_bytes
+
+
+def _slots(q: int) -> _Slots:
+    s = _LAYOUTS.get(q)
+    if s is None:
+        s = _LAYOUTS[q] = _Slots(q)
+    return s
+
+
+def slot_bits(q: int) -> int:
+    """The bits one coordinate takes in the form `pack` gives."""
+    return 1 if q == 2 else _slots(q).bits
+
+
+def pack(vec: Sequence[int], q: int) -> int:
+    """A vector of F_q^k as the int `Echelon` works on, first coordinate
+    in the highest slot; ValueError or TypeError unless every coordinate
+    is an integer in 0..q-1.
+
+    For q = 2 it is the coordinate bitmask.  For q > 2 each coordinate
+    takes a slot of whole bytes (see `_Slots`); where the slot is one
+    byte, the range check is the `bytes.translate` that lays it out."""
     if q == 2:
         return int(bytes(vec).translate(_BITS), 2)
-    return tuple(vec)
-
-
-class _Memo(dict):
-    """A table that computes each entry on first lookup."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-@functools.lru_cache(maxsize=None)
-def _tables(q: int):
-    """mul, sub and inv tables of F_q, indexed [a][b] and [a].  Built on
-    first use; past order 256 they fill in entry by entry instead."""
-    fld = field(q)
-    if q > _FULL_TABLE_ORDER:
-        return (_Memo(lambda a: _Memo(functools.partial(fld.mul, a))),
-                _Memo(lambda a: _Memo(functools.partial(fld.sub, a))),
-                _Memo(fld.inv))
-    elems = range(q)
-    mul = [[fld.mul(a, b) for b in elems] for a in elems]
-    sub = [[fld.sub(a, b) for b in elems] for a in elems]
-    return mul, sub, [0] + [fld.inv(a) for a in elems[1:]]
+    s = _LAYOUTS.get(q) or _slots(q)
+    if s.encode is not None:
+        b = bytes(vec).translate(s.encode)
+        if q < 256 and 255 in b:
+            raise ValueError(f"a coordinate lies outside F_{q}")
+        return _from_bytes(b, "big")
+    v = 0
+    for c in vec:
+        c = operator.index(c)
+        if not 0 <= c < q:
+            raise ValueError(f"a coordinate lies outside F_{q}")
+        v = v << s.bits | s.spread(c)
+    return v
 
 
 class Echelon:
@@ -403,73 +505,91 @@ class Echelon:
     tracks the span of the vectors added.
 
     Every stored row was reduced against the rows before it and has a
-    unit entry at its pivot, so one pass over the rows in insertion order
-    clears every pivot of a vector, and what is left is zero iff the
-    vector lies in the span.
+    unit entry at its pivot, its leading coordinate, so one pass over the
+    rows in insertion order clears every pivot of a vector, and what is
+    left is zero iff the vector lies in the span.
 
-      q = 2   A row is a bitmask and its pivot is its leading bit;
-              v ^ b < v holds exactly when v has that bit set.
-      q > 2   A row is a (pivot, coordinates) pair, reduced and scaled
-              with the mul, sub and inv tables of F_q.
+      q = 2   A row is a bitmask; v ^ b < v holds exactly when v has the
+              row's leading bit set.
+      q > 2   A row is a tuple from `_Slots.row`.  Clearing a pivot of
+              value c adds the row scaled by -c: XOR for p = 2, and for
+              odd p an add of all slots at once that subtracts p from
+              every sub-slot that reached p.
+
+    `reduce` does all of it, a whole set's insertion and its target
+    check, in one call.
     """
 
-    __slots__ = ("rows", "_tables")
+    __slots__ = ("rows", "_slots")
 
-    def __init__(self, q: int, vectors: Iterable):
+    def __init__(self, q: int, vectors: Iterable = ()):
         self.rows: list = []
-        self._tables = None if q == 2 else _tables(q)
-        for v in vectors:
-            self.add(v)
+        self._slots = None if q == 2 else _slots(q)
+        if vectors:
+            self.reduce(vectors)
 
-    def _reduce(self, v):
-        if self._tables is None:
-            for b in self.rows:
-                if v ^ b < v:
-                    v ^= b
-            return v
-        mul, sub, _ = self._tables
-        for pivot, row in self.rows:
-            c = v[pivot]
-            if c:
-                mc = mul[c]
-                v = [sub[x][mc[y]] for x, y in zip(v, row)]
-        return v
+    def reduce(self, vectors: Iterable = (), targets: Iterable = ()) -> int:
+        """Add each of the packed `vectors` that enlarges the span, then
+        reduce the packed `targets` in turn: the residue of the first
+        that lies outside the span, or 0 if the span contains them all.
+        Targets are never added."""
+        rows = self.rows
+        s = self._slots
+        # one loop body for both: first the vectors, kept, then the targets
+        vs, keep = vectors, True
+        if s is None:
+            while True:
+                for v in vs:
+                    for b in rows:
+                        if v ^ b < v:
+                            v ^= b
+                    if v:
+                        if not keep:
+                            return v
+                        rows.append(v)
+                if not keep:
+                    return 0
+                vs, keep = targets, False
+        mask, neg, p, w1 = s.mask, s.neg, s.p, s.w - 1
+        while True:
+            for v in vs:
+                for sh, r, b, bias, ones in rows:
+                    c = v >> sh & mask
+                    if c:
+                        t = _from_bytes(b.translate(neg[c]), "big") if neg else s.scale(r, c, True)
+                        if p == 2:
+                            v ^= t
+                        else:
+                            v += t
+                            v -= ((v + bias) >> w1 & ones) * p
+                if v:
+                    if not keep:
+                        return v
+                    rows.append(s.row(v))
+            if not keep:
+                return 0
+            vs, keep = targets, False
 
     def add(self, v) -> bool:
         """Insert a packed vector; True if it enlarged the span."""
-        v = self._reduce(v)
-        if self._tables is None:
+        rows = self.rows
+        if self._slots is None:
+            # the XOR basis inline: the oracle adds one point per node
+            for b in rows:
+                if v ^ b < v:
+                    v ^= b
             if v:
-                self.rows.append(v)
+                rows.append(v)
             return bool(v)
-        lead = next(filter(None, v), 0)
-        if not lead:
-            return False
-        if lead != 1:
-            mul, _, inv = self._tables
-            scale = mul[inv[lead]]
-            v = [scale[x] for x in v]
-        self.rows.append((v.index(1), v))
-        return True
-
-    def contains(self, v) -> bool:
-        v = self._reduce(v)
-        return not v if self._tables is None else not any(v)
-
-    def spans(self, vectors) -> bool:
-        """True iff every one of the packed vectors lies in the span."""
-        return all(self.contains(v) for v in vectors)
-
-    def residue(self, v):
-        """What is left of a packed vector once every pivot is cleared:
-        zero iff the vector lies in the span."""
-        return self._reduce(v)
+        n = len(rows)
+        self.reduce((v,))
+        return len(rows) > n
 
     def copy(self) -> "Echelon":
         """An independent echelon of the same span: adding to the copy
         leaves this one unchanged."""
         other = Echelon.__new__(Echelon)
-        other._tables, other.rows = self._tables, self.rows.copy()
+        other._slots, other.rows = self._slots, self.rows.copy()
         return other
 
 
@@ -498,6 +618,5 @@ def span_contains(generators: Iterable[Vector], target: Subspace, fld: Field) ->
     if any(len(v) != target.ambient for v in gens):
         raise ValueError("generators and target have mixed ambient dimensions")
     q = fld.order
-    ech = Echelon(q, (pack(g, q) for g in gens))
-    return ech.spans(pack(r, q) for r in target.basis)
+    return not Echelon(q).reduce([pack(g, q) for g in gens], [pack(r, q) for r in target.basis])
 

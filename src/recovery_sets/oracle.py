@@ -38,7 +38,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from .field_core import Echelon, pack
+from .field_core import Echelon, pack, slot_bits
 from .geometry import enumerate_points
 from .constructions import RecoveryFamily, canonical_target, construct
 from .verifier import verify_family
@@ -90,7 +90,7 @@ def _minimal_sets(q: int, vecs: list, target_rows: list, first: int, tick) -> li
 
     def extend(chosen: list[int], ech: Echelon, prefix: list):
         tick()
-        if ech.spans(target_rows):
+        if not ech.reduce((), target_rows):
             if len(chosen) == len(target_rows) or _is_minimal(q, chosen, vecs, target_rows, prefix):
                 out.append(chosen)
             return
@@ -110,30 +110,31 @@ def _is_minimal(q: int, chosen: list[int], vecs: list, target_rows: list, prefix
     The members are independent, so each target row has one expansion in
     them, and a member can be dropped iff no expansion uses it.  The last
     member never can: without it the set did not span one step earlier.
-    Each earlier member j gets a unit tag past its coordinates (bit j
-    below them for q = 2), the last member a zero tag; reducing a target
-    row, untagged, against them clears its coordinates and leaves minus
-    its expansion in the tags.  The tagged echelon of the earlier members
-    is built once into `prefix` and copied for every set that shares them.
+    Each vector is shifted up by w slots, one per earlier member: member
+    j gets a unit tag in slot j, the last member a zero tag.  Reducing a
+    target row, shifted the same way, against them clears its coordinates
+    and leaves minus its expansion in the tags.  The tagged echelon of
+    the earlier members is built once into `prefix`, with the shift and
+    the masks of the tag check, and copied for every set that shares them.
     """
     w = len(chosen) - 1
-    if q == 2:
-        if not prefix:
-            prefix.append(Echelon(2, (vecs[i] << w | 1 << j for j, i in enumerate(chosen[:w]))))
-        ech = prefix[0].copy()
-        ech.add(vecs[chosen[w]] << w)
-        used = 0
-        for t in target_rows:
-            used |= ech.residue(t << w)
-        return used == (1 << w) - 1
-    zeros = (0,) * w
     if not prefix:
-        units = [zeros[:j] + (1,) + zeros[j + 1:] for j in range(w)]
-        prefix.append(Echelon(q, (vecs[i] + units[j] for j, i in enumerate(chosen[:w]))))
-    ech = prefix[0].copy()
-    ech.add(vecs[chosen[w]] + zeros)
-    tags = [ech.residue(t + zeros)[len(t):] for t in target_rows]
-    return all(map(any, zip(*tags)))
+        bits = slot_bits(q)
+        shift = w * bits
+        # the lowest bit of each tag slot, its top bit, and the bits below the top
+        ones = ((1 << shift) - 1) // ((1 << bits) - 1)
+        tops = ones << bits - 1
+        tagged = [vecs[i] << shift | 1 << j * bits for j, i in enumerate(chosen[:w])]
+        prefix += [Echelon(q, tagged), shift, tops, tops - ones]
+    ech, shift, tops, below = prefix
+    ech = ech.copy()
+    ech.add(vecs[chosen[w]] << shift)
+    used = 0
+    for t in target_rows:
+        used |= ech.reduce((), (t << shift,))
+    # every tag slot is nonzero: adding `below` to a slot's lower bits
+    # carries into its top bit iff one of them is set
+    return ((used & below) + below | used) & tops == tops
 
 
 def _packed_instance(q: int, k: int, d: int):
@@ -184,7 +185,7 @@ def _search(q: int, d: int, vecs: list, target_rows: list, cfg: SearchConfig,
     packing nodes plus enumeration steps, each point's enumeration once.
     """
     target_span = Echelon(q, target_rows)
-    inside = sum(1 << i for i, v in enumerate(vecs) if target_span.contains(v))
+    inside = sum(1 << i for i, v in enumerate(vecs) if not target_span.reduce((), (v,)))
     sets_from: dict[int, list[int]] = {}
     start_time = time.monotonic()
     nodes = 0

@@ -6,14 +6,16 @@ membership against the ambient projective space.  No construction
 bookkeeping is trusted; this module is the oracle of record for the
 acceptance tests.
 
-`verify_family` makes one pass over the family.  It checks and packs
-every point once (length k, coordinates in F_q, first nonzero
-coordinate 1), records it for the disjointness count and runs the span
-check on each set's well-formed points: a fresh `field_core.Echelon` of
-the set must contain every basis row of the target.  The universe and
-disjointness checks are this module's own; the span kernel is the one
-the builders and the oracle use, tested against `rref` in
-`tests/test_verifier.py`.
+`verify_family` makes one pass over the family.  It packs every point
+once into the int form of `field_core.pack`, whose layout doubles as
+the check that every coordinate lies in F_q; a point of the universe
+also has length k and first nonzero coordinate 1.  It records every
+point for the disjointness count and runs the span check on each set's
+well-formed points: one `field_core.Echelon.reduce` call adds them to a
+fresh echelon and must leave no residue of any basis row of the target.
+The universe and disjointness checks are this module's own; the span
+kernel is the one the builders and the oracle use, tested against
+`rref` in `tests/test_verifier.py`.
 """
 
 from __future__ import annotations
@@ -60,21 +62,6 @@ class Certificate:
         }
 
 
-def _packed(p, q: int, k: int):
-    """A point of PG(k-1,q) packed for `Echelon`, or None if p is not
-    such a point: wrong length, a coordinate outside F_q, or a first
-    nonzero coordinate other than 1 (the zero vector included)."""
-    if q == 2:
-        try:
-            v = pack(p, 2)
-        except (TypeError, ValueError):
-            return None
-        return v if v and len(p) == k else None
-    if len(p) == k and min(p) >= 0 and max(p) < q and next(filter(None, p), 0) == 1:
-        return pack(p, q)
-    return None
-
-
 def verify_family(family: RecoveryFamily) -> Certificate:
     q, k, d = family.q, family.k, family.d
     target_rows = [pack(row, q) for row in family.target.basis]
@@ -89,13 +76,18 @@ def verify_family(family: RecoveryFamily) -> Certificate:
         vectors = []
         for p in s:
             seen[p] = None
-            v = _packed(p, q, k)
-            if v is None:
-                universe_ok = False
-            else:
+            # a point of PG(k-1,q): length k, coordinates in F_q (pack
+            # checks them), first nonzero coordinate 1
+            try:
+                v = pack(p, q)
+            except (TypeError, ValueError):
+                v = 0
+            if v and len(p) == k and next(filter(None, p)) == 1:
                 vectors.append(v)
+            else:
+                universe_ok = False
         # malformed points cannot participate in the span computation
-        if not Echelon(q, vectors).spans(target_rows):
+        if Echelon(q).reduce(vectors, target_rows):
             spanning_ok = False
     return Certificate(
         q=q,

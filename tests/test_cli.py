@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from recovery_sets import cli
 from recovery_sets.cli import main
+from recovery_sets.field_core import field
 
 
 def run_cli(capsys, *argv):
@@ -104,18 +105,31 @@ class TestVerifyRoundTrip:
         assert code == 1
         assert not vdoc["payload"]["certificate"]["disjoint_ok"]
 
-    def test_non_canonical_normalized(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, "construct", "--q", "3", "--k", "3", "--d", "2")
+    @staticmethod
+    def _check_normalized(capsys, tmp_path, q, scalars):
+        """Scale the first point of set i by scalars[i]: same subspace,
+        other representative.  One warning per scaled point, in document
+        order, and the family still certifies."""
+        fld = field(q)
+        code, out, _ = run_cli(capsys, "construct", "--q", str(q), "--k", "3", "--d", "2")
         doc = json.loads(out)
         sets = doc["payload"]["family"]["sets"]
-        pt = sets[0][0]
-        sets[0][0] = [(2 * c) % 3 for c in pt]  # same subspace, other rep
+        scaled = []
+        for s, c in zip(sets, scalars):
+            s[0] = [fld.mul(c, x) for x in s[0]]
+            scaled.append(s[0])
         path = tmp_path / "scaled.json"
         path.write_text(json.dumps(doc))
         code, vdoc, _ = run_json(capsys, "verify", str(path))
         assert code == 0
-        assert vdoc["payload"]["warnings"]
+        assert vdoc["payload"]["warnings"] == [f"normalized non-canonical representative {p}" for p in scaled]
         assert vdoc["payload"]["certificate"]["valid"]
+
+    def test_non_canonical_normalized(self, capsys, tmp_path):
+        self._check_normalized(capsys, tmp_path, 3, [2, 2])
+
+    def test_non_canonical_normalized_q9(self, capsys, tmp_path):
+        self._check_normalized(capsys, tmp_path, 9, [2, 3, 8, 5])
 
     def test_malformed(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
@@ -148,10 +162,28 @@ class TestVerifyRoundTrip:
         # bytes that are not UTF-8, and arrays nested past the parser's depth
         b"\xff\xfe",
         "[" * 200_000,
+        # the same point checks off q = 2, where coordinates take byte slots:
+        # an integral float, a bool, a string, an element past F_q, a point
+        # twice, and 2 times a point
+        '{"q":3,"k":2,"d":1,"target":[],"sets":[[[1,2.0]]]}',
+        '{"q":3,"k":2,"d":1,"target":[],"sets":[[[1,true]]]}',
+        '{"q":3,"k":2,"d":1,"target":[],"sets":[[[1,"2"]]]}',
+        '{"q":3,"k":2,"d":1,"target":[],"sets":[[[1,3]]]}',
+        '{"q":3,"k":2,"d":1,"target":[],"sets":[[[1,2],[1,2]]]}',
+        '{"q":3,"k":2,"d":1,"target":[],"sets":[[[1,1],[2,2]]]}',
+        '{"q":9,"k":2,"d":1,"target":[],"sets":[[[1,8.0]]]}',
+        '{"q":9,"k":2,"d":1,"target":[],"sets":[[[1,true]]]}',
+        '{"q":9,"k":2,"d":1,"target":[],"sets":[[[1,"8"]]]}',
+        '{"q":9,"k":2,"d":1,"target":[],"sets":[[[1,9]]]}',
+        '{"q":9,"k":2,"d":1,"target":[],"sets":[[[1,8],[1,8]]]}',
+        '{"q":9,"k":2,"d":1,"target":[],"sets":[[[1,3],[2,6]]]}',
     ], ids=["huge-k", "overflowing-q", "not-an-object", "float-coordinate", "bool-coordinate",
             "string-coordinate", "float-q", "string-k", "target-3-at-q-2", "negative-target",
             "float-target", "string-point", "target-9-at-q-4", "repeated-point",
-            "repeated-representative", "not-utf-8", "nested-too-deep"])
+            "repeated-representative", "not-utf-8", "nested-too-deep",
+            *(f"{case}-at-q-{q}" for q in (3, 9)
+              for case in ("float-coordinate", "bool-coordinate", "string-coordinate", "coordinate-q",
+                           "repeated-point", "repeated-representative"))])
     def test_refused_up_front(self, capsys, tmp_path, text):
         path = tmp_path / "doc.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())

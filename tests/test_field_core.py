@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from recovery_sets.field_core import (
     pack,
     prime_power,
     rref,
+    slot_bits,
     span_contains,
 )
 
@@ -120,6 +123,43 @@ def echelon(vecs, fld):
     return Echelon(fld.order, [pack(v, fld.order) for v in vecs])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27, 131])
+def test_echelon_matches_rref(q):
+    """Echelon on packed ints against rref, on every slot layout: the rank
+    and the membership of a random target; then, on independent vectors
+    widened by the oracle's tag slots, the residue of a combination of
+    them, which must hold minus its coefficients in the tags."""
+    fld = field(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        vecs = [tuple(rng.choice((0, rng.randrange(q))) for _ in range(k)) for _ in range(rng.randint(1, k + 1))]
+        if len(vecs) > 2:  # a dependent vector
+            c = rng.randrange(1, q)
+            vecs.append(tuple(fld.add(x, fld.mul(c, y)) for x, y in zip(vecs[0], vecs[1])))
+        rank = len(rref(vecs, fld))
+        ech = echelon(vecs, fld)
+        assert len(ech.rows) == rank
+        t = tuple(rng.randrange(q) for _ in range(k))
+        assert (ech.reduce((), [pack(t, q)]) == 0) == (len(rref(vecs + [t], fld)) == rank)
+    bits = slot_bits(q)
+    for _ in range(20):
+        k = rng.randint(2, 6)
+        basis = rref([tuple(rng.randrange(q) for _ in range(k)) for _ in range(rng.randint(1, k))], fld)
+        w = len(basis)
+        if not w:
+            continue
+        coeffs = [rng.randrange(q) for _ in range(w)]
+        t = tuple(0 for _ in range(k))
+        for a, row in zip(coeffs, basis):
+            t = tuple(fld.add(x, fld.mul(a, y)) for x, y in zip(t, row))
+        # member j's unit tag sits in slot j, counted from the lowest
+        tagged = Echelon(q, [pack(row, q) << w * bits | 1 << j * bits for j, row in enumerate(basis)])
+        assert len(tagged.rows) == w
+        residue = tagged.reduce((), [pack(t, q) << w * bits])
+        assert residue == pack(tuple(fld.neg(coeffs[j]) for j in reversed(range(w))), q)
+
+
 class TestRank:
     def test_consecutive_powers_independent(self):
         f2 = field(2)
@@ -223,5 +263,5 @@ class TestSolvers:
         ech = echelon([(1, 1, 0)], fld)
         grown = ech.copy()
         assert grown.add(pack((0, 1, 1), q))
-        assert len(ech.rows) == 1 and not ech.contains(pack((0, 1, 1), q))
-        assert len(grown.rows) == 2 and grown.contains(pack((1, 0, fld.neg(1)), q))
+        assert len(ech.rows) == 1 and ech.reduce((), [pack((0, 1, 1), q)])
+        assert len(grown.rows) == 2 and not grown.reduce((), [pack((1, 0, fld.neg(1)), q)])

@@ -89,7 +89,7 @@ def _reference(fam: RecoveryFamily) -> Certificate:
         ok = []
         for p in s:
             counts[p] += 1
-            if len(p) == k and all(0 <= c < q for c in p) and any(p) and next(c for c in p if c) == 1:
+            if len(p) == k and all(type(c) is int and 0 <= c < q for c in p) and any(p) and next(c for c in p if c) == 1:
                 ok.append(p)
             else:
                 universe_ok = False
@@ -147,6 +147,7 @@ def _corruptions(rng, fam: RecoveryFamily):
     yield "too short", replaced(p[:-1])
     yield "too long", replaced(p + (rng.randrange(q),))
     yield "zero", replaced((0,) * k)
+    yield "float", replaced(p[:j] + (float(p[j]),) + p[j + 1:])
     if q > 2:
         fld = field(q)
         c = rng.randrange(2, q)
@@ -156,7 +157,7 @@ def _corruptions(rng, fam: RecoveryFamily):
 # the check each corruption must fail; a dropped point may leave the set spanning
 _BREAKS = {"duplicated": "disjoint_ok", "too large": "universe_ok", "negative": "universe_ok",
            "too short": "universe_ok", "too long": "universe_ok", "zero": "universe_ok",
-           "scaled": "universe_ok"}
+           "float": "universe_ok", "scaled": "universe_ok"}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -181,9 +182,14 @@ def test_matches_echelon_reference(q):
             assert verify_family(moved).valid
 
 
-@pytest.mark.parametrize("qkd", [(257, 2, 1), (257, 2, 2), (512, 2, 1)], ids=["257-2-1", "257-2-2", "512-2-1"])
+@pytest.mark.parametrize("qkd", [(257, 2, 1), (257, 2, 2), (512, 2, 1), (27, 3, 2), (121, 2, 1), (131, 2, 2),
+                                 (25, 3, 2)],
+                         ids=["257-2-1", "257-2-2", "512-2-1", "27-3-2", "121-2-1", "131-2-2", "25-3-2"])
 def test_large_field_matches_echelon_reference(qkd):
-    """Past order 256 the tables fill in entry by entry; same certificates."""
+    """Every slot layout `pack` picks gives the rref certificates: slots
+    wider than a byte, scaled coordinate by coordinate, for p = 2 (512),
+    odd extensions (27, 121) and primes past 127 (131, 257); and two
+    base-5 digits in one byte (25)."""
     q, k, d = qkd
     rng = random.Random(q + d)
     moved = conjugate_family(construct(q, k, d), _random_target(rng, q, k, d))
