@@ -8,6 +8,11 @@ the payload.  Exit codes: 0 success, 1 invalid family, 2 bad input
 (including instances past the point or field-order ceilings), 3 internal
 verification failure.
 
+`verify` reads the document straight into packed sets: each point is
+packed once (`field_core.pack`), checked and scaled to its canonical
+representative on the int, and the packed sets go to
+`verifier.verify_packed`; no tuple form of the family is built.
+
 The module imports only the standard library; each command imports the
 submodules it runs when it starts, so a fresh process compiles no more of
 the package than its command needs (`ilp` loads only `ilp`; `bounds`
@@ -134,9 +139,13 @@ def family_payload(family: RecoveryFamily) -> dict:
     }
 
 
-def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
-    from .constructions import RecoveryFamily, canonical_target
-    from .field_core import Subspace, field, pack
+def _parse_family(payload: dict) -> tuple:
+    """Check a family document and read its sets as packed points:
+    (q, k, d, target subspace, sets, method, warnings).  Each set is a
+    set of ints as `field_core.pack` lays them out, each point packed
+    once and scaled to its canonical representative."""
+    from .constructions import canonical_target
+    from .field_core import Subspace, field, pack, point_bit_lengths
     from .geometry import canonical_point
 
     warnings = []
@@ -161,29 +170,52 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
             bools = bool in map(type, chain.from_iterable(chain.from_iterable(raw_sets)))
         except TypeError:
             bools = True
+        canonical = point_bit_lengths(q, k)
         sets = []
         for raw_set in raw_sets:
-            pts = set()
+            vs = set()
             for raw_pt in raw_set:
                 vec = tuple(raw_pt)
                 try:
                     if len(vec) != k or bools and bool in map(type, vec):
                         raise ValueError
-                    pack(vec, q)
+                    v = pack(vec, q)
                 except (TypeError, ValueError):
                     raise ValueError(f"bad point {raw_pt}") from None
-                canon = vec if next(filter(None, vec), 0) == 1 else canonical_point(vec, fld)
-                if canon in pts:
-                    raise ValueError(f"point {raw_pt} repeats a point of its set")
-                if canon is not vec:  # scaled by canonical_point
+                if v.bit_length() not in canonical:  # zero, or first nonzero coordinate not 1
+                    v = pack(canonical_point(vec, fld), q)
                     warnings.append(f"normalized non-canonical representative {list(vec)}")
-                pts.add(canon)
-            sets.append(frozenset(pts))
+                if v in vs:
+                    raise ValueError(f"point {raw_pt} repeats a point of its set")
+                vs.add(v)
+            sets.append(vs)
         method = str(payload.get("method", "external"))
-        fam = RecoveryFamily(q, k, d, target, sets, method)
-        return fam, warnings
+        return q, k, d, target, sets, method, warnings
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(f"malformed family document: {exc}") from exc
+
+
+def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
+    from .constructions import RecoveryFamily
+
+    q, k, d, target, sets, method, warnings = _parse_family(payload)
+    return RecoveryFamily(q, k, d, target, _unpack(sets, q, k), method), warnings
+
+
+def _unpack(sets: list[set[int]], q: int, k: int) -> list[frozenset]:
+    """Packed sets back as sets of tuples, the points that `field_core.pack`
+    laid out.  Only family_from_payload needs it, for perfbench/tracer.py;
+    delete both with ROADMAP item 1 step B."""
+    from .field_core import _slots, prime_power, slot_bits
+
+    bits = slot_bits(q)
+    mask = (1 << bits) - 1
+    shifts = range(bits * (k - 1), -1, -bits)
+    p, e = prime_power(q)
+    if p > 2 and e > 1:  # base-p digits in sub-slots; elsewhere a slot holds the element
+        gather = _slots(q).gather
+        return [frozenset(tuple(gather(v >> sh & mask) for sh in shifts) for v in vs) for vs in sets]
+    return [frozenset(tuple([v >> sh & mask for sh in shifts]) for v in vs) for vs in sets]
 
 
 def _check_instance(q: int, k: int, d: int) -> None:
@@ -270,7 +302,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verifier import verify_family
+    from .field_core import pack
+    from .verifier import verify_packed
 
     started = time.monotonic()
     try:
@@ -284,8 +317,8 @@ def cmd_verify(args) -> int:
         if not isinstance(doc, dict):
             raise CliError("malformed family document: not a JSON object")
         doc = doc.get(key, doc)
-    family, warnings = family_from_payload(doc)
-    cert = verify_family(family)
+    q, k, d, target, sets, method, warnings = _parse_family(doc)
+    cert = verify_packed(q, k, d, [pack(row, q) for row in target.basis], sets, method)
     out = {"certificate": cert.to_payload(), "warnings": warnings}
     _emit(_document("verify", {"path": args.path}, out, started))
     return EXIT_OK if cert.valid else EXIT_INVALID_FAMILY

@@ -475,6 +475,14 @@ def slot_bits(q: int) -> int:
     return 1 if q == 2 else _slots(q).bits
 
 
+def point_bit_lengths(q: int, k: int) -> frozenset[int]:
+    """The bit lengths of the ints that `pack` makes of the points of
+    PG(k-1,q): nonzero, within k slots and 1 in the leading slot, so the
+    highest set bit is the lowest bit of a slot."""
+    bits = slot_bits(q)
+    return frozenset(range(1, bits * (k - 1) + 2, bits))
+
+
 def pack(vec: Sequence[int], q: int) -> int:
     """A vector of F_q^k as the int `Echelon` works on, first coordinate
     in the highest slot; ValueError or TypeError unless every coordinate

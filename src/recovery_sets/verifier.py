@@ -6,25 +6,28 @@ membership against the ambient projective space.  No construction
 bookkeeping is trusted; this module is the oracle of record for the
 acceptance tests.
 
-`verify_family` makes one pass over the family.  It packs every point
-once into the int form of `field_core.pack`, whose layout doubles as
-the check that every coordinate lies in F_q; a point of the universe
-also has length k and first nonzero coordinate 1.  It records every
-point for the disjointness count and runs the span check on each set's
-well-formed points: one `field_core.Echelon.reduce` call adds them to a
-fresh echelon and must leave no residue of any basis row of the target.
-The universe and disjointness checks are this module's own; the span
-kernel is the one the builders and the oracle use, tested against
-`rref` in `tests/test_verifier.py`.
+`verify_packed` is the one certification pass.  It reads points in the
+int form of `field_core.pack` (the Boothby–Bradshaw slot layout,
+arXiv:0901.1413), each packed once by its caller: `verify_family` packs
+a family's tuples, and the `verify` command packs a document's points as
+it parses them.  A packed point lies in PG(k-1,q) when it is nonzero,
+fits in k slots and has 1 in its leading slot, all read off its bit
+length; disjointness is a set of ints; the span check adds each set's
+well-formed points to a fresh echelon in one `field_core.Echelon.reduce`
+call, which must leave no residue of any basis row of the target.  The
+universe and disjointness checks are this module's own; the span kernel
+is the one the builders and the oracle use, tested against `rref` in
+`tests/test_verifier.py`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
-from .field_core import Echelon, pack
-from .geometry import Point, num_points
+from .field_core import Echelon, pack, point_bit_lengths, slot_bits
+from .geometry import num_points
 from .constructions import RecoveryFamily
 
 @dataclass(frozen=True)
@@ -62,43 +65,63 @@ class Certificate:
         }
 
 
-def verify_family(family: RecoveryFamily) -> Certificate:
-    q, k, d = family.q, family.k, family.d
-    target_rows = [pack(row, q) for row in family.target.basis]
+def verify_packed(q: int, k: int, d: int, target: list[int], sets: Iterable[Collection[int]],
+                  method: str) -> Certificate:
+    """Certify `sets` of nonnegative ints, the points packed as by
+    `field_core.pack` with no int twice in one set, against the packed
+    basis rows `target`.  `sets` is read once, so it may be a generator."""
+    lengths = point_bit_lengths(q, k)
     universe_ok = True
     spanning_ok = True
-    seen: dict[Point, None] = {}
+    seen: set[int] = set()
     occurrences = 0
     sizes: Counter[int] = Counter()
-    for s in family.sets:
-        sizes[len(s)] += 1
-        occurrences += len(s)
-        vectors = []
-        for p in s:
-            seen[p] = None
-            # a point of PG(k-1,q): length k, coordinates in F_q (pack
-            # checks them), first nonzero coordinate 1
-            try:
-                v = pack(p, q)
-            except (TypeError, ValueError):
-                v = 0
-            if v and len(p) == k and next(filter(None, p)) == 1:
-                vectors.append(v)
-            else:
-                universe_ok = False
-        # malformed points cannot participate in the span computation
-        if Echelon(q).reduce(vectors, target_rows):
+    for vs in sets:
+        sizes[len(vs)] += 1
+        occurrences += len(vs)
+        seen.update(vs)
+        if not lengths.issuperset(map(int.bit_length, vs)):
+            universe_ok = False
+            # malformed points cannot participate in the span computation
+            vs = [v for v in vs if v.bit_length() in lengths]
+        if Echelon(q).reduce(vs, target):
             spanning_ok = False
     return Certificate(
         q=q,
         k=k,
         d=d,
-        family_size=len(family.sets),
+        family_size=sum(sizes.values()),
         disjoint_ok=occurrences == len(seen),
         spanning_ok=spanning_ok,
         universe_ok=universe_ok,
         points_used=len(seen),
         points_total=num_points(q, k),
-        method=family.method,
+        method=method,
         set_sizes=tuple(sorted(sizes.items())),
     )
+
+
+def verify_family(family: RecoveryFamily) -> Certificate:
+    """Pack each point of the family once and certify the packed sets."""
+    q, k = family.q, family.k
+    # A tuple that pack refuses, or of another length than k, takes an id
+    # past every packed vector of F_q^k, one per distinct tuple: it fails
+    # the universe check and keeps its identity in the disjointness count.
+    # The length is checked here because pack cannot see it: at k = 3,
+    # (1, 1) packs as (0, 1, 1) does.
+    past = 1 << slot_bits(q) * k
+    bad: dict = {}
+
+    def packed():  # one set at a time, so no packed copy of the family piles up
+        for s in family.sets:
+            vs = []
+            for p in s:
+                try:
+                    v = pack(p, q) if len(p) == k else None
+                except (TypeError, ValueError):
+                    v = None
+                vs.append(bad.setdefault(p, past + len(bad)) if v is None else v)
+            yield vs
+
+    target = [pack(row, q) for row in family.target.basis]
+    return verify_packed(q, k, family.d, target, packed(), family.method)

@@ -1,12 +1,15 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from recovery_sets import cli
-from recovery_sets.cli import main
-from recovery_sets.field_core import field
+from recovery_sets import cli, field_core, verifier
+from recovery_sets.cli import family_from_payload, family_payload, main
+from recovery_sets.constructions import RecoveryFamily, conjugate_family, construct
+from recovery_sets.field_core import Subspace, field
+from recovery_sets.verifier import verify_family
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +193,105 @@ class TestVerifyRoundTrip:
         code, out, err = run_cli(capsys, "verify", str(path))
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestVerifyMatchesVerifyFamily:
+    """`verify` reads a document into packed sets and certifies those;
+    `verify_family` packs an in-memory family.  On moved construct()
+    families and edited copies, both give one certificate, and `verify`
+    warns only about the representatives it scaled."""
+
+    CELLS = [(2, 5, 2), (3, 4, 2), (4, 3, 2), (5, 3, 2), (7, 3, 2), (8, 3, 2), (9, 3, 2), (257, 2, 1)]
+
+    @staticmethod
+    def _moved(q, k, d):
+        rng = random.Random(q * 100 + k * 10 + d)
+        fld = field(q)
+        while True:
+            rows = [tuple(rng.randrange(q) for _ in range(k)) for _ in range(d)]
+            if Subspace.span(rows, fld, k).dim == d:
+                return conjugate_family(construct(q, k, d), Subspace(k, tuple(rows)))
+
+    @staticmethod
+    def _verify(capsys, tmp_path, family, sets):
+        """`verify` on the document of `family` with its sets replaced."""
+        payload = family_payload(family)
+        payload["sets"] = [[list(p) for p in s] for s in sets]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"payload": {"family": payload}}))
+        return run_json(capsys, "verify", str(path))
+
+    @staticmethod
+    def _in_memory(family, sets):
+        return verify_family(RecoveryFamily(family.q, family.k, family.d, family.target,
+                                            [frozenset(s) for s in sets], family.method))
+
+    @pytest.mark.parametrize("qkd", CELLS, ids=[f"{q}-{k}-{d}" for q, k, d in CELLS])
+    def test_same_certificate(self, capsys, tmp_path, qkd):
+        q, k, d = qkd
+        fld = field(q)
+        moved = self._moved(q, k, d)
+        rng = random.Random(q)
+        sets = [sorted(s) for s in moved.sets]
+        i, j = rng.sample(range(len(sets)), 2)
+        p = rng.choice(sets[i])
+
+        code, doc, _ = self._verify(capsys, tmp_path, moved, sets)
+        assert code == 0
+        assert doc["payload"] == {"certificate": verify_family(moved).to_payload(), "warnings": []}
+        assert sorted(map(sorted, family_from_payload(family_payload(moved))[0].sets)) == sorted(sets)
+
+        # a point copied into a second set
+        shared = [s + [p] if n == j else s for n, s in enumerate(sets)]
+        code, doc, _ = self._verify(capsys, tmp_path, moved, shared)
+        cert = self._in_memory(moved, shared).to_payload()
+        assert code == 1 and not cert["disjoint_ok"]
+        assert doc["payload"] == {"certificate": cert, "warnings": []}
+
+        # a non-canonical representative, which verify scales back
+        if q > 2:
+            c = rng.randrange(2, q)
+            scaled = tuple(fld.mul(c, x) for x in p)
+            code, doc, _ = self._verify(capsys, tmp_path, moved, [
+                [scaled if x == p else x for x in s] for s in sets])
+            assert code == 0
+            assert doc["payload"] == {
+                "certificate": verify_family(moved).to_payload(),
+                "warnings": [f"normalized non-canonical representative {list(scaled)}"],
+            }
+
+        # points outside the universe: verify refuses the document, and
+        # verify_family finds the point outside PG(k-1,q)
+        for bad in [(0,) * k, p[:-1], p + (rng.randrange(q),)]:
+            edited = [[bad if x == p else x for x in s] for s in sets]
+            code, out, err = self._verify(capsys, tmp_path, moved, edited)
+            assert code == 2 and out == "" and err.startswith("error: malformed family document: ")
+            assert not self._in_memory(moved, edited).universe_ok
+
+    @pytest.mark.parametrize("q", [2, 9])
+    def test_packs_each_point_once(self, capsys, tmp_path, monkeypatch, q):
+        """One pack per point and per target row, and one more per point
+        scaled to its canonical representative."""
+        fld = field(q)
+        moved = self._moved(q, 3, 2)
+        sets = [sorted(s) for s in moved.sets]
+        scaled = 0
+        if q > 2:
+            for s in sets[:3]:
+                s[0] = tuple(fld.mul(2, x) for x in s[0])
+                scaled += 1
+        calls = []
+        pack = field_core.pack
+
+        def counting(vec, q):
+            calls.append(vec)
+            return pack(vec, q)
+
+        monkeypatch.setattr(field_core, "pack", counting)
+        monkeypatch.setattr(verifier, "pack", counting)
+        code, doc, _ = self._verify(capsys, tmp_path, moved, sets)
+        assert code == 0 and len(doc["payload"]["warnings"]) == scaled
+        assert len(calls) == sum(map(len, sets)) + len(moved.target.basis) + scaled
 
 
 class TestIlp:

@@ -1,4 +1,4 @@
-"""Golden hashes: construct and oracle payloads, and the bound table.
+"""Golden hashes: construct, oracle and verify payloads, and the bound table.
 
 Each hash is sha1 over a compact JSON rendering of what the CLI reports.
 They pin "same behaviour" across refactors: a change that alters a payload
@@ -12,8 +12,9 @@ import json
 
 import pytest
 
+from recovery_sets import Subspace, conjugate_family, construct, field
 from recovery_sets.bounds import bound_table
-from recovery_sets.cli import main
+from recovery_sets.cli import family_payload, main
 
 
 def _digest(obj) -> str:
@@ -74,6 +75,11 @@ ORACLE = {
     (2, 5, 2, 18000): ("oracle-2-5-2-budgeted", "7ed4d1a01e08a10067edebd32b2ea9bc0f68bb39"),
 }
 
+# `verify` on the (3,4,2) family moved onto span{(1,2,0,1), (0,1,1,2)}, its
+# second set's last point written as twice the canonical representative:
+# the certificate and the one "normalized" warning
+VERIFY = {(3, 4, 2): ("verify-3-4-2", "1626849f0392195932eabd754be6f347b7d5b6b9")}
+
 BOUND_TABLE = "062c13e8b497f54676b793e7fea80529bd620233"
 BOUND_PROVENANCE = "75945b2fab8980b11d3694dca05e22036cd351e0"
 
@@ -94,6 +100,19 @@ def test_oracle_payload(capsys, qkd, sha1):
     argv = ["oracle", "--q", str(q), "--k", str(k), "--d", str(d)]
     argv += ["--node-limit", str(limit[0])] if limit else []
     assert _payload_hash(capsys, *argv) == sha1
+
+
+@pytest.mark.parametrize("qkd, sha1", _cells(VERIFY))
+def test_verify_payload(capsys, tmp_path, qkd, sha1):
+    q, k, d = qkd
+    fld = field(q)
+    target = Subspace.span([(1, 2, 0, 1), (0, 1, 1, 2)], fld, k)
+    family = family_payload(conjugate_family(construct(q, k, d), target))
+    point = family["sets"][1][-1]
+    family["sets"][1][-1] = [fld.mul(2, x) for x in point]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"payload": {"family": family}}))
+    assert _payload_hash(capsys, "verify", str(path)) == sha1
 
 
 def _bound_rows():
