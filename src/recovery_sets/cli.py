@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+from functools import lru_cache
 from itertools import chain
 
 SCHEMA_VERSION = "1"
@@ -62,8 +63,9 @@ _encode = json.JSONEncoder().encode
 
 def _emit(doc: dict) -> None:
     """Write `doc` to stdout, byte for byte as `json.dump(doc, indent=2)`,
-    then a newline.  The document streams out in small chunks, never as
-    one string; a list of plain ints, such as a point, is one join."""
+    then a newline.  The document streams out one recovery set or one
+    line at a time, never as one string: an array of plain ints, such as
+    a recovery set's points or one point, is one cached %-format."""
     write = sys.stdout.write
     _write_json(doc, "\n", write)
     write("\n")
@@ -85,17 +87,37 @@ def _write_json(o, nl: str, write) -> None:
     elif isinstance(o, (list, tuple)):
         if not o:
             write("[]")
-        elif all(type(x) is int for x in o):  # not bool: JSON spells it true/false
-            write("[" + inner + ("," + inner).join(map(repr, o)) + nl + "]")
-        else:
-            sep = "[" + inner
-            for item in o:
-                write(sep)
-                _write_json(item, inner, write)
-                sep = "," + inner
-            write(nl + "]")
+            return
+        # type() is int, not isinstance: JSON spells a bool true/false, where
+        # %d writes 1; %d of an int is its repr, as json writes it
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            write(_int_format((len(o),), nl) % tuple(o))
+            return
+        if kinds <= {list, tuple} and len(lengths := set(map(len, o))) == 1 and 0 not in lengths:
+            flat = tuple(chain.from_iterable(o))
+            if set(map(type, flat)) == {int}:
+                write(_int_format((len(o), len(o[0])), nl) % flat)
+                return
+        sep = "[" + inner
+        for item in o:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = "," + inner
+        write(nl + "]")
     else:
         write(_encode(o))
+
+
+@lru_cache(maxsize=256)
+def _int_format(shape: tuple, nl: str) -> str:
+    """The %-format that writes an int array of `shape` (n,) or (n, k), one
+    %d per int, whose opening line is indented as `nl`."""
+    if not shape:
+        return "%d"
+    inner = nl + "  "
+    item = _int_format(shape[1:], inner)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
 
 
 def _json_key(key) -> str:

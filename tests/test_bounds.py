@@ -218,7 +218,8 @@ ORACLE_VALUES = {
 
 # the table does not reach the proved value with a construction: (3,3,1)
 # and (5,3,1) lift `lower` to the dimension-one value, above what
-# construct() builds; (3,4,3) is proved 11 while the table has [10, 11]
+# construct() builds (ROADMAP item 2); (3,4,3) is proved 11 while the
+# table has [10, 11] (item 5)
 _CONSTRUCTION_SHORT = {(3, 3, 1), (5, 3, 1), (3, 4, 3)}
 
 
@@ -231,7 +232,7 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("q,k,d", [
         pytest.param(*cell, marks=pytest.mark.xfail(strict=True, reason=(
-            "ROADMAP items 2, 3(b), 3(f): construct() builds fewer sets than the oracle proves")))
+            "ROADMAP items 2 and 5: construct() builds fewer sets than the oracle proves")))
         if cell in _CONSTRUCTION_SHORT else cell
         for cell in ORACLE_VALUES
     ])

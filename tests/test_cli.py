@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 import random
@@ -399,8 +400,23 @@ _scalars = (
     | st.text()
 )
 _keys = st.text() | st.integers() | st.booleans() | st.none()
+
+
+def _rows(ints):
+    """Lists of equal-length rows, lists or tuples, of `ints`: the shape of
+    a recovery set's points."""
+    return st.integers(1, 4).flatmap(lambda k: st.lists(
+        st.lists(ints, min_size=k, max_size=k) | st.lists(ints, min_size=k, max_size=k).map(tuple),
+        min_size=1, max_size=5,
+    ))
+
+
+_row_ints = st.integers() | st.sampled_from([-1, 2**64 + 1])
 _json_trees = st.recursive(
-    _scalars,
+    _scalars
+    | _rows(_row_ints)
+    | _rows(_row_ints | st.booleans())
+    | st.lists(st.lists(st.integers(), min_size=1, max_size=3), min_size=2, max_size=4),  # ragged rows
     lambda inner: (
         st.lists(inner, max_size=5)
         | st.lists(st.integers() | st.booleans() | st.none(), max_size=5)
@@ -409,6 +425,10 @@ _json_trees = st.recursive(
     ),
     max_leaves=30,
 )
+
+
+class _Digit(enum.IntEnum):
+    ONE = 1
 
 
 def _written(o) -> str:
@@ -426,6 +446,7 @@ class TestWriter:
     @pytest.mark.parametrize("o", [
         [], {}, [[]], {"a": {}}, [1, True, 2], [0, None], [-0.0, math.nan],
         {1: "x", True: 1, None: [], 2.5: 0}, ("é", (1, 2)), "\u2603",
+        [[1], [2, 3]], [[1, True]], [(1, 2), [3, 4]], [[2**70, -1]], [[_Digit.ONE, 2]],
     ])
     def test_edge_cases(self, o):
         assert _written(o) == json.dumps(o, indent=2)
@@ -440,7 +461,9 @@ class TestWriter:
         ("ilp", "--k", "4"),
         ("bounds", "--q", "2", "--k", "4..6", "--d", "2..3"),
         ("oracle", "--q", "2", "--k", "4", "--d", "2"),
-    ], ids=["construct", "verify", "ilp", "bounds", "oracle"])
+        ("construct", "--q", "13", "--k", "3", "--d", "2"),
+        ("oracle", "--q", "11", "--k", "2", "--d", "1"),
+    ], ids=["construct", "verify", "ilp", "bounds", "oracle", "construct-13-3-2", "oracle-11-2-1"])
     def test_command_output_is_indented_json(self, capsys, tmp_path, argv):
         family = tmp_path / "fam.json"
         family.write_text(run_cli(capsys, "construct", "--q", "2", "--k", "5", "--d", "2")[1])
@@ -456,7 +479,9 @@ class TestWriter:
             def write(self, text):
                 self.sizes.append(len(text))
 
-        rec = Recorder()
-        monkeypatch.setattr("sys.stdout", rec)
-        assert main(["construct", "--q", "2", "--k", "12", "--d", "2"]) == 0
-        assert max(rec.sizes) < sum(rec.sizes) / 10
+        # no write holds a tenth of the document, at q = 2 and at q = 5
+        for q, k in (("2", "12"), ("5", "6")):
+            rec = Recorder()
+            monkeypatch.setattr("sys.stdout", rec)
+            assert main(["construct", "--q", q, "--k", k, "--d", "2"]) == 0
+            assert max(rec.sizes) < sum(rec.sizes) / 10

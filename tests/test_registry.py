@@ -2,10 +2,10 @@
 certifies the family, its size is the entry's closed form, and it reaches
 the lower bound that bound() reports.
 
-One gap of ROADMAP item 2 needs a new builder and is marked as a strict
+The gap of ROADMAP item 2 needs a new builder and is marked as a strict
 xfail, so closing it forces the marker to go: d = 1 with odd q, where
 bound() lifts `lower` to the dimension-one exact value, above the
-consecutive-power family (item 2(b), e.g. N_3(3,1) = 6 against 5 built).
+consecutive-power family (e.g. N_3(3,1) = 6 against 5 built).
 """
 
 import pytest
@@ -25,7 +25,7 @@ def _cells():
             for d in range(1, k + 1):
                 marks = []
                 if d == 1 and q % 2 and k >= 3:
-                    marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 2(b): d=1, odd q")]
+                    marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 2: d=1, odd q")]
                 yield pytest.param(q, k, d, marks=marks, id=f"{q}-{k}-{d}")
             k += 1
 
