@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain
 
@@ -59,16 +60,35 @@ def _document(command: str, parameters: dict, payload: dict, started: float) -> 
 
 # str, float, bool and None as json.dump renders them (ASCII, NaN allowed)
 _encode = json.JSONEncoder().encode
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+@contextmanager
+def _chunked_stdout():
+    """stdout's `write`, filling the stream's own C buffer a chunk at a
+    time.  Under `python -u` or PYTHONUNBUFFERED stdout writes through, one
+    system call per write; it is switched to buffered for the scope, and
+    switching back flushes."""
+    out = sys.stdout
+    through = getattr(out, "write_through", False)
+    if through:
+        out.reconfigure(write_through=False)
+    try:
+        yield out.write
+    finally:
+        if through:
+            out.reconfigure(write_through=True)
 
 
 def _emit(doc: dict) -> None:
     """Write `doc` to stdout, byte for byte as `json.dump(doc, indent=2)`,
     then a newline.  The document streams out one recovery set or one
     line at a time, never as one string: an array of plain ints, such as
-    a recovery set's points or one point, is one cached %-format."""
-    write = sys.stdout.write
-    _write_json(doc, "\n", write)
-    write("\n")
+    a recovery set's points or one point, and a flat record, such as a
+    bounds row, are each one cached %-format."""
+    with _chunked_stdout() as write:
+        _write_json(doc, "\n", write)
+        write("\n")
 
 
 def _write_json(o, nl: str, write) -> None:
@@ -78,6 +98,23 @@ def _write_json(o, nl: str, write) -> None:
         if not o:
             write("{}")
             return
+        # a flat record: str keys; values exact ints, strs, None or non-empty
+        # lists of strs, each one %s of its JSON text (an int's is its repr)
+        if set(map(type, o)) == {str}:
+            args, shape = [], []
+            for v in o.values():
+                t = type(v)
+                if t is list and set(map(type, v)) == {str}:
+                    args += map(_encode_str, v)
+                    shape.append((len(v),))
+                elif t is int or t is str or v is None:
+                    args.append(v if t is int else _encode_str(v) if t is str else "null")
+                    shape.append(())
+                else:
+                    break
+            else:
+                write(_record_format(tuple(o), tuple(shape), nl) % tuple(args))
+                return
         sep = "{" + inner
         for key, value in o.items():
             write(sep + _json_key(key) + ": ")
@@ -89,15 +126,15 @@ def _write_json(o, nl: str, write) -> None:
             write("[]")
             return
         # type() is int, not isinstance: JSON spells a bool true/false, where
-        # %d writes 1; %d of an int is its repr, as json writes it
+        # %s writes True; %s of an int is its repr, as json writes it
         kinds = set(map(type, o))
         if kinds == {int}:
-            write(_int_format((len(o),), nl) % tuple(o))
+            write(_array_format((len(o),), nl) % tuple(o))
             return
         if kinds <= {list, tuple} and len(lengths := set(map(len, o))) == 1 and 0 not in lengths:
             flat = tuple(chain.from_iterable(o))
             if set(map(type, flat)) == {int}:
-                write(_int_format((len(o), len(o[0])), nl) % flat)
+                write(_array_format((len(o), len(o[0])), nl) % flat)
                 return
         sep = "[" + inner
         for item in o:
@@ -110,14 +147,24 @@ def _write_json(o, nl: str, write) -> None:
 
 
 @lru_cache(maxsize=256)
-def _int_format(shape: tuple, nl: str) -> str:
-    """The %-format that writes an int array of `shape` (n,) or (n, k), one
-    %d per int, whose opening line is indented as `nl`."""
+def _array_format(shape: tuple, nl: str) -> str:
+    """The %-format that writes an array of `shape` (), (n,) or (n, k), one
+    %s per JSON text, whose opening line is indented as `nl`."""
     if not shape:
-        return "%d"
+        return "%s"
     inner = nl + "  "
-    item = _int_format(shape[1:], inner)
+    item = _array_format(shape[1:], inner)
     return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
+
+
+@lru_cache(maxsize=256)
+def _record_format(keys: tuple, shape: tuple, nl: str) -> str:
+    """The %-format that writes a flat record with `keys`, each value an
+    array of its `shape`: one %s for a scalar, n for a list of n strs."""
+    inner = nl + "  "
+    items = [_json_key(key).replace("%", "%%") + ": " + _array_format(s, inner)
+             for key, s in zip(keys, shape)]
+    return "{" + inner + ("," + inner).join(items) + nl + "}"
 
 
 def _json_key(key) -> str:
@@ -306,10 +353,11 @@ def cmd_bounds(args) -> int:
     if not records:
         raise CliError("empty parameter range")
     if args.format == "csv":
-        print("q,k,d,lower,upper,exact,provenance")
-        for r in records:
-            exact = "" if r.exact is None else r.exact
-            print(f"{r.q},{r.k},{r.d},{r.lower},{r.upper},{exact},{';'.join(r.provenance)}")
+        with _chunked_stdout() as write:
+            write("q,k,d,lower,upper,exact,provenance\n")
+            for r in records:
+                exact = "" if r.exact is None else r.exact
+                write(f"{r.q},{r.k},{r.d},{r.lower},{r.upper},{exact},{';'.join(r.provenance)}\n")
         return EXIT_OK
     payload = {"rows": [r.to_payload() for r in records]}
     # "upper_variant" stays for perfbench/tracer.py until ROADMAP item 1 step B

@@ -90,41 +90,30 @@ def _dual_vertices(columns: list[tuple[int, ...]]) -> list[tuple[Fraction, ...]]
     """Vertices of {z >= 0 : col . z >= 1 for each column}, found by
     intersecting triples of constraint boundaries; any member yields a
     valid bound by weak duality, so the list being a superset of the
-    vertex set is harmless."""
-    bounds = [(tuple(col), Fraction(1)) for col in columns]
-    bounds += [(tuple(1 if i == j else 0 for i in range(3)), Fraction(0)) for j in range(3)]
+    vertex set is harmless.  Cramer's rule in integers solves each triple
+    a.z = ra, b.z = rb, c.z = rc as z = num / det, num = ra (b x c) +
+    rb (c x a) + rc (a x b), det = a . (b x c) > 0; only kept z are Fractions."""
+    bounds = [(tuple(col), 1) for col in columns]
+    bounds += [(tuple(1 if i == j else 0 for i in range(3)), 0) for j in range(3)]
     verts = []
-    for rows in itertools.combinations(bounds, 3):
-        mat = [list(r[0]) for r in rows]
-        rhs = [r[1] for r in rows]
-        sol = _solve3(mat, rhs)
-        if sol is None or any(v < 0 for v in sol):
+    for (a, ra), (b, rb), (c, rc) in itertools.combinations(bounds, 3):
+        bc, ca, ab = _cross(b, c), _cross(c, a), _cross(a, b)
+        det = a[0] * bc[0] + a[1] * bc[1] + a[2] * bc[2]
+        if not det:
             continue
-        ok = True
-        for col in columns:
-            if sum(Fraction(c) * v for c, v in zip(col, sol)) < 1:
-                ok = False
-                break
-        if ok and sol not in verts:
+        sign = 1 if det > 0 else -1
+        num = [sign * (ra * x + rb * y + rc * z) for x, y, z in zip(bc, ca, ab)]
+        det *= sign
+        if min(num) < 0 or any(col[0] * num[0] + col[1] * num[1] + col[2] * num[2] < det for col in columns):
+            continue
+        sol = tuple(Fraction(n, det) for n in num)
+        if sol not in verts:
             verts.append(sol)
     return verts
 
 
-def _solve3(mat, rhs):
-    m = [[Fraction(x) for x in row] + [b] for row, b in zip(mat, rhs)]
-    n = 3
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return tuple(m[r][n] for r in range(n))
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def solve_ilp(model: IlpModel) -> tuple[int, dict[str, int]]:

@@ -1,4 +1,5 @@
 import enum
+import io
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from recovery_sets import cli, field_core, verifier
+from recovery_sets.bounds import bound_table
 from recovery_sets.cli import family_from_payload, family_payload, main
 from recovery_sets.constructions import RecoveryFamily, conjugate_family, construct
 from recovery_sets.field_core import Subspace, field
@@ -411,9 +413,24 @@ def _rows(ints):
     ))
 
 
+class _Digit(enum.IntEnum):
+    ONE = 1
+
+
+# flat records, the shape of a bounds row: str keys; int, str, None and
+# non-empty list-of-str values, or a value the record format turns away
+_record_keys = st.text() | st.sampled_from(["%", "%s", "%%d", '"q"', "\u00e9", "\u2603", "k\\"])
+_record_values = st.integers() | st.none() | st.text() | st.lists(st.text() | _record_keys, min_size=1, max_size=3)
+_fallback_values = st.booleans() | st.floats() | st.just(_Digit.ONE) | st.just([]) | st.just(["x", 1])
+_records = (
+    st.dictionaries(_record_keys, _record_values, min_size=1, max_size=7)
+    | st.dictionaries(_record_keys, _record_values | _fallback_values, min_size=1, max_size=7)
+)
+
 _row_ints = st.integers() | st.sampled_from([-1, 2**64 + 1])
 _json_trees = st.recursive(
     _scalars
+    | _records
     | _rows(_row_ints)
     | _rows(_row_ints | st.booleans())
     | st.lists(st.lists(st.integers(), min_size=1, max_size=3), min_size=2, max_size=4),  # ragged rows
@@ -425,10 +442,6 @@ _json_trees = st.recursive(
     ),
     max_leaves=30,
 )
-
-
-class _Digit(enum.IntEnum):
-    ONE = 1
 
 
 def _written(o) -> str:
@@ -447,6 +460,8 @@ class TestWriter:
         [], {}, [[]], {"a": {}}, [1, True, 2], [0, None], [-0.0, math.nan],
         {1: "x", True: 1, None: [], 2.5: 0}, ("é", (1, 2)), "\u2603",
         [[1], [2, 3]], [[1, True]], [(1, 2), [3, 4]], [[2**70, -1]], [[_Digit.ONE, 2]],
+        {"%d": 1, "a%": "x%s", '"\u00e9"': None}, {"\u2603": ["%", '"', "\u00e9"]},
+        {"a": True}, {"a": 1.5}, {"a": []}, {"a": _Digit.ONE}, {"a": ["x", 1]}, {"a": {}},
     ])
     def test_edge_cases(self, o):
         assert _written(o) == json.dumps(o, indent=2)
@@ -470,6 +485,33 @@ class TestWriter:
         code, out, _ = run_cli(capsys, *(str(family) if a == "FAMILY" else a for a in argv))
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_emit_fills_chunks_under_write_through(self, monkeypatch):
+        """Under `python -u` or PYTHONUNBUFFERED stdout writes through; _emit
+        still hands the raw stream whole chunks, and restores the mode."""
+        class Raw(io.RawIOBase):
+            def __init__(self):
+                self.chunks = []
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.chunks.append(bytes(b))
+                return len(b)
+
+        rows = [r.to_payload() for r in bound_table(3, range(1, 65), range(1, 65))]
+        params = {"q": 3, "k": "1..64", "d": "1..64", "upper_variant": "corrected"}
+        doc = {"schema_version": cli.SCHEMA_VERSION, "command": "bounds", "parameters": params,
+               "payload": {"rows": rows}, "timing_ms": 12.5}
+        raw = Raw()
+        out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr("sys.stdout", out)
+        cli._emit(doc)
+        text = json.dumps(doc, indent=2) + "\n"
+        assert len(raw.chunks) <= math.ceil(len(text) / 8192) + 2
+        assert out.write_through
+        assert b"".join(raw.chunks).decode() == text  # nothing left unflushed
 
     def test_streams_in_small_writes(self, monkeypatch):
         class Recorder:

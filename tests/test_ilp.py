@@ -1,9 +1,14 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from recovery_sets.ilp import (
+    CONSTRAINTS,
+    VARIABLES,
     DualSolution,
+    _dual_vertices,
     build_ilp_d2,
     check_dual,
     dual_constraints,
@@ -30,6 +35,51 @@ def brute_force_optimum(k):
                             y5 = (b - c2) // 5
                             best = max(best, x1 + x2 + x3 + y3 + y22 + y4 + y5)
     return best
+
+
+def reference_dual_vertices(columns):
+    """_dual_vertices by Gaussian elimination over Fractions: every triple
+    of constraint boundaries solved, kept if nonnegative and feasible."""
+    bounds = [(tuple(col), Fraction(1)) for col in columns]
+    bounds += [(tuple(1 if i == j else 0 for i in range(3)), Fraction(0)) for j in range(3)]
+    verts = []
+    for rows in itertools.combinations(bounds, 3):
+        sol = _solve3([list(r[0]) for r in rows], [r[1] for r in rows])
+        if sol is None or any(v < 0 for v in sol):
+            continue
+        if all(sum(Fraction(c) * v for c, v in zip(col, sol)) >= 1 for col in columns) and sol not in verts:
+            verts.append(sol)
+    return verts
+
+
+def _solve3(mat, rhs):
+    m = [[Fraction(x) for x in row] + [b] for row, b in zip(mat, rhs)]
+    for col in range(3):
+        pivot = next((r for r in range(col, 3) if m[r][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        pv = m[col][col]
+        m[col] = [x / pv for x in m[col]]
+        for r in range(3):
+            if r != col and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return tuple(m[r][3] for r in range(3))
+
+
+class TestDualVertices:
+    @pytest.mark.parametrize("j", range(len(VARIABLES)))
+    def test_suffixes_match_reference(self, j):
+        cols = [tuple(row[i] for row in CONSTRAINTS) for i in range(j, len(VARIABLES))]
+        verts = _dual_vertices(cols)
+        assert verts and verts == reference_dual_vertices(cols)
+        assert all(type(v) is Fraction for z in verts for v in z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=3, max_size=7))
+    def test_small_columns_match_reference(self, cols):
+        assert _dual_vertices(cols) == reference_dual_vertices(cols)
 
 
 class TestModel:
