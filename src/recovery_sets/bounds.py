@@ -11,7 +11,7 @@ naming where each value comes from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructions import basic_count, construction_for
 
@@ -55,8 +55,7 @@ def d6_upper(k: int) -> int:
     return (91 * 2 ** (k - 6) + 35) // 10
 
 
-@dataclass(frozen=True)
-class BoundsRecord:
+class BoundsRecord(NamedTuple):
     q: int
     k: int
     d: int

@@ -22,6 +22,7 @@ loads neither the verifier nor the oracle).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -505,11 +506,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A command makes no cycle per object (the oracle one closure cycle per
+    # minimal-set enumeration, parsed JSON none), so the cyclic collector
+    # would only re-walk its sets, tuples and lists: it runs paused, and the
+    # caller's setting comes back after.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

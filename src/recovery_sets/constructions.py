@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
 from .field_core import (
     Echelon,
@@ -51,8 +50,7 @@ Sets = list[frozenset[Point]]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class RecoveryFamily:
+class RecoveryFamily(NamedTuple):
     q: int
     k: int
     d: int
@@ -60,7 +58,7 @@ class RecoveryFamily:
     sets: list[frozenset[Point]]
     method: str
     formula_size: int | None = None
-    notes: list[str] = dc_field(default_factory=list)
+    notes: Sequence[str] = ()
 
 
 def canonical_target(q: int, k: int, d: int) -> Subspace:
@@ -179,8 +177,7 @@ def _stitched(lay: Layout, inside: Sets, stitched: list[list[Cell]],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuintriplePartition:
+class QuintriplePartition(NamedTuple):
     """Partition of F_2^m minus zero into 5-sets {x1..x5} with
     x1 = x2+x3 = x4+x5, plus a small remainder depending on m mod 4:
     nothing (m=0), a zero-sum 4-set and 2 spares (m=1), a 3-element
@@ -538,8 +535,7 @@ def _search_layer_values(lay: Layout, xs, tail, target):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Construction:
+class Construction(NamedTuple):
     """One builder: its method tag, where it applies, the closed-form
     number of sets it gives there, and the builder itself."""
 

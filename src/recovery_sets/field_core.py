@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vector = tuple[int, ...]
 
@@ -144,20 +143,29 @@ class ExtField:
         digits = [0] * n
         digits[0] = 1
         mod = self.modulus
+        # over F_2 an element's encoding is its coefficient bitmask: the
+        # modulus as a bitmask, x^n included, clears the degree-n bit
+        mod_bits = sum(c << j for j, c in enumerate(mod))
+        enc = 1
         for i in range(size):
-            enc = self._encode(digits)
-            if log[enc] != -1 or (enc == 1 and i > 0):
+            if log[enc] != -1:  # a power repeats before all are listed
                 raise ValueError(f"modulus {mod} is not primitive over order-{q} base")
             antilog[i] = enc
             log[enc] = i
-            # multiply by x and reduce: carry is the would-be degree-n coefficient
-            carry = digits[-1]
-            shifted = [0] + digits[:-1]
-            if carry:
-                digits = [base.sub(shifted[j], base.mul(carry, mod[j])) for j in range(n)]
-            else:
-                digits = shifted
-        if self._encode(digits) != 1:
+            # multiply by x and reduce
+            if q == 2:
+                enc <<= 1
+                if enc >> n:
+                    enc ^= mod_bits
+            else:  # carry is the would-be degree-n coefficient
+                carry = digits[-1]
+                shifted = [0] + digits[:-1]
+                if carry:
+                    digits = [base.sub(shifted[j], base.mul(carry, mod[j])) for j in range(n)]
+                else:
+                    digits = shifted
+                enc = self._encode(digits)
+        if enc != 1:
             raise ValueError(f"modulus {mod} is not primitive over order-{q} base")
         self.antilog = tuple(antilog)
         self.log = tuple(log)
@@ -601,8 +609,7 @@ class Echelon:
         return other
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """A subspace of F_q^ambient held as its canonical RREF basis."""
 
     ambient: int

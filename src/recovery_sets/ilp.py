@@ -16,8 +16,8 @@ check substitutes candidate multipliers into all seven dual constraints.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 VARIABLES = ("X1", "X2", "X3", "Y3", "Y22", "Y4", "Y5")
 
@@ -30,15 +30,13 @@ CONSTRAINTS = (
 )
 
 
-@dataclass(frozen=True)
-class IlpModel:
+class IlpModel(NamedTuple):
     variables: tuple[str, ...]
     constraints: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(NamedTuple):
     z1: Fraction
     z2: Fraction
     z3: Fraction

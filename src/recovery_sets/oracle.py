@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field_core import Echelon, pack, slot_bits
 from .geometry import enumerate_points
@@ -44,23 +44,25 @@ from .constructions import RecoveryFamily, canonical_target, construct
 from .verifier import verify_family
 
 
-@dataclass
 class SearchConfig:
-    max_set_size: None = None  # stays for perfbench/tracer.py until ROADMAP item 1 step B
-    node_limit: int | None = None
-    time_limit: float | None = None
+    """The oracle's node and time budgets; None leaves one unbounded."""
 
-    def __post_init__(self):
-        if self.max_set_size is not None:
-            raise ValueError(f"max_set_size must be None, not {self.max_set_size!r}")
-        if self.node_limit is not None and (type(self.node_limit) is not int or self.node_limit < 1):
-            raise ValueError(f"node_limit must be a positive integer, not {self.node_limit!r}")
-        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
-            raise ValueError(f"time_limit must be a positive finite number, not {self.time_limit!r}")
+    __slots__ = ("node_limit", "time_limit")
+
+    # max_set_size stays for perfbench/tracer.py until ROADMAP item 1 step B
+    def __init__(self, max_set_size: None = None, node_limit: int | None = None,
+                 time_limit: float | None = None):
+        if max_set_size is not None:
+            raise ValueError(f"max_set_size must be None, not {max_set_size!r}")
+        if node_limit is not None and (type(node_limit) is not int or node_limit < 1):
+            raise ValueError(f"node_limit must be a positive integer, not {node_limit!r}")
+        if time_limit is not None and not 0 < time_limit < math.inf:
+            raise ValueError(f"time_limit must be a positive finite number, not {time_limit!r}")
+        self.node_limit = node_limit
+        self.time_limit = time_limit
 
 
-@dataclass
-class OracleResult:
+class OracleResult(NamedTuple):
     value: int
     exact: bool
     witness: RecoveryFamily

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Collection, Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .field_core import Echelon, pack, point_bit_lengths, slot_bits
 from .geometry import num_points
 from .constructions import RecoveryFamily
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     q: int
     k: int
     d: int

@@ -1,4 +1,5 @@
 import enum
+import gc
 import io
 import json
 import math
@@ -363,6 +364,55 @@ class TestRemovedOptions:
             main(list(argv))
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector paused; main() gives the
+    caller back the setting it had, however the command ends."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_paused_while_a_command_runs(self, capsys, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_ilp", lambda args: seen.append(gc.isenabled()) or 0)
+        gc.enable()
+        assert main(["ilp", "--k", "4"]) == 0
+        assert seen == [False] and gc.isenabled()
+
+    def test_restored_after_success(self, capsys):
+        gc.enable()
+        code, doc, _ = run_json(capsys, "construct", "--q", "2", "--k", "4", "--d", "2")
+        assert code == 0 and doc["payload"]["certificate"]["valid"]
+        assert gc.isenabled()
+
+    def test_restored_after_bad_input(self, capsys):
+        gc.enable()
+        code, out, err = run_cli(capsys, "construct", "--q", "6", "--k", "4", "--d", "2")
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert gc.isenabled()
+
+    def test_restored_after_an_exception(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("inside the command")
+
+        monkeypatch.setattr(cli, "cmd_oracle", broken)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="inside the command"):
+            main(["oracle", "--q", "2", "--k", "3", "--d", "2"])
+        assert gc.isenabled()
+
+    def test_caller_that_paused_it_keeps_it_paused(self, capsys, monkeypatch):
+        gc.disable()
+        code, _, _ = run_cli(capsys, "ilp", "--k", "4")
+        assert code == 0 and not gc.isenabled()
+        monkeypatch.setattr(cli, "cmd_ilp", lambda args: 1 // 0)
+        with pytest.raises(ZeroDivisionError):
+            main(["ilp", "--k", "4"])
+        assert not gc.isenabled()
 
 
 class TestCeilings:

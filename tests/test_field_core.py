@@ -3,8 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from recovery_sets import field_core
 from recovery_sets.field_core import (
     Echelon,
+    ExtField,
     PrimeField,
     Subspace,
     extension,
@@ -117,6 +119,49 @@ class TestExtField:
         assert f16.order == 16
         for a in range(1, 16):
             assert f16.mul(a, f16.inv(a)) == 1
+
+
+def gf2_mulmod(a: int, b: int, m: int) -> int:
+    """a * b mod m for GF(2) polynomials held as bitmasks: carry-less
+    multiplication, then long division by m."""
+    prod = 0
+    while b:
+        if b & 1:
+            prod ^= a
+        a <<= 1
+        b >>= 1
+    while prod.bit_length() >= m.bit_length():
+        prod ^= m << prod.bit_length() - m.bit_length()
+    return prod
+
+
+class TestBinaryTables:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_match_polynomial_reference(self, n):
+        # x^i for i < n is a monomial; each later power is x^(i-n) times x^n
+        f = extension(2, n)
+        m = sum(c << j for j, c in enumerate(f.modulus))
+        assert m.bit_length() == n + 1
+        x_n = gf2_mulmod(1 << n - 1, 2, m)
+        antilog = [1 << i for i in range(min(n, 2**n - 1))]
+        while len(antilog) < 2**n - 1:
+            antilog.append(gf2_mulmod(antilog[-n], x_n, m))
+        assert f.antilog == tuple(antilog)
+        log = [-1] * 2**n
+        for i, a in enumerate(antilog):
+            log[a] = i
+        assert f.log == tuple(log)
+
+    @pytest.mark.parametrize("base, modulus", [
+        (2, (1, 1, 1, 1, 1)),  # x^4+x^3+x^2+x+1: irreducible, x has order 5
+        (2, (0, 1, 1)),        # x^2+x: x is a zero divisor
+        (2, (1, 0, 0, 1)),     # x^3+1 = (x+1)(x^2+x+1): x has order 3
+        (3, (1, 0, 1)),        # x^2+1 over F_3: irreducible, x has order 4
+    ])
+    def test_modulus_not_primitive_refused(self, monkeypatch, base, modulus):
+        monkeypatch.setattr(field_core, "find_primitive_poly", lambda b, n: modulus)
+        with pytest.raises(ValueError, match="not primitive"):
+            ExtField(field(base), len(modulus) - 1)
 
 
 def echelon(vecs, fld):

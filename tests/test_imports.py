@@ -76,6 +76,9 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, submodules):
     assert [m for m in modules if m.startswith("recovery_sets.")] == [
         f"recovery_sets.{name}" for name in submodules]
     assert ("fractions" in modules) == (argv[0] == "ilp")
+    # records are NamedTuples and plain classes: `import dataclasses` would
+    # pull in inspect, ast, dis and tokenize
+    assert "dataclasses" not in modules and "inspect" not in modules
 
 
 class TestPublicNames:
