@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 _NAMES = {
     "field_core": (
         "ExtField", "PrimeField", "Subspace", "extension", "field", "find_primitive_poly",
-        "span_contains",
     ),
     "geometry": (
         "Layout", "binary_line_partition", "canonical_point", "enumerate_points",

@@ -187,10 +187,20 @@ def _parse_range(text: str) -> range:
 
 
 def family_payload(family: RecoveryFamily) -> dict:
-    from .field_core import extension, field, prime_power
+    """The family as JSON values.  Packed points sort as their coordinates
+    do, so the sets are sorted on ints; each distinct row half (the first
+    k - d coordinates) and column half of a point is unpacked once."""
+    from .field_core import extension, field, prime_power, slot_bits, unpack
 
-    fld = field(family.q)
-    p, e = prime_power(family.q)
+    q, k, d = family.q, family.k, family.d
+    fld = field(q)
+    p, e = prime_power(q)
+    split = slot_bits(q) * d
+    low = (1 << split) - 1
+    rows, cols = {}, {}  # row half -> its coordinates, column half -> its coordinates
+    sets = [[(rows.get(v >> split) or rows.setdefault(v >> split, list(unpack(v >> split, q, k - d))))
+             + (cols.get(v & low) or cols.setdefault(v & low, list(unpack(v & low, q, d)))) for v in s]
+            for s in sorted(map(sorted, family.sets))]
     return {
         "q": family.q,
         "k": family.k,
@@ -205,7 +215,7 @@ def family_payload(family: RecoveryFamily) -> dict:
         "method": family.method,
         "formula_size": family.formula_size,
         "notes": list(family.notes),
-        "sets": sorted(sorted(map(list, s)) for s in family.sets),
+        "sets": sets,
     }
 
 
@@ -266,26 +276,13 @@ def _parse_family(payload: dict) -> tuple:
 
 
 def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
+    """The family a document holds, read as `verify` reads it, and the
+    warnings.  Only perfbench/tracer.py calls it; delete it with ROADMAP
+    item 1 step B."""
     from .constructions import RecoveryFamily
 
     q, k, d, target, sets, method, warnings = _parse_family(payload)
-    return RecoveryFamily(q, k, d, target, _unpack(sets, q, k), method), warnings
-
-
-def _unpack(sets: list[set[int]], q: int, k: int) -> list[frozenset]:
-    """Packed sets back as sets of tuples, the points that `field_core.pack`
-    laid out.  Only family_from_payload needs it, for perfbench/tracer.py;
-    delete both with ROADMAP item 1 step B."""
-    from .field_core import _slots, prime_power, slot_bits
-
-    bits = slot_bits(q)
-    mask = (1 << bits) - 1
-    shifts = range(bits * (k - 1), -1, -bits)
-    p, e = prime_power(q)
-    if p > 2 and e > 1:  # base-p digits in sub-slots; elsewhere a slot holds the element
-        gather = _slots(q).gather
-        return [frozenset(tuple(gather(v >> sh & mask) for sh in shifts) for v in vs) for vs in sets]
-    return [frozenset(tuple([v >> sh & mask for sh in shifts]) for v in vs) for vs in sets]
+    return RecoveryFamily(q, k, d, target, list(map(frozenset, sets)), method), warnings
 
 
 def _check_instance(q: int, k: int, d: int) -> None:

@@ -30,11 +30,10 @@ from .field_core import (
     field,
     pack,
     prime_power,
-    span_contains,
+    unpack,
 )
 from .geometry import (
     Layout,
-    Point,
     binary_line_partition,
     canonical_point,
     full_spread,
@@ -43,7 +42,7 @@ from .geometry import (
     num_points,
 )
 
-Sets = list[frozenset[Point]]
+Sets = list[frozenset[int]]
 
 # ---------------------------------------------------------------------------
 # Family containers
@@ -51,11 +50,15 @@ Sets = list[frozenset[Point]]
 
 
 class RecoveryFamily(NamedTuple):
+    """Recovery sets for `target`; a point is the int `field_core.pack`
+    makes of its canonical representative, the one form the builders, the
+    verifier, the oracle and the payload share."""
+
     q: int
     k: int
     d: int
     target: Subspace
-    sets: list[frozenset[Point]]
+    sets: list[frozenset[int]]
     method: str
     formula_size: int | None = None
     notes: Sequence[str] = ()
@@ -75,21 +78,17 @@ def conjugate_family(family: RecoveryFamily, new_target: Subspace) -> RecoveryFa
         raise ValueError("target has wrong dimensions")
     fld = field(q)
     ech = Echelon(q, (pack(row, q) for row in new_target.basis))
-    complement = []
-    for i in range(k):
-        unit = tuple(1 if j == i else 0 for j in range(k))
-        if ech.add(pack(unit, q)):
-            complement.append(unit)
-    rows = complement + list(new_target.basis)
+    units = [tuple(int(j == i) for j in range(k)) for i in range(k)]
+    rows = [u for u in units if ech.add(pack(u, q))] + list(new_target.basis)
 
-    def apply(p: Point) -> Point:
+    def apply(v: int) -> int:
         acc = [0] * k
-        for c, row in zip(p, rows):
+        for c, row in zip(unpack(v, q, k), rows):
             if c:
                 acc = [fld.add(a, fld.mul(c, b)) for a, b in zip(acc, row)]
-        return canonical_point(tuple(acc), fld)
+        return pack(canonical_point(tuple(acc), fld), q)
 
-    sets = [frozenset(apply(p) for p in s) for s in family.sets]
+    sets = [frozenset(map(apply, s)) for s in family.sets]
     return RecoveryFamily(
         q, k, d, new_target, sets, family.method + "+conjugated",
         family.formula_size, list(family.notes),
@@ -153,10 +152,11 @@ def _stitched(lay: Layout, inside: Sets, stitched: list[list[Cell]],
 
     A row leaves over the columns the stitched sets take from it plus its
     `spare` cells, which no set uses; `_row_layout` partitions the rest.
-    Rows with the same leftover share one partition.  Cells on row 0 are
-    points of the target itself.
+    Rows with the same leftover share one partition, its columns packed
+    once; a row's sets are its packed row OR each packed column.  Cells on
+    row 0 are points of the target itself.
     """
-    pt = lay.pt
+    pt, row_bits, col_bits = lay.pt, lay.row_bits, lay.col_bits
     left: dict[int, list[int]] = {}
     for r, c in itertools.chain(spare, *stitched):
         left.setdefault(r, []).append(c)
@@ -166,8 +166,8 @@ def _stitched(lay: Layout, inside: Sets, stitched: list[list[Cell]],
         lo = frozenset(left.get(x, ()))
         cols = layouts.get(lo)
         if cols is None:
-            cols = layouts[lo] = _row_layout(lay, lo)
-        sets.extend(frozenset(pt(x, c) for c in cs) for cs in cols)
+            cols = layouts[lo] = [[col_bits[c] for c in cs] for cs in _row_layout(lay, lo)]
+        sets.extend([frozenset(map(row_bits[x].__or__, cs)) for cs in cols])
     # built from a set, a frozenset gets a table sized to its members
     return sets + [frozenset({pt(r, c) for r, c in s}) for s in stitched]
 
@@ -446,10 +446,9 @@ def _perfect_code_balls(k: int, d: int) -> Sets:
     Hamming balls, every ball spanning the target."""
     lay = Layout(2, k, d)
     sets = basic_sets_from_Td(lay)
-    balls = hamming_partition((d + 1).bit_length() - 1)
+    balls = [[lay.col_bits[w] for w in ball] for ball in hamming_partition((d + 1).bit_length() - 1)]
     for x in lay.rows:
-        for ball in balls:
-            sets.append(frozenset(lay.pt(x, word) for word in ball))
+        sets.extend([frozenset(map(lay.row_bits[x].__or__, ball)) for ball in balls])
     return sets
 
 
@@ -494,14 +493,14 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
     a = colf.alpha_pow
     t = q**d % (d + 1)
     stitched: list[list[Cell]] = []
-    target = canonical_target(q, k, d)
+    target = [pack(row, q) for row in canonical_target(q, k, d).basis]
     amb = extension(lay.fld, k - d)
 
     for part in full_spread(q, k - d, 2):
         # row encodings are those of F_{q^(k-d)}, so a line's elements are rows
         line = {amb.from_vector(canonical_point(amb.to_vector(e), lay.fld))
                 for e in part[1:]}
-        line_rows = sorted(line, key=lay.row_vector)
+        line_rows = sorted(line, key=lay.row_bits.__getitem__)
         for gi in range(0, len(line_rows), d + 2):
             group = line_rows[gi: gi + d + 2]
             xs, tail = group[:d], group[d:]
@@ -516,16 +515,17 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
     return _stitched(lay, basic_sets_from_Td(lay), stitched)
 
 
-def _search_layer_values(lay: Layout, xs, tail, target):
+def _search_layer_values(lay: Layout, xs, tail, target: list[int]):
     """Values for the two repeat rows of a layered leftover set, chosen so
-    the scaled copies still span the target; the scan is deterministic."""
+    the scaled copies still span the packed target rows; the scan is
+    deterministic."""
     colf, a = lay.col, lay.col.alpha_pow
     pool = [a(j) for j in range(min(colf.order - 1, 24))]
     base = [lay.pt(x, a(1 + j)) for j, x in enumerate(xs)]
     for w1 in pool:
         for w2 in pool:
             cand = base + [lay.pt(tail[0], colf.mul(a(1), w1)), lay.pt(tail[1], colf.mul(a(1), w2))]
-            if span_contains(cand, target, lay.fld):
+            if not Echelon(lay.q).reduce(cand, target):
                 return w1, w2
     return None
 

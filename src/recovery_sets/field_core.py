@@ -13,10 +13,11 @@ antilog[i] = alpha**i for alpha the class of x.  Building the tables
 doubles as a primitivity proof of the modulus: the powers of x must
 enumerate all q^n - 1 nonzero elements before returning to 1.
 
-`Echelon` is the one span kernel of the library: the builders (through
-`span_contains`), the verifier and the oracle all ask it whether a set of
-vectors spans a subspace.  It works on vectors in the one form `pack`
-gives for every q, an int: the coordinate bitmask for q = 2, and for
+`Echelon` is the one span kernel of the library: the builders, the
+verifier and the oracle all ask it whether a set of vectors spans a
+subspace.  It works on vectors in the one form `pack` gives for every q,
+the form every point of a family takes too, an int (`unpack` reads its
+coordinates back): the coordinate bitmask for q = 2, and for
 q > 2 one slot of whole bytes per coordinate, each base-p digit in a
 sub-slot wide enough that adding two vectors never carries between
 digits: F_q digits packed into machine words, after Boothby and Bradshaw
@@ -202,19 +203,10 @@ class ExtField:
         return enc
 
     def neg(self, a: int) -> int:
-        if self.char == 2:
-            return a
-        q, base = self.q, self.base
-        enc, mult = 0, 1
-        while a:
-            enc += base.neg(a % q) * mult
-            a //= q
-            mult *= q
-        return enc
+        # for odd p, -1 is the one element of order 2, alpha^((order-1)/2)
+        return a if self.char == 2 else self.mul(a, self.antilog[(self.order - 1) // 2])
 
     def sub(self, a: int, b: int) -> int:
-        if self.char == 2:
-            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -261,49 +253,46 @@ def extension(base, n: int) -> ExtField:
     return _extension_cached(base if isinstance(base, int) else base.order, n)
 
 
-def _poly_mul_mod(a: Sequence[int], b: Sequence[int], mod: Sequence[int], base) -> list[int]:
-    n = len(mod) - 1
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-    for deg in range(2 * n - 2, n - 1, -1):
-        c = prod[deg]
-        if c:
-            prod[deg] = 0
-            for j in range(n + 1):
-                if mod[j]:
-                    prod[deg - n + j] = base.sub(prod[deg - n + j], base.mul(c, mod[j]))
-    return prod[:n]
-
-
 def _poly_pow_x(e: int, mod: Sequence[int], base) -> list[int]:
+    """x^e modulo the monic `mod` over the base field, on coefficient
+    lists, constant term first: one squaring per bit of e by Horner's
+    rule, then a product by x where the bit is set."""
     n = len(mod) - 1
-    result = [0] * n
-    result[0] = 1
-    sq = [0] * n
-    if n == 1:
-        sq[0] = base.neg(mod[0])
-    else:
-        sq[1] = 1
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, sq, mod, base)
-        sq = _poly_mul_mod(sq, sq, mod, base)
-        e >>= 1
-    return result
+
+    def times_x(r: list[int]) -> list[int]:  # x^n folds back as -(mod - x^n)
+        c, r = r[-1], [0] + r[:-1]
+        return [base.sub(a, base.mul(c, m)) for a, m in zip(r, mod)] if c else r
+
+    r = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        a, r = r, [0] * n
+        for c in reversed(a):  # r = a * a
+            r = times_x(r)
+            if c:
+                r = [base.add(x, base.mul(c, y)) for x, y in zip(r, a)]
+        if bit == "1":
+            r = times_x(r)
+    return r
 
 
-def _x_has_full_order(mod: Sequence[int], base, group_order: int, prime_factors: list[int]) -> bool:
-    n = len(mod) - 1
-    one = [0] * n
-    one[0] = 1
-    if _poly_pow_x(group_order, mod, base) != one:
-        return False
-    return all(_poly_pow_x(group_order // r, mod, base) != one for r in prime_factors)
+def _bits_pow_x(e: int, mod: int, n: int) -> int:
+    """x^e modulo the binary polynomial `mod` of degree n, both as
+    coefficient bitmasks (bit i holds x^i): one squaring per bit of e,
+    then a product by x where the bit is set, each by shift-and-XOR."""
+    r = 1
+    for bit in bin(e)[2:]:
+        a, r = r, 0
+        for i in range(n - 1, -1, -1):  # r = a * a, by Horner's rule
+            r <<= 1
+            if r >> n:
+                r ^= mod
+            if a >> i & 1:
+                r ^= a
+        if bit == "1":
+            r <<= 1
+            if r >> n:
+                r ^= mod
+    return r
 
 
 def find_primitive_poly(base, n: int) -> tuple[int, ...]:
@@ -313,7 +302,9 @@ def find_primitive_poly(base, n: int) -> tuple[int, ...]:
     (coefficient of x^i as base-q digit i), which compares coefficient
     vectors from the highest degree down; the first polynomial whose root x
     has multiplicative order q^n - 1 wins.  Primitivity is certified
-    against the prime factors of q^n - 1.
+    against the prime factors of q^n - 1.  Over F_2 the encoding is the
+    coefficient bitmask, and powers of x are taken on it by shift-and-XOR;
+    over larger bases, on coefficient lists.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -323,16 +314,12 @@ def find_primitive_poly(base, n: int) -> tuple[int, ...]:
         raise ValueError(f"field order {order} exceeds supported ceiling")
     group = order - 1
     primes = factorize(group) if group > 1 else []
+    one = 1 if q == 2 else [1] + [0] * (n - 1)
     for enc in range(1, order):
-        coeffs = []
-        v = enc
-        for _ in range(n):
-            coeffs.append(v % q)
-            v //= q
-        if coeffs[0] == 0:
-            continue
-        mod = tuple(coeffs) + (1,)
-        if _x_has_full_order(mod, base, group, primes):
+        mod = tuple(enc // q**i % q for i in range(n)) + (1,)
+        pow_x = (functools.partial(_bits_pow_x, mod=enc | order, n=n) if q == 2  # enc is the bitmask
+                 else functools.partial(_poly_pow_x, mod=mod, base=base))
+        if mod[0] and pow_x(group) == one and all(pow_x(group // r) != one for r in primes):
             return mod
     raise ValueError(f"no primitive polynomial of degree {n} found")
 
@@ -372,6 +359,7 @@ def rref(rows: Iterable[Vector], fld: Field) -> tuple[Vector, ...]:
 # bytes 0 and 1 become the digits "0" and "1"; every other byte becomes
 # "2", which int(..., 2) rejects
 _BITS = bytes.maketrans(bytes(range(256)), b"01" + b"2" * 254)
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class _Slots:
@@ -407,11 +395,12 @@ class _Slots:
         # neg[c] and unit[c], indexed by the slot value of c: the tables
         # that scale a one-byte-slot vector by -c and by 1/c.  encode lays
         # out elements as slot values and sends every other byte to 255,
-        # which is a slot value only at q = 256.
-        self.neg = self.unit = self.encode = None
+        # which is a slot value only at q = 256; decode reads them back.
+        self.neg = self.unit = self.encode = self.decode = None
         if self.nbytes == 1:
             slot = [self.spread(x) for x in range(q)]
             self.encode = bytes.maketrans(bytes(range(256)), bytes(slot) + b"\xff" * (256 - q))
+            self.decode = bytes.maketrans(bytes(slot), bytes(range(q)))
             self.neg, self.unit = [None] * 256, [None] * 256
             for c in range(1, q):
                 for tables, m in ((self.neg, fld.neg(c)), (self.unit, fld.inv(c))):
@@ -514,6 +503,17 @@ def pack(vec: Sequence[int], q: int) -> int:
             raise ValueError(f"a coordinate lies outside F_{q}")
         v = v << s.bits | s.spread(c)
     return v
+
+
+def unpack(v: int, q: int, n: int) -> Vector:
+    """The n coordinates of the vector that `pack` laid out as v: binary
+    digits for q = 2, bytes read back as elements where slots are a byte."""
+    if q == 2:
+        return tuple(bin(v | 1 << n)[3:].encode().translate(_DIGITS))
+    s = _LAYOUTS.get(q) or _slots(q)
+    if s.decode is not None:
+        return tuple(v.to_bytes(n, "big").translate(s.decode))
+    return tuple([s.gather(v >> sh & s.mask) for sh in range(s.bits * (n - 1), -1, -s.bits)])
 
 
 class Echelon:
@@ -625,13 +625,4 @@ class Subspace(NamedTuple):
         if any(len(v) != ambient for v in vecs):
             raise ValueError("vectors have mixed ambient dimensions")
         return cls(ambient, rref(vecs, fld))
-
-
-def span_contains(generators: Iterable[Vector], target: Subspace, fld: Field) -> bool:
-    """True iff every basis row of the target lies in the span of the generators."""
-    gens = list(generators)
-    if any(len(v) != target.ambient for v in gens):
-        raise ValueError("generators and target have mixed ambient dimensions")
-    q = fld.order
-    return not Echelon(q).reduce([pack(g, q) for g in gens], [pack(r, q) for r in target.basis])
 

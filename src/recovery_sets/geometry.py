@@ -1,7 +1,8 @@
 """Projective points, the stored-server array, and vector-space partitions.
 
 Points of PG(k-1,q) are canonical representatives of 1-subspaces of F_q^k:
-tuples whose first nonzero coordinate is 1.  The Layout array lays all
+vectors whose first nonzero coordinate is 1, as coordinate tuples here and
+as the ints of `field_core.pack` in a family.  The Layout array lays all
 points out by rows (the complement-space part) and columns (0 followed by
 the consecutive powers of a primitive alpha of the column field F_{q^d});
 row 0 carries the points inside the target space.
@@ -24,6 +25,8 @@ from .field_core import (
     Vector,
     extension,
     field,
+    pack,
+    slot_bits,
 )
 
 Point = tuple[int, ...]
@@ -62,6 +65,15 @@ def enumerate_points(q: int, k: int) -> list[Point]:
     return pts
 
 
+def _packed_table(q: int, n: int, shift: int) -> list[int]:
+    """`pack` of every vector of F_q^n, shifted up by `shift` bits, indexed
+    by the vector's encoding (base-q digits, first coordinate lowest)."""
+    bits, table = slot_bits(q), [0]
+    for sh in reversed(range(shift, shift + n * bits, bits)):  # index digit i, from slot n-1-i
+        table = [v | s for s in [pack((c,), q) << sh for c in range(q)] for v in table]
+    return table
+
+
 class Layout:
     """The array every stored point sits in, for parameters (q, k, d).
 
@@ -73,6 +85,11 @@ class Layout:
     carry points: every nonzero row for q = 2, the canonical points of
     PG(k-d-1,q) in the lexicographic order of enumerate_points for q > 2.
     Row 0 is the target itself; its nonzero columns are the points of U.
+
+    A point is the int `field_core.pack` makes of it: `row_bits` packs
+    each row, shifted up past the d column slots, and `col_bits` each
+    column.  A row of `rows` has leading coordinate 1, so row_bits[x] |
+    col_bits[y] is canonical; row 0 keeps a table of canonical columns.
     """
 
     def __init__(self, q: int, k: int, d: int):
@@ -82,36 +99,22 @@ class Layout:
         self.fld = field(q)
         self.col = extension(self.fld, d)
         m = k - d
-        # coordinate tuples, cached: every point a builder makes needs both
-        self._row_vectors: dict[int, Vector] = {}
-        self._col_vectors: list[Vector | None] = [None] * self.col.order
+        self.row_bits = _packed_table(q, m, slot_bits(q) * d)
+        self.col_bits = _packed_table(q, d, 0)
+        self._target: dict[int, int] = {}
         if q == 2:
             self.rows: range | list[int] = range(1, 1 << m)
         else:
-            for p in enumerate_points(q, m) if m else []:
-                self._row_vectors[sum(c * q**i for i, c in enumerate(p))] = p
-            self.rows = list(self._row_vectors)
+            self.rows = [sum(c * q**i for i, c in enumerate(p)) for p in enumerate_points(q, m)] if m else []
 
-    def row_vector(self, row: int) -> Vector:
-        vec = self._row_vectors.get(row)
-        if vec is None:
-            q, r, digits = self.q, row, []
-            for _ in range(self.k - self.d):
-                digits.append(r % q)
-                r //= q
-            vec = self._row_vectors[row] = tuple(digits)
-        return vec
-
-    def pt(self, row: int, col: int) -> Point:
-        """The point at (row, col); nonzero binary rows are canonical as
-        they stand, everything else is scaled to its representative."""
-        col_vec = self._col_vectors[col]
-        if col_vec is None:
-            col_vec = self._col_vectors[col] = self.col.to_vector(col)
-        vec = (self._row_vectors.get(row) or self.row_vector(row)) + col_vec
-        if row and self.q == 2:
-            return vec
-        return canonical_point(vec, self.fld)
+    def pt(self, row: int, col: int) -> int:
+        """The packed point at (row, col); `row` is 0 or one of `rows`."""
+        if row:
+            return self.row_bits[row] | self.col_bits[col]
+        v = self._target.get(col)
+        if v is None:  # filled as row 0 is read: its points are columns scaled to canonical
+            v = self._target[col] = pack(canonical_point(self.col.to_vector(col), self.fld), self.q)
+        return v
 
 
 # ---------------------------------------------------------------------------

@@ -163,14 +163,14 @@ def minimal_recovery_sets(q: int, k: int, d: int):
     return found
 
 
-def _certified_seed(q: int, k: int, d: int, points: list) -> tuple[list[int], str]:
-    """The sets of construct(q, k, d), as bitmasks over point ids, and the
-    builder's method, if the verifier certifies the family; otherwise no
-    sets."""
+def _certified_seed(q: int, k: int, d: int, vecs: list) -> tuple[list[int], str]:
+    """The sets of construct(q, k, d), as bitmasks over the ids of the
+    packed points `vecs`, and the builder's method, if the verifier
+    certifies the family; otherwise no sets."""
     family = construct(q, k, d)
     if not verify_family(family).valid:
         return [], family.method
-    bit = {p: 1 << i for i, p in enumerate(points)}
+    bit = {v: 1 << i for i, v in enumerate(vecs)}
     return [sum(map(bit.get, s)) for s in family.sets], family.method
 
 
@@ -235,12 +235,12 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
     """Maximum number of pairwise disjoint recovery sets for the canonical
     d-subspace of F_q^k, with a witness family."""
     cfg = cfg or SearchConfig()
-    points, target, vecs, target_rows = _packed_instance(q, k, d)
-    seed, method = _certified_seed(q, k, d, points)
+    _, target, vecs, target_rows = _packed_instance(q, k, d)
+    seed, method = _certified_seed(q, k, d, vecs)
     best, nodes, finished = _search(q, d, vecs, target_rows, cfg, seed)
     witness = RecoveryFamily(
         q, k, d, target,
-        [frozenset(p for i, p in enumerate(points) if s >> i & 1) for s in best],
+        [frozenset(v for i, v in enumerate(vecs) if s >> i & 1) for s in best],
         method if best is seed and seed else "oracle-packing",
     )
     return OracleResult(len(best), finished, witness, nodes)

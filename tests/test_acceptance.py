@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from recovery_sets.bounds import bound, d6_upper
 from recovery_sets.constructions import construct, quintriple_partition
+from recovery_sets.field_core import pack
 from recovery_sets.geometry import (
     Layout,
     binary_line_partition,
@@ -197,7 +198,7 @@ def test_criterion_8_structural():
                 pts = [lay.pt(0, lay.col.alpha_pow(e)) for e in range(num_points(q, d))]
                 pts += [lay.pt(x, y) for x in lay.rows for y in lay.col.elements()]
                 assert len(pts) == num_points(q, k), (q, k, d)
-                assert set(pts) == set(enumerate_points(q, k)), (q, k, d)
+                assert set(pts) == {pack(p, q) for p in enumerate_points(q, k)}, (q, k, d)
     elapsed = time.monotonic() - started
     print(f"\nPASS criterion 8: spreads, line partitions, ball partitions and "
           f"the layout bijection check out across the grid ({elapsed:.1f}s)")

@@ -12,7 +12,7 @@ from recovery_sets import cli, field_core, verifier
 from recovery_sets.bounds import bound_table
 from recovery_sets.cli import family_from_payload, family_payload, main
 from recovery_sets.constructions import RecoveryFamily, conjugate_family, construct
-from recovery_sets.field_core import Subspace, field
+from recovery_sets.field_core import Subspace, field, pack, unpack
 from recovery_sets.verifier import verify_family
 
 
@@ -218,9 +218,11 @@ class TestVerifyMatchesVerifyFamily:
 
     @staticmethod
     def _verify(capsys, tmp_path, family, sets):
-        """`verify` on the document of `family` with its sets replaced."""
+        """`verify` on the document of `family` with its sets replaced; a
+        point is a packed int or the coordinate tuple to write."""
+        q, k = family.q, family.k
         payload = family_payload(family)
-        payload["sets"] = [[list(p) for p in s] for s in sets]
+        payload["sets"] = [[list(unpack(p, q, k) if type(p) is int else p) for p in s] for s in sets]
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"payload": {"family": payload}}))
         return run_json(capsys, "verify", str(path))
@@ -255,7 +257,7 @@ class TestVerifyMatchesVerifyFamily:
         # a non-canonical representative, which verify scales back
         if q > 2:
             c = rng.randrange(2, q)
-            scaled = tuple(fld.mul(c, x) for x in p)
+            scaled = tuple(fld.mul(c, x) for x in unpack(p, q, k))
             code, doc, _ = self._verify(capsys, tmp_path, moved, [
                 [scaled if x == p else x for x in s] for s in sets])
             assert code == 0
@@ -265,11 +267,14 @@ class TestVerifyMatchesVerifyFamily:
             }
 
         # points outside the universe: verify refuses the document, and
-        # verify_family finds the point outside PG(k-1,q)
-        for bad in [(0,) * k, p[:-1], p + (rng.randrange(q),)]:
+        # verify_family finds the point outside PG(k-1,q), given as the
+        # packed int where there is one (k - 1 coordinates pack as k)
+        v = unpack(p, q, k)
+        for bad, packed in [((0,) * k, 0), (v[:-1], v[:-1]), ((1,) + v, pack((1,) + v, q))]:
             edited = [[bad if x == p else x for x in s] for s in sets]
             code, out, err = self._verify(capsys, tmp_path, moved, edited)
             assert code == 2 and out == "" and err.startswith("error: malformed family document: ")
+            edited = [[packed if x == p else x for x in s] for s in sets]
             assert not self._in_memory(moved, edited).universe_ok
 
     @pytest.mark.parametrize("q", [2, 9])
@@ -282,7 +287,7 @@ class TestVerifyMatchesVerifyFamily:
         scaled = 0
         if q > 2:
             for s in sets[:3]:
-                s[0] = tuple(fld.mul(2, x) for x in s[0])
+                s[0] = tuple(fld.mul(2, x) for x in unpack(s[0], q, 3))
                 scaled += 1
         calls = []
         pack = field_core.pack

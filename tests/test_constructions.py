@@ -1,6 +1,8 @@
 import pytest
 
-from recovery_sets.field_core import Echelon, Subspace, extension, field, pack, span_contains
+from recovery_sets.field_core import Echelon, Subspace, extension, field, pack
+
+from spans import span_contains
 from recovery_sets.constructions import (
     basic_sets_from_Td,
     canonical_target,
@@ -49,7 +51,7 @@ class TestBasicSets:
         lay = Layout(2, 3, 3)
         sets = basic_sets_from_Td(lay)
         f8 = extension(2, 3)
-        exp = lambda e: f8.to_vector(f8.alpha_pow(e))
+        exp = lambda e: pack(f8.to_vector(f8.alpha_pow(e)), 2)
         assert sets[0] == frozenset(exp(e) for e in (0, 1, 2))
         assert sets[1] == frozenset(exp(e) for e in (3, 4, 5))
         assert leftovers(sets, target_points(lay)) == [exp(6)]
@@ -64,7 +66,7 @@ class TestBasicSets:
         sets = basic_sets_from_Td(lay)
         assert len(sets) == 2 and not leftovers(sets, target_points(lay))
         for s in sets:
-            assert len(s) == 2 and len(Echelon(3, [pack(p, 3) for p in s]).rows) == 2
+            assert len(s) == 2 and len(Echelon(3, s).rows) == 2
 
 
 class TestRowSets:
@@ -96,7 +98,7 @@ class TestRowSets:
         for cols in ({0, a(3)}, {a(7), a(8)}, {a(30), a(0)}):
             lo = leftovers(row_one_sets(lay, cols), row_points(lay, 1))
             assert sorted(lo) == sorted(lay.pt(1, c) for c in cols)
-        assert lo == [x + f32.to_vector(c) for c in (a(0), a(30))]
+        assert lo == [pack(x + f32.to_vector(c), 2) for c in (a(0), a(30))]
         # t = 2 columns at d = 5: one is too few, and a gap is not a run
         for cols in ({a(3)}, {a(3), a(5)}):
             with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,10 @@ from recovery_sets.field_core import (
     prime_power,
     rref,
     slot_bits,
-    span_contains,
+    unpack,
 )
+
+from spans import span_contains
 
 
 def brute_span_size(vectors, fld):
@@ -39,7 +42,27 @@ def brute_span_size(vectors, fld):
     return len(span)
 
 
+def coefficient_list_search(n: int) -> tuple[int, ...]:
+    """The first monic degree-n polynomial over F_2, in the order of its
+    coefficient encoding, whose root x has order 2^n - 1; powers of x are
+    taken on coefficient lists, as `find_primitive_poly` does over larger
+    bases."""
+    f2, group = field(2), 2**n - 1
+    one = [1] + [0] * (n - 1)
+    for enc in range(1, 2**n, 2):
+        mod = tuple(enc >> i & 1 for i in range(n)) + (1,)
+        if field_core._poly_pow_x(group, mod, f2) == one and all(
+                field_core._poly_pow_x(group // r, mod, f2) != one for r in factorize(group)):
+            return mod
+    raise AssertionError(f"no primitive polynomial of degree {n}")
+
+
 class TestPrimitivePolys:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_binary_matches_coefficient_list_search(self, n):
+        # over F_2 powers of x are taken by shift-and-XOR on bitmasks
+        assert find_primitive_poly(field(2), n) == coefficient_list_search(n)
+
     def test_pinned_binary_polys(self):
         assert find_primitive_poly(field(2), 4) == (1, 1, 0, 0, 1)
         assert find_primitive_poly(field(2), 5) == (1, 0, 1, 0, 0, 1)
@@ -203,6 +226,21 @@ def test_echelon_matches_rref(q):
         assert len(tagged.rows) == w
         residue = tagged.reduce((), [pack(t, q) << w * bits])
         assert residue == pack(tuple(fld.neg(coeffs[j]) for j in reversed(range(w))), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27, 131, 257, 512])
+def test_pack_order_is_coordinate_order(q):
+    """On every slot layout, sorting packed vectors sorts their coordinate
+    tuples, and unpack inverts pack both ways."""
+    rng = random.Random(q)
+    for k in range(1, 5):
+        vecs = set(product(sorted({0, 1, q - 2, q - 1}), repeat=k))
+        vecs |= {tuple(rng.randrange(q) for _ in range(k)) for _ in range(100)}
+        vecs = sorted(vecs)
+        packed = [pack(v, q) for v in vecs]
+        assert packed == sorted(set(packed))
+        assert [unpack(v, q, k) for v in packed] == vecs
+        assert [pack(unpack(v, q, k), q) for v in packed] == packed
 
 
 class TestRank:

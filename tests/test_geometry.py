@@ -1,7 +1,7 @@
 import pytest
 from itertools import product
 
-from recovery_sets.field_core import extension, field
+from recovery_sets.field_core import extension, field, pack, slot_bits
 from recovery_sets.geometry import (
     Layout,
     binary_line_partition,
@@ -63,9 +63,13 @@ class TestPoints:
             canonical_point((0, 0), field(2))
 
 
+def packed(points, q):
+    return {pack(p, q) for p in points}
+
+
 def layout_points(lay):
     """The target points pt(0, alpha^e), then pt(row, col) over every row
-    and every column."""
+    and every column, as packed ints."""
     r = num_points(lay.q, lay.d)
     pts = [lay.pt(0, lay.col.alpha_pow(e)) for e in range(r)]
     pts += [lay.pt(x, y) for x in lay.rows for y in lay.col.elements()]
@@ -77,28 +81,29 @@ class TestLayout:
         lay = Layout(2, 4, 2)
         assert (list(lay.rows), lay.col.order) == ([1, 2, 3], 4)
         pts = layout_points(lay)
-        assert len(pts) == 15 and set(pts) == set(enumerate_points(2, 4))
+        assert len(pts) == 15 and set(pts) == packed(enumerate_points(2, 4), 2)
 
     def test_333_counts(self):
         lay = Layout(3, 3, 2)
         assert (list(lay.rows), lay.col.order) == ([1], 9)
         pts = layout_points(lay)
         assert len(pts) == 13 == num_points(3, 3)
-        assert set(pts) == set(enumerate_points(3, 3))
+        assert set(pts) == packed(enumerate_points(3, 3), 3)
 
     def test_degenerate_k_equals_d(self):
         lay = Layout(3, 2, 2)
         assert list(lay.rows) == []
-        assert set(layout_points(lay)) == set(enumerate_points(3, 2))
+        assert set(layout_points(lay)) == packed(enumerate_points(3, 2), 3)
 
     def test_zero_slot_rejected(self):
         with pytest.raises(ValueError):
             Layout(2, 3, 2).pt(0, 0)
 
     def test_row_encoding(self):
-        assert Layout(2, 5, 2).row_vector(6) == (0, 1, 1)
+        # a row is packed once, shifted up past the d column slots
+        assert Layout(2, 5, 2).row_bits[6] == pack((0, 1, 1), 2) << 2
         lay = Layout(3, 5, 2)
-        assert lay.row_vector(lay.rows[-1]) == (1, 2, 2)
+        assert lay.row_bits[lay.rows[-1]] == pack((1, 2, 2), 3) << 2 * slot_bits(3)
         assert lay.rows[-1] == 1 + 2 * 3 + 2 * 9
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -111,10 +116,10 @@ class TestLayout:
                 lay = Layout(q, k, d)
                 pts = layout_points(lay)
                 assert len(pts) == num_points(q, k), (q, k, d)
-                assert set(pts) == brute_points(q, k), (q, k, d)
+                assert set(pts) == packed(brute_points(q, k), q), (q, k, d)
                 if q > 2 and k > d:
-                    rows = [lay.row_vector(x) for x in lay.rows]
-                    assert rows == enumerate_points(q, k - d)
+                    rows = [lay.row_bits[x] >> d * slot_bits(q) for x in lay.rows]
+                    assert rows == [pack(p, q) for p in enumerate_points(q, k - d)]
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

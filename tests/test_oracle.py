@@ -2,12 +2,14 @@ from itertools import combinations
 
 import pytest
 
-from recovery_sets.field_core import Subspace, field, rref, span_contains
+from recovery_sets.field_core import Subspace, field, rref
 from recovery_sets.geometry import enumerate_points
 from recovery_sets.constructions import canonical_target, construct
 from recovery_sets.oracle import (SearchConfig, _packed_instance, _search, exact_N,
                                   minimal_recovery_sets)
 from recovery_sets.verifier import verify_family
+
+from spans import span_contains
 
 
 # (q, k, d) -> the family _search finds from an empty incumbent, as sorted

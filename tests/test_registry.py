@@ -1,6 +1,7 @@
 """Every registry cell on a small grid: construct() succeeds, the verifier
 certifies the family, its size is the entry's closed form, and it reaches
-the lower bound that bound() reports.
+the lower bound that bound() reports.  Every point is a packed int of
+PG(k-1,q), and the payload writes the points as their coordinate lists.
 
 The gap of ROADMAP item 2 needs a new builder and is marked as a strict
 xfail, so closing it forces the marker to go: d = 1 with odd q, where
@@ -11,20 +12,22 @@ consecutive-power family (e.g. N_3(3,1) = 6 against 5 built).
 import pytest
 
 from recovery_sets.bounds import bound
+from recovery_sets.cli import family_payload
 from recovery_sets.constructions import construct
-from recovery_sets.geometry import num_points
+from recovery_sets.field_core import pack, unpack
+from recovery_sets.geometry import enumerate_points, num_points
 from recovery_sets.verifier import verify_family
 
 MAX_POINTS = 5000
 
 
-def _cells():
+def _cells(marked: bool = True):
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
         k = 1
         while num_points(q, k) <= MAX_POINTS:
             for d in range(1, k + 1):
                 marks = []
-                if d == 1 and q % 2 and k >= 3:
+                if marked and d == 1 and q % 2 and k >= 3:
                     marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 2: d=1, odd q")]
                 yield pytest.param(q, k, d, marks=marks, id=f"{q}-{k}-{d}")
             k += 1
@@ -37,3 +40,14 @@ def test_cell(q, k, d):
     assert cert.valid, cert
     assert cert.family_size == family.formula_size
     assert cert.family_size >= bound(q, k, d).lower
+
+
+@pytest.mark.parametrize("q,k,d", _cells(marked=False))
+def test_points_and_payload(q, k, d):
+    family = construct(q, k, d)
+    points = [v for s in family.sets for v in s]
+    assert all(type(v) is int and v > 0 for v in points)
+    assert set(points) <= {pack(p, q) for p in enumerate_points(q, k)}
+    # the payload as it was written from coordinate tuples
+    reference = sorted(sorted(list(unpack(v, q, k)) for v in s) for s in family.sets)
+    assert family_payload(family)["sets"] == reference

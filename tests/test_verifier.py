@@ -3,10 +3,12 @@ from collections import Counter
 
 import pytest
 
-from recovery_sets.field_core import Subspace, field, rref, span_contains
+from recovery_sets.field_core import Subspace, field, pack, prime_power, rref, slot_bits, unpack
 from recovery_sets.constructions import RecoveryFamily, canonical_target, conjugate_family, construct
 from recovery_sets.geometry import enumerate_points, num_points
 from recovery_sets.verifier import Certificate, verify_family
+
+from spans import span_contains
 
 
 class TestVerifyRecoverySet:
@@ -60,7 +62,7 @@ class TestVerifyFamily:
 
     def test_foreign_point_detected(self):
         fam = construct(2, 4, 2)
-        fam.sets[0] = frozenset(set(fam.sets[0]) | {(0, 1, 1)})
+        fam.sets[0] = frozenset(set(fam.sets[0]) | {pack((1, 0, 0, 1, 1), 2)})
         cert = verify_family(fam)
         assert not cert.universe_ok
 
@@ -69,7 +71,7 @@ class TestVerifyFamily:
         s = set(fam.sets[0])
         p = s.pop()
         f3 = field(3)
-        s.add(tuple(f3.mul(2, c) for c in p))
+        s.add(pack(tuple(f3.mul(2, c) for c in unpack(p, 3, 3)), 3))
         fam.sets[0] = frozenset(s)
         cert = verify_family(fam)
         assert not cert.universe_ok
@@ -79,17 +81,43 @@ class TestVerifyFamily:
         assert cert.points_used <= cert.points_total == 63
 
 
+def _decode(v, q: int, k: int):
+    """The coordinates of a packed point, read with this module's own
+    shifts: k slots of whole bytes (one bit at q = 2), first coordinate
+    highest, base-p digit i of an element in the i-th w-bit sub-slot.
+    None unless v is an int, not a bool, in 0..2^(k slots)-1 and every
+    slot holds an element of F_q with its padding bits clear."""
+    if type(v) is not int or v < 0:
+        return None
+    p, e = prime_power(q)
+    w = 1 if p == 2 else p.bit_length() + 1
+    bits = 1 if q == 2 else -(-e * w // 8) * 8
+    if v >> bits * k:
+        return None
+    coords = []
+    for i in reversed(range(k)):
+        slot = v >> i * bits & (1 << bits) - 1
+        digits = [slot >> j * w & (1 << w) - 1 for j in range(e)]
+        if slot >> e * w or max(digits) >= p:
+            return None
+        coords.append(sum(x * p**j for j, x in enumerate(digits)))
+    return tuple(coords)
+
+
 def _reference(fam: RecoveryFamily) -> Certificate:
-    """The certificate recomputed point by point, spans by rank with rref."""
+    """The certificate recomputed point by point, spans by rank with rref.
+    A point is itself in the disjointness count, told apart by type and
+    value, so a bool or a float never counts as the int it equals."""
     q, k = fam.q, fam.k
     fld = field(q)
     counts: Counter = Counter()
     universe_ok = spanning_ok = True
     for s in fam.sets:
         ok = []
-        for p in s:
-            counts[p] += 1
-            if len(p) == k and all(type(c) is int and 0 <= c < q for c in p) and any(p) and next(c for c in p if c) == 1:
+        for v in s:
+            counts[type(v), v] += 1
+            p = _decode(v, q, k)
+            if p is not None and any(p) and next(c for c in p if c) == 1:
                 ok.append(p)
             else:
                 universe_ok = False
@@ -115,7 +143,7 @@ def _random_target(rng, q, k, d) -> Subspace:
 
 def _random_family(rng, q, k, d) -> list[frozenset]:
     """Random disjoint sets of points; some span the target, most do not."""
-    pts = enumerate_points(q, k)
+    pts = [pack(p, q) for p in enumerate_points(q, k)]
     rng.shuffle(pts)
     sets = []
     while len(pts) > d and len(sets) < 40:
@@ -126,38 +154,55 @@ def _random_family(rng, q, k, d) -> list[frozenset]:
 
 
 def _corruptions(rng, fam: RecoveryFamily):
-    """Copies of the family's sets, each broken in one way."""
+    """Copies of the family's sets, each broken in one way.  A point of a
+    family is an int, so a point of k-1 slots is no corruption: it is the
+    vector of F_q^k with a leading zero coordinate."""
     q, k = fam.q, fam.k
+    p, e = prime_power(q)
+    w = 1 if p == 2 else p.bit_length() + 1
+    bits = slot_bits(q)
     sets = [set(s) for s in fam.sets]
     i = rng.randrange(len(sets))
-    p = rng.choice(sorted(sets[i]))
+    v = rng.choice(sorted(sets[i]))
 
     def replaced(bad):
         out = [frozenset(s) for s in sets]
-        out[i] = frozenset(sets[i] - {p} | {bad})
+        out[i] = frozenset(sets[i] - {v} | {bad})
         return out
 
-    j = rng.randrange(k)
-    yield "dropped", [frozenset(s - {p}) if n == i else frozenset(s) for n, s in enumerate(sets)]
+    sh = rng.randrange(k) * bits  # the slot to break
+    slot = v >> sh & (1 << bits) - 1
+
+    def with_slot(x):
+        return v ^ slot << sh | x << sh
+
+    yield "dropped", [frozenset(s - {v}) if n == i else frozenset(s) for n, s in enumerate(sets)]
     if len(sets) > 1:
         other = rng.choice([n for n in range(len(sets)) if n != i])
-        yield "duplicated", [frozenset(s | {p}) if n == other else frozenset(s) for n, s in enumerate(sets)]
-    yield "too large", replaced(p[:j] + (q + rng.randrange(3),) + p[j + 1:])
-    yield "negative", replaced(p[:j] + (-1 - rng.randrange(3),) + p[j + 1:])
-    yield "too short", replaced(p[:-1])
-    yield "too long", replaced(p + (rng.randrange(q),))
-    yield "zero", replaced((0,) * k)
-    yield "float", replaced(p[:j] + (float(p[j]),) + p[j + 1:])
+        yield "duplicated", [frozenset(s | {v}) if n == other else frozenset(s) for n, s in enumerate(sets)]
+    top = pack((q - 1,), q)  # the largest slot value of an element
+    if top + 3 < 1 << bits:
+        yield "too large", replaced(with_slot(top + 1 + rng.randrange(3)))
+    if p > 2 and e > 1:  # a base-p digit of p or more in one sub-slot
+        at = rng.randrange(e) * w
+        yield "digit", replaced(with_slot(slot & ~((1 << w) - 1 << at) | p + rng.randrange(p) << at))
+    if e * w < bits:
+        yield "padding", replaced(with_slot(slot | 1 << rng.randrange(e * w, bits)))
+    yield "negative", replaced(-v)
+    yield "zero", replaced(0)
+    yield "too long", replaced(1 << bits * k | v)  # the vector (1, v) of k+1 slots
+    yield "float", replaced(float(v))
+    yield "bool", replaced(v == 1)  # True takes the place of 1; False equals no point
     if q > 2:
         fld = field(q)
         c = rng.randrange(2, q)
-        yield "scaled", replaced(tuple(fld.mul(c, x) for x in p))
+        yield "scaled", replaced(pack(tuple(fld.mul(c, x) for x in unpack(v, q, k)), q))
 
 
 # the check each corruption must fail; a dropped point may leave the set spanning
-_BREAKS = {"duplicated": "disjoint_ok", "too large": "universe_ok", "negative": "universe_ok",
-           "too short": "universe_ok", "too long": "universe_ok", "zero": "universe_ok",
-           "float": "universe_ok", "scaled": "universe_ok"}
+_BREAKS = {"duplicated": "disjoint_ok", **dict.fromkeys(
+    ["too large", "digit", "padding", "negative", "zero", "too long", "float", "bool", "scaled"],
+    "universe_ok")}
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
