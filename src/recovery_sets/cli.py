@@ -287,8 +287,9 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
 
 def _check_instance(q: int, k: int, d: int) -> None:
     """Refuse bad parameters and instances past the point or field-order
-    ceilings before any tables are built.  The column field F_{q^d} is the
-    largest field a builder or payload needs once the points fit."""
+    ceilings before any tables are built.  F_{q^d} is checked here; every
+    other field a builder needs, such as F_{7^4} at (7,6,2), is F_{q^n}
+    with q^n <= q^(k-d) <= q^(k-1) <= num_points <= DEFAULT_POINT_LIMIT."""
     from .field_core import MAX_FIELD_ORDER, prime_power
     from .geometry import DEFAULT_POINT_LIMIT, num_points
 

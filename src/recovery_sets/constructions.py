@@ -37,7 +37,6 @@ from .geometry import (
     binary_line_partition,
     canonical_point,
     full_spread,
-    hamming_partition,
     lifted_ladder,
     num_points,
 )
@@ -299,16 +298,15 @@ def quintriple_partition(m: int) -> QuintriplePartition:
 # ---------------------------------------------------------------------------
 
 
-# F_2^m for m < 4 holds no quintriple: a spare row (m = 1), a spare line
-# (m = 2), or the zero-sum 4-set and spares of the m = 7 base case (m = 3).
-_SMALL_REMAINDERS = {0: (None, ()), 1: (None, (1,)), 2: (None, (1, 2, 3)),
-                     3: ((1, 2, 4, 7), (3, 5, 6))}
+# F_2^m for m < 4 holds no quintriple: a spare line (m = 2), or the
+# zero-sum 4-set and spares of the m = 7 base case (m = 3).
+_SMALL_REMAINDERS = {2: (None, (1, 2, 3)), 3: ((1, 2, 4, 7), (3, 5, 6))}
 
 
 def _quintriple_rows(k: int) -> Sets:
-    """Binary d = 2: one pair inside the target, one 3-set per other row,
-    and one 5-set per quintriple of row leftovers, with the remainder
-    classes contributing one final set."""
+    """Binary d = 2, k >= 4: one pair inside the target, one 3-set per
+    other row, and one 5-set per quintriple of row leftovers, with the
+    remainder classes contributing one final set."""
     lay = Layout(2, k, 2)
     a = lay.col.alpha_pow
     m = k - 2
@@ -336,7 +334,7 @@ def _quintriple_rows(k: int) -> Sets:
 
 
 def _three_subspace_rows(k: int) -> Sets:
-    """Binary d = 4, k > 4; a pinned thirteen-set family for k = 6.
+    """Binary d = 4, k >= 6; a pinned thirteen-set family for k = 6.
 
     Rows are tiled with three 5-sets each; the one leftover per row is
     positioned so that, over each 3-subspace of rows, the seven leftovers
@@ -352,8 +350,6 @@ def _three_subspace_rows(k: int) -> Sets:
     m = k - 4
 
     inside = [frozenset(lay.pt(0, a(4 * i + j)) for j in range(4)) for i in range(3)]
-    if k == 5:
-        return _stitched(lay, inside, [])
     first_leftovers = [a(12), a(13), a(14)]
 
     # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
@@ -437,22 +433,6 @@ def _line_group_rows(k: int) -> Sets:
 
 
 # ---------------------------------------------------------------------------
-# d = 2^m - 1 over F_2 via the perfect-code ball partition
-# ---------------------------------------------------------------------------
-
-
-def _perfect_code_balls(k: int, d: int) -> Sets:
-    """For d = 2^m - 1, each nonzero row splits into 2^d/(d+1) translated
-    Hamming balls, every ball spanning the target."""
-    lay = Layout(2, k, d)
-    sets = basic_sets_from_Td(lay)
-    balls = [[lay.col_bits[w] for w in ball] for ball in hamming_partition((d + 1).bit_length() - 1)]
-    for x in lay.rows:
-        sets.extend([frozenset(map(lay.row_bits[x].__or__, ball)) for ball in balls])
-    return sets
-
-
-# ---------------------------------------------------------------------------
 # Consecutive powers, and the line-spread leftovers for q > 2
 # ---------------------------------------------------------------------------
 
@@ -466,15 +446,15 @@ def _consecutive_powers(q: int, k: int, d: int) -> Sets:
 
 def _line_leftover_gap(q: int, k: int, d: int) -> str | None:
     """None when the line-spread leftover sets apply (for q > 2);
-    otherwise the note naming what blocks them, empty when rows have no
-    leftovers to stitch."""
-    if q**d % (d + 1) == 0:
+    otherwise the note naming what blocks them, empty when there are no
+    leftovers to stitch: no rows (d = k), or none left on a row."""
+    if k == d or q**d % (d + 1) == 0:
         return ""
     if d < 2:
         return "leftover enhancement needs d >= 2"
     if (q + 1) % (d + 2) != 0:
         return f"leftover enhancement needs d+2 | q+1 (q={q}, d={d})"
-    if k == d or (k - d) % 2 != 0:
+    if (k - d) % 2 != 0:
         return f"leftover enhancement needs even k-d (k-d={k - d})"
     return None
 
@@ -552,17 +532,18 @@ def _tight_size(q: int, k: int, d: int) -> int:
 
 # Ordered: construct() takes the first entry that applies, and the last
 # applies everywhere.  bound() reads its constructive lower bound here.
+# Every entry but the last applies only where its size is greater than
+# the consecutive-power count `_tight_size`, so none relabels that family.
 REGISTRY = (
-    Construction("whole-space", lambda q, k, d: d == k, _tight_size, _consecutive_powers),
     Construction(
         "quintriple-rows",
-        lambda q, k, d: q == 2 and d == 2,
+        lambda q, k, d: q == 2 and d == 2 and k >= 4,
         lambda q, k, d: (3 * 2 ** (k - 1) + 1) // 5,
         lambda q, k, d: _quintriple_rows(k),
     ),
     Construction(
         "three-subspace-rows",
-        lambda q, k, d: q == 2 and d == 4,
+        lambda q, k, d: q == 2 and d == 4 and k >= 6,
         lambda q, k, d: 13 if k == 6 else (11 * 2 ** (k - 3) - 1) // 7,
         lambda q, k, d: _three_subspace_rows(k),
     ),
@@ -571,14 +552,6 @@ REGISTRY = (
         lambda q, k, d: q == 2 and d == 5 and k >= 7,
         lambda q, k, d: 21 * 2 ** (k - 7) + 1,
         lambda q, k, d: _line_group_rows(k),
-    ),
-    # d+1 = 2^m divides 2^d: rows leave no leftovers, so the balls reach
-    # the consecutive-power count.
-    Construction(
-        "perfect-code-balls",
-        lambda q, k, d: q == 2 and d >= 3 and d & (d + 1) == 0,
-        _tight_size,
-        lambda q, k, d: _perfect_code_balls(k, d),
     ),
     Construction(
         "consecutive-powers+line-leftovers",

@@ -219,6 +219,7 @@ def binary_line_partition(n: int) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
+# hamming_partition stays for perfbench/tracer.py until ROADMAP item 1 step B
 def hamming_partition(m: int) -> list[frozenset[int]]:
     """The radius-1 balls around the codewords of the length-(2^m - 1)
     Hamming code, ordered by codeword; together they partition F_2^n.

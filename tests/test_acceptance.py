@@ -89,7 +89,7 @@ def test_criterion_3_perfect_code():
         certified(construct(2, k, d), want)
     elapsed = time.monotonic() - started
     assert elapsed < 120
-    print(f"\nPASS criterion 3: perfect-code families for (d,k) in "
+    print(f"\nPASS criterion 3: families at the perfect-code parameters (d,k) in "
           f"(3,6),(3,9),(7,14) certified at the exact count ({elapsed:.1f}s)")
 
 

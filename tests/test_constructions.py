@@ -4,15 +4,15 @@ from recovery_sets.field_core import Echelon, Subspace, extension, field, pack
 
 from spans import span_contains
 from recovery_sets.constructions import (
+    RecoveryFamily,
     basic_sets_from_Td,
     canonical_target,
     conjugate_family,
     construct,
-    construction_for,
     quintriple_partition,
     _row_layout,
 )
-from recovery_sets.geometry import Layout, num_points
+from recovery_sets.geometry import Layout, hamming_partition, num_points
 from recovery_sets.verifier import verify_family
 
 from quintriple_search import find_quintriple_partition_m7
@@ -203,9 +203,19 @@ class TestPerfect:
         want = (2**d - 1) // d + (2**k - 2**d) // (d + 1)
         assert_valid(fam, want)
 
-    def test_rejects_bad_d(self):
-        methods = {d: construction_for(2, 8, d).method for d in range(1, 8)}
-        assert [d for d, m in methods.items() if m == "perfect-code-balls"] == [3, 7]
+    @pytest.mark.parametrize("k,d,size", [(6, 3, 16), (9, 3, 128), (14, 7, 2050), (16, 15, 4232)])
+    def test_hamming_balls(self, k, d, size):
+        # the paper's construction for d = 2^m - 1: each row splits into the
+        # translates of the Hamming-code balls, each spanning the target;
+        # rows leave nothing over, so consecutive powers reach the same count
+        lay = Layout(2, k, d)
+        sets = basic_sets_from_Td(lay)
+        balls = [[lay.col_bits[w] for w in ball] for ball in hamming_partition(d.bit_length())]
+        for x in lay.rows:
+            sets.extend(frozenset(map(lay.row_bits[x].__or__, ball)) for ball in balls)
+        balls_family = RecoveryFamily(2, k, d, canonical_target(2, k, d), sets, "hamming-balls")
+        assert_valid(balls_family, size)
+        assert len(construct(2, k, d).sets) == size
 
 
 class TestGeneralQ:
@@ -235,10 +245,10 @@ class TestDispatcher:
     def test_whole_space(self):
         fam = construct(2, 7, 7)
         assert_valid(fam, 18)
-        assert fam.method == "whole-space"
+        assert fam.method == "consecutive-powers" and not fam.notes
 
     def test_routes(self):
-        assert construct(2, 6, 3).method == "perfect-code-balls"
+        assert construct(2, 6, 3).method == "consecutive-powers"
         assert construct(2, 6, 2).method == "quintriple-rows"
         assert construct(2, 8, 4).method == "three-subspace-rows"
         assert construct(2, 8, 5).method == "line-group-rows"

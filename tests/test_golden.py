@@ -32,13 +32,13 @@ def _payload_hash(capsys, *argv) -> str:
 # collected under, their position in sorted order; a new cell takes a
 # readable id such as "2-12-2" or "oracle-3-3-2".
 CONSTRUCT = {
-    (2, 4, 4): ("qkd0", "98c0211636a42f7cdc79652577eb9ce74ea5d2fd"),
+    (2, 4, 4): ("qkd0", "a75ab2d9c573e4121c1b55d85c960b3d2c76f901"),
     (2, 6, 4): ("qkd1", "b770c2090c446c16344db41cebdc5fc61459bdf4"),
     (2, 9, 4): ("qkd6", "86b731a5e6e329691400a280927160b1b2a42929"),
     (2, 9, 2): ("qkd4", "e15ed8c4461394c6dd252ebc5aa07b8e47ee0274"),
     (2, 8, 5): ("qkd2", "5a3fab713d8193721a4580bf0002caf9f7f7d463"),
-    (2, 9, 3): ("qkd5", "eb96f32d9637237d686ca86986c6f327567d715b"),
-    (2, 10, 7): ("qkd7", "ab6c9303d369653af30e3db43f5b30140e4edfdb"),
+    (2, 9, 3): ("qkd5", "a18b30d95eb18b09b7958c4133c6851dc31d4c5e"),
+    (2, 10, 7): ("qkd7", "ab55d74119c7aa7ad2a32e731fa14ac314d67d9f"),
     (2, 8, 6): ("qkd3", "3d5d90ca7e72bc4ac7c3da48e94ef76f84decf2a"),
     (3, 4, 2): ("qkd12", "d92ce006235cda4977054043dab3583753780752"),
     (7, 4, 2): ("qkd16", "d23cb7c351126861f967eb0c1353d3c7e36b7c4d"),
@@ -81,7 +81,7 @@ ORACLE = {
 VERIFY = {(3, 4, 2): ("verify-3-4-2", "1626849f0392195932eabd754be6f347b7d5b6b9")}
 
 BOUND_TABLE = "062c13e8b497f54676b793e7fea80529bd620233"
-BOUND_PROVENANCE = "75945b2fab8980b11d3694dca05e22036cd351e0"
+BOUND_PROVENANCE = "afb4e731c42e10dedc70ef525b1a237e8a511b4c"
 
 
 def _cells(table):

@@ -2,6 +2,8 @@
 certifies the family, its size is the entry's closed form, and it reaches
 the lower bound that bound() reports.  Every point is a packed int of
 PG(k-1,q), and the payload writes the points as their coordinate lists.
+Every entry but the consecutive-powers fallback builds more sets than the
+fallback wherever it applies, so no entry only relabels that family.
 
 The gap of ROADMAP item 2 needs a new builder and is marked as a strict
 xfail, so closing it forces the marker to go: d = 1 with odd q, where
@@ -13,7 +15,7 @@ import pytest
 
 from recovery_sets.bounds import bound
 from recovery_sets.cli import family_payload
-from recovery_sets.constructions import construct
+from recovery_sets.constructions import REGISTRY, _tight_size, construct
 from recovery_sets.field_core import pack, unpack
 from recovery_sets.geometry import enumerate_points, num_points
 from recovery_sets.verifier import verify_family
@@ -40,6 +42,8 @@ def test_cell(q, k, d):
     assert cert.valid, cert
     assert cert.family_size == family.formula_size
     assert cert.family_size >= bound(q, k, d).lower
+    if d == k:  # no rows, so no leftovers for a note to explain
+        assert family.notes == []
 
 
 @pytest.mark.parametrize("q,k,d", _cells(marked=False))
@@ -51,3 +55,16 @@ def test_points_and_payload(q, k, d):
     # the payload as it was written from coordinate tuples
     reference = sorted(sorted(list(unpack(v, q, k)) for v in s) for s in family.sets)
     assert family_payload(family)["sets"] == reference
+
+
+def test_entries_beat_consecutive_powers():
+    *entries, fallback = REGISTRY
+    assert fallback.method == "consecutive-powers"
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27):
+        k = 1
+        while num_points(q, k) <= 2**40:
+            for d in range(1, k + 1):
+                for entry in entries:
+                    if entry.applies(q, k, d):
+                        assert entry.size(q, k, d) > _tight_size(q, k, d), (entry.method, q, k, d)
+            k += 1
