@@ -84,9 +84,9 @@ def _chunked_stdout():
 def _emit(doc: dict) -> None:
     """Write `doc` to stdout, byte for byte as `json.dump(doc, indent=2)`,
     then a newline.  The document streams out one recovery set or one
-    line at a time, never as one string: an array of plain ints, such as
-    a recovery set's points or one point, and a flat record, such as a
-    bounds row, are each one cached %-format."""
+    line at a time, never as one string: a family's sets write themselves
+    (`_PackedSets`), and an array of plain ints and a flat record, such as
+    a bounds row, are each one cached %-format."""
     with _chunked_stdout() as write:
         _write_json(doc, "\n", write)
         write("\n")
@@ -132,30 +132,26 @@ def _write_json(o, nl: str, write) -> None:
         if kinds == {int}:
             write(_array_format((len(o),), nl) % tuple(o))
             return
-        if kinds <= {list, tuple} and len(lengths := set(map(len, o))) == 1 and 0 not in lengths:
-            flat = tuple(chain.from_iterable(o))
-            if set(map(type, flat)) == {int}:
-                write(_array_format((len(o), len(o[0])), nl) % flat)
-                return
         sep = "[" + inner
         for item in o:
             write(sep)
             _write_json(item, inner, write)
             sep = "," + inner
         write(nl + "]")
+    elif isinstance(o, _PackedSets):
+        o.write_json(nl, write)
     else:
         write(_encode(o))
 
 
 @lru_cache(maxsize=256)
 def _array_format(shape: tuple, nl: str) -> str:
-    """The %-format that writes an array of `shape` (), (n,) or (n, k), one
-    %s per JSON text, whose opening line is indented as `nl`."""
+    """The %-format that writes a scalar, shape (), or an array of n, shape
+    (n,), one %s per JSON text, whose opening line is indented as `nl`."""
     if not shape:
         return "%s"
     inner = nl + "  "
-    item = _array_format(shape[1:], inner)
-    return "[" + inner + ("," + inner).join([item] * shape[0]) + nl + "]"
+    return "[" + inner + ("," + inner).join(["%s"] * shape[0]) + nl + "]"
 
 
 @lru_cache(maxsize=256)
@@ -186,21 +182,39 @@ def _parse_range(text: str) -> range:
     return range(v, v + 1)
 
 
-def family_payload(family: RecoveryFamily) -> dict:
-    """The family as JSON values.  Packed points sort as their coordinates
-    do, so the sets are sorted on ints; each distinct row half (the first
-    k - d coordinates) and column half of a point is unpacked once."""
-    from .field_core import extension, field, prime_power, slot_bits, unpack
+class _PackedSets:
+    """A family's sets as a document value that `_write_json` has write
+    itself, one set per write, in `family_payload`'s order.  A point's int
+    splits into its row half (the first k - d coordinates) and column half;
+    each distinct half is formatted once, as indented JSON text."""
 
-    q, k, d = family.q, family.k, family.d
-    fld = field(q)
-    p, e = prime_power(q)
-    split = slot_bits(q) * d
-    low = (1 << split) - 1
-    rows, cols = {}, {}  # row half -> its coordinates, column half -> its coordinates
-    sets = [[(rows.get(v >> split) or rows.setdefault(v >> split, list(unpack(v >> split, q, k - d))))
-             + (cols.get(v & low) or cols.setdefault(v & low, list(unpack(v & low, q, d)))) for v in s]
-            for s in sorted(map(sorted, family.sets))]
+    def __init__(self, family: RecoveryFamily):
+        self.family = family
+
+    def write_json(self, nl: str, write) -> None:
+        from .field_core import slot_bits, unpack
+
+        q, k, d, sets = self.family.q, self.family.k, self.family.d, self.family.sets
+        si, pi, ci = nl + "  ", nl + "    ", nl + "      "  # how a set, a point and a coordinate indent
+        split = slot_bits(q) * d
+        low = (1 << split) - 1
+        row = "[" + (ci + "%s,") * (k - d)
+        col = ci + ("," + ci).join(["%s"] * d) + pi + "]"
+        rows = {h: row % unpack(h, q, k - d) for h in {v >> split for s in sets for v in s}}
+        cols = {h: col % unpack(h, q, d) for h in {v & low for s in sets for v in s}}
+        sep = "[" + si
+        for s in sorted(map(sorted, sets)):
+            write(sep + "[" + pi + ("," + pi).join([rows[v >> split] + cols[v & low] for v in s]) + si + "]")
+            sep = "," + si
+        write(nl + "]" if sets else "[]")
+
+
+def _family_document(family: RecoveryFamily, sets) -> dict:
+    """The family's fields as JSON values, with `sets` as its sets."""
+    from .field_core import extension, field, prime_power
+
+    fld = field(family.q)
+    p, e = prime_power(family.q)
     return {
         "q": family.q,
         "k": family.k,
@@ -217,6 +231,17 @@ def family_payload(family: RecoveryFamily) -> dict:
         "notes": list(family.notes),
         "sets": sets,
     }
+
+
+def family_payload(family: RecoveryFamily) -> dict:
+    """The family as JSON values, each point a list of its coordinates, in
+    sorted order (packed points sort as their coordinates do).  No command
+    calls it: it stays for perfbench/gendocs.py and perfbench/tracer.py
+    (ROADMAP item 1 step B) and as the tests' reference form."""
+    from .field_core import unpack
+
+    q, k = family.q, family.k
+    return _family_document(family, [[list(unpack(v, q, k)) for v in s] for s in sorted(map(sorted, family.sets))])
 
 
 def _parse_family(payload: dict) -> tuple:
@@ -323,7 +348,7 @@ def cmd_construct(args) -> int:
     family = construct(args.q, args.k, args.d)
     cert = verify_family(family)
     payload = {
-        "family": family_payload(family),
+        "family": _family_document(family, _PackedSets(family)),
         "certificate": cert.to_payload(),
     }
     doc = _document("construct", {"q": args.q, "k": args.k, "d": args.d}, payload, started)
@@ -446,7 +471,7 @@ def cmd_oracle(args) -> int:
         "value": result.value,
         "status": result.status,
         "nodes": result.nodes,
-        "witness": family_payload(result.witness),
+        "witness": _family_document(result.witness, _PackedSets(result.witness)),
         "witness_certificate": cert.to_payload(),
     }
     # "threads" stays for perfbench/tracer.py until ROADMAP item 1 step B

@@ -13,6 +13,7 @@ from recovery_sets.bounds import bound_table
 from recovery_sets.cli import family_from_payload, family_payload, main
 from recovery_sets.constructions import RecoveryFamily, conjugate_family, construct
 from recovery_sets.field_core import Subspace, field, pack, unpack
+from recovery_sets.oracle import SearchConfig, exact_N
 from recovery_sets.verifier import verify_family
 
 
@@ -533,13 +534,39 @@ class TestWriter:
         ("oracle", "--q", "2", "--k", "4", "--d", "2"),
         ("construct", "--q", "13", "--k", "3", "--d", "2"),
         ("oracle", "--q", "11", "--k", "2", "--d", "1"),
-    ], ids=["construct", "verify", "ilp", "bounds", "oracle", "construct-13-3-2", "oracle-11-2-1"])
+        # the sets' text joins a row half and a column half per point: d = k
+        # leaves the row half empty; two-digit coordinates in both halves;
+        # byte slots holding several digits, two-byte slots and wide slots
+        ("construct", "--q", "2", "--k", "4", "--d", "4"),
+        ("construct", "--q", "3", "--k", "4", "--d", "1"),
+        ("construct", "--q", "11", "--k", "4", "--d", "2"),
+        ("construct", "--q", "16", "--k", "3", "--d", "2"),
+        ("construct", "--q", "27", "--k", "3", "--d", "2"),
+        ("construct", "--q", "257", "--k", "2", "--d", "1"),
+        ("oracle", "--q", "2", "--k", "5", "--d", "2", "--node-limit", "2000"),
+    ], ids=["construct", "verify", "ilp", "bounds", "oracle", "construct-13-3-2", "oracle-11-2-1",
+            "construct-2-4-4", "construct-3-4-1", "construct-11-4-2", "construct-16-3-2",
+            "construct-27-3-2", "construct-257-2-1", "oracle-2-5-2-limited"])
     def test_command_output_is_indented_json(self, capsys, tmp_path, argv):
         family = tmp_path / "fam.json"
         family.write_text(run_cli(capsys, "construct", "--q", "2", "--k", "5", "--d", "2")[1])
         code, out, _ = run_cli(capsys, *(str(family) if a == "FAMILY" else a for a in argv))
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        # the sets written from packed points are the reference form's sets
+        if argv[0] in ("construct", "oracle"):
+            q, k, d = (int(a) for a in argv[2:7:2])
+            if argv[0] == "construct":
+                reference, written = construct(q, k, d), json.loads(out)["payload"]["family"]
+            else:
+                limit = int(argv[8]) if len(argv) > 7 else None
+                reference = exact_N(q, k, d, SearchConfig(node_limit=limit)).witness
+                written = json.loads(out)["payload"]["witness"]
+            assert written["sets"] == family_payload(reference)["sets"]
+
+    def test_packed_sets_of_no_sets(self):
+        family = construct(2, 3, 2)._replace(sets=[])
+        assert _written({"sets": cli._PackedSets(family)}) == json.dumps({"sets": []}, indent=2)
 
     def test_emit_fills_chunks_under_write_through(self, monkeypatch):
         """Under `python -u` or PYTHONUNBUFFERED stdout writes through; _emit
@@ -571,14 +598,20 @@ class TestWriter:
     def test_streams_in_small_writes(self, monkeypatch):
         class Recorder:
             def __init__(self):
-                self.sizes = []
+                self.parts = []
 
             def write(self, text):
-                self.sizes.append(len(text))
+                self.parts.append(text)
 
-        # no write holds a tenth of the document, at q = 2 and at q = 5
+        # one recovery set per write at most, at q = 2 and at q = 5: no write
+        # is longer than the longest set's text in the document, with the
+        # ",\n" and indent that open it
         for q, k in (("2", "12"), ("5", "6")):
             rec = Recorder()
             monkeypatch.setattr("sys.stdout", rec)
             assert main(["construct", "--q", q, "--k", k, "--d", "2"]) == 0
-            assert max(rec.sizes) < sum(rec.sizes) / 10
+            sets = json.loads("".join(rec.parts))["payload"]["family"]["sets"]
+            indent = "\n" + " " * 8
+            longest = max(len(",") + len(indent + json.dumps(s, indent=2).replace("\n", indent)) for s in sets)
+            assert max(map(len, rec.parts)) <= longest
+            assert len(rec.parts) > len(sets)
