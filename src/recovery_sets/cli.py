@@ -5,7 +5,7 @@ Every command emits one JSON document (CSV optionally for tables) with a
 fixed schema: schema_version, command, parameters, payload, timing_ms.
 Payloads are deterministic for fixed parameters; timing stays outside
 the payload.  Exit codes: 0 success, 1 invalid family, 2 bad input
-(including instances past the point or field-order ceilings), 3 internal
+(including instances past the ceiling on points and field orders), 3 internal
 verification failure.
 
 `verify` reads the document straight into packed sets: each point is
@@ -28,7 +28,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from functools import lru_cache
 from itertools import chain
 
 SCHEMA_VERSION = "1"
@@ -59,8 +58,7 @@ def _document(command: str, parameters: dict, payload: dict, started: float) -> 
     }
 
 
-# str, float, bool and None as json.dump renders them (ASCII, NaN allowed)
-_encode = json.JSONEncoder().encode
+# a str as json renders it (ASCII)
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -83,95 +81,33 @@ def _chunked_stdout():
 
 def _emit(doc: dict) -> None:
     """Write `doc` to stdout, byte for byte as `json.dump(doc, indent=2)`,
-    then a newline.  The document streams out one recovery set or one
-    line at a time, never as one string: a family's sets write themselves
-    (`_PackedSets`), and an array of plain ints and a flat record, such as
-    a bounds row, are each one cached %-format."""
+    then a newline.  The two bulk arrays, a family's sets (`_PackedSets`)
+    and a bounds table's rows (`_Rows`), write themselves one element per
+    write; json writes every other value."""
     with _chunked_stdout() as write:
         _write_json(doc, "\n", write)
         write("\n")
 
 
 def _write_json(o, nl: str, write) -> None:
-    """Write `o` whose opening line is indented as `nl` ("\\n" + spaces)."""
-    inner = nl + "  "
-    if isinstance(o, dict):
-        if not o:
-            write("{}")
-            return
-        # a flat record: str keys; values exact ints, strs, None or non-empty
-        # lists of strs, each one %s of its JSON text (an int's is its repr)
-        if set(map(type, o)) == {str}:
-            args, shape = [], []
-            for v in o.values():
-                t = type(v)
-                if t is list and set(map(type, v)) == {str}:
-                    args += map(_encode_str, v)
-                    shape.append((len(v),))
-                elif t is int or t is str or v is None:
-                    args.append(v if t is int else _encode_str(v) if t is str else "null")
-                    shape.append(())
-                else:
-                    break
-            else:
-                write(_record_format(tuple(o), tuple(shape), nl) % tuple(args))
-                return
+    """Write `o` whose opening line is indented as `nl` ("\\n" + spaces).
+    A bulk value writes itself; a non-empty dict with str keys is written
+    key by key, so that a bulk value inside it still streams; json writes
+    anything else.  json escapes every newline inside a string, so each
+    "\\n" in its text starts a line and takes the indent."""
+    if isinstance(o, (_PackedSets, _Rows)):
+        o.write_json(nl, write)
+    elif isinstance(o, dict) and o and all(isinstance(key, str) for key in o):
+        inner = nl + "  "
         sep = "{" + inner
         for key, value in o.items():
-            write(sep + _json_key(key) + ": ")
+            write(sep + _encode_str(key) + ": ")
             _write_json(value, inner, write)
             sep = "," + inner
         write(nl + "}")
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            write("[]")
-            return
-        # type() is int, not isinstance: JSON spells a bool true/false, where
-        # %s writes True; %s of an int is its repr, as json writes it
-        kinds = set(map(type, o))
-        if kinds == {int}:
-            write(_array_format((len(o),), nl) % tuple(o))
-            return
-        sep = "[" + inner
-        for item in o:
-            write(sep)
-            _write_json(item, inner, write)
-            sep = "," + inner
-        write(nl + "]")
-    elif isinstance(o, _PackedSets):
-        o.write_json(nl, write)
     else:
-        write(_encode(o))
-
-
-@lru_cache(maxsize=256)
-def _array_format(shape: tuple, nl: str) -> str:
-    """The %-format that writes a scalar, shape (), or an array of n, shape
-    (n,), one %s per JSON text, whose opening line is indented as `nl`."""
-    if not shape:
-        return "%s"
-    inner = nl + "  "
-    return "[" + inner + ("," + inner).join(["%s"] * shape[0]) + nl + "]"
-
-
-@lru_cache(maxsize=256)
-def _record_format(keys: tuple, shape: tuple, nl: str) -> str:
-    """The %-format that writes a flat record with `keys`, each value an
-    array of its `shape`: one %s for a scalar, n for a list of n strs."""
-    inner = nl + "  "
-    items = [_json_key(key).replace("%", "%%") + ": " + _array_format(s, inner)
-             for key, s in zip(keys, shape)]
-    return "{" + inner + ("," + inner).join(items) + nl + "}"
-
-
-def _json_key(key) -> str:
-    """A dict key as json renders it: a str as a JSON string, an int,
-    float, bool or None as its JSON text in quotes ({1: x} -> "1": x)."""
-    if isinstance(key, str):
-        return _encode(key)
-    if key is None or isinstance(key, (int, float)):
-        return _encode(_encode(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        # a scalar takes json's C encoder, which leaves no cycles while gc is paused
+        write(json.dumps(o, indent=2 if isinstance(o, (dict, list, tuple)) else None).replace("\n", nl))
 
 
 def _parse_range(text: str) -> range:
@@ -207,6 +143,33 @@ class _PackedSets:
             write(sep + "[" + pi + ("," + pi).join([rows[v >> split] + cols[v & low] for v in s]) + si + "]")
             sep = "," + si
         write(nl + "]" if sets else "[]")
+
+
+class _Rows:
+    """A bounds table as a document value that `_write_json` has write
+    itself, one row per write, as `BoundsRecord.to_payload` lays it out: keys
+    in `_fields` order, ints or None, then the provenance tags (never none:
+    `bound` tags its upper bound).  One %-format per count of tags."""
+
+    def __init__(self, records: list):
+        self.records = records
+
+    def write_json(self, nl: str, write) -> None:
+        from .bounds import BoundsRecord
+
+        ri, fi, ti = nl + "  ", nl + "    ", nl + "      "  # how a row, a field and a tag indent
+        *keys, tags = map(_encode_str, BoundsRecord._fields)
+        head = "{" + "".join(fi + key + ": %s," for key in keys) + fi + tags + ": [" + ti
+        formats = {}
+        sep = "[" + ri
+        for r in self.records:
+            n = len(r.provenance)
+            if n not in formats:
+                formats[n] = head + ("," + ti).join(["%s"] * n) + fi + "]" + ri + "}"
+            values = ["null" if v is None else v for v in r[:-1]]
+            write(sep + formats[n] % (*values, *map(_encode_str, r.provenance)))
+            sep = "," + ri
+        write(nl + "]" if self.records else "[]")
 
 
 def _family_document(family: RecoveryFamily, sets) -> dict:
@@ -311,12 +274,12 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
 
 
 def _check_instance(q: int, k: int, d: int) -> None:
-    """Refuse bad parameters and instances past the point or field-order
-    ceilings before any tables are built.  F_{q^d} is checked here; every
-    other field a builder needs, such as F_{7^4} at (7,6,2), is F_{q^n}
-    with q^n <= q^(k-d) <= q^(k-1) <= num_points <= DEFAULT_POINT_LIMIT."""
+    """Refuse bad parameters and instances past the ceiling before any
+    tables are built.  One number, `field_core.MAX_FIELD_ORDER`, bounds the
+    points of PG(k-1,q) and every field a builder builds: F_{q^n} with n < k
+    has q^n <= q^(k-1) <= num_points, so only F_{q^d} at d = k needs a check."""
     from .field_core import MAX_FIELD_ORDER, prime_power
-    from .geometry import DEFAULT_POINT_LIMIT, num_points
+    from .geometry import num_points
 
     try:
         prime_power(q)
@@ -325,8 +288,8 @@ def _check_instance(q: int, k: int, d: int) -> None:
     if not 1 <= d <= k:
         raise CliError("need 1 <= d <= k")
     # min(k, 64): the count only grows with k, and 2^64 is past the ceiling
-    if num_points(q, min(k, 64)) > DEFAULT_POINT_LIMIT:
-        raise CliError(f"PG({k - 1},{q}) has more points than the ceiling {DEFAULT_POINT_LIMIT}")
+    if num_points(q, min(k, 64)) > MAX_FIELD_ORDER:
+        raise CliError(f"PG({k - 1},{q}) has more points than the ceiling {MAX_FIELD_ORDER}")
     if q**d > MAX_FIELD_ORDER:
         raise CliError(f"field order {q}^{d} exceeds the ceiling {MAX_FIELD_ORDER}")
 
@@ -383,7 +346,7 @@ def cmd_bounds(args) -> int:
                 exact = "" if r.exact is None else r.exact
                 write(f"{r.q},{r.k},{r.d},{r.lower},{r.upper},{exact},{';'.join(r.provenance)}\n")
         return EXIT_OK
-    payload = {"rows": [r.to_payload() for r in records]}
+    payload = {"rows": _Rows(records)}
     # "upper_variant" stays for perfbench/tracer.py until ROADMAP item 1 step B
     doc = _document(
         "bounds",

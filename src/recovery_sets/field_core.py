@@ -38,7 +38,9 @@ Vector = tuple[int, ...]
 # Trial division gives up once the candidate divisor passes this ceiling;
 # every instance in scope has q^n - 1 within comfortable 64-bit range.
 DEFAULT_FACTOR_CEILING = 1 << 20
-MAX_FIELD_ORDER = 1 << 24
+# One ceiling for the order of a field and for the points of PG(k-1,q)
+# (geometry.enumerate_points): see cli._check_instance.
+MAX_FIELD_ORDER = 1 << 21
 
 
 def factorize(n: int) -> list[int]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from itertools import product
 
 from .field_core import (
+    MAX_FIELD_ORDER,
     ExtField,
     Field,
     Vector,
@@ -30,8 +31,6 @@ from .field_core import (
 )
 
 Point = tuple[int, ...]
-
-DEFAULT_POINT_LIMIT = 1 << 21
 
 
 def canonical_point(vec: Vector, fld: Field) -> Point:
@@ -54,8 +53,8 @@ def enumerate_points(q: int, k: int) -> list[Point]:
     if k < 1:
         raise ValueError("dimension must be >= 1")
     count = num_points(q, k)
-    if count > DEFAULT_POINT_LIMIT:
-        raise ValueError(f"{count} points exceed the ceiling {DEFAULT_POINT_LIMIT}")
+    if count > MAX_FIELD_ORDER:
+        raise ValueError(f"{count} points exceed the ceiling {MAX_FIELD_ORDER}")
     pts = []
     for pivot in range(k):
         for tail in product(range(q), repeat=k - pivot - 1):

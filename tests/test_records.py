@@ -116,7 +116,9 @@ class TestSearchConfig:
 ], ids=lambda argv: argv[0])
 def test_no_record_reaches_the_writer(monkeypatch, tmp_path, argv):
     """Records are tuples: one left in a document would be written as a
-    JSON array.  Every document holds plain dicts, lists and tuples."""
+    JSON array.  Every document holds plain dicts, lists and tuples, and
+    the bulk values (`cli._PackedSets`, `cli._Rows`) that write their
+    records themselves."""
     family = tmp_path / "family.json"
     family.write_text(json.dumps({"q": 2, "k": 3, "d": 1, "target": [], "sets": [[[0, 0, 1]]]}))
     docs = []
