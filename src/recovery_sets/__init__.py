@@ -20,12 +20,12 @@ _NAMES = {
         "ExtField", "PrimeField", "Subspace", "extension", "field", "find_primitive_poly",
     ),
     "geometry": (
-        "Layout", "binary_line_partition", "canonical_point", "enumerate_points",
-        "full_spread", "hamming_partition", "lifted_partial_spread",
+        "Layout", "binary_line_partition", "canonical_point", "canonical_target",
+        "enumerate_points", "full_spread", "hamming_partition", "lifted_partial_spread",
     ),
     "constructions": (
-        "QuintriplePartition", "RecoveryFamily", "basic_sets_from_Td", "canonical_target",
-        "conjugate_family", "construct", "quintriple_partition",
+        "QuintriplePartition", "RecoveryFamily", "basic_sets_from_Td", "conjugate_family",
+        "construct", "quintriple_partition",
     ),
     "verifier": ("Certificate", "verify_family"),
     "bounds": ("BoundsRecord", "bound", "bound_table"),

@@ -212,9 +212,8 @@ def _parse_family(payload: dict) -> tuple:
     (q, k, d, target subspace, sets, method, warnings).  Each set is a
     set of ints as `field_core.pack` lays them out, each point packed
     once and scaled to its canonical representative."""
-    from .constructions import canonical_target
     from .field_core import Subspace, field, pack, point_bit_lengths
-    from .geometry import canonical_point
+    from .geometry import canonical_point, canonical_target
 
     warnings = []
     try:

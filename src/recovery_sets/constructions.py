@@ -36,6 +36,7 @@ from .geometry import (
     Layout,
     binary_line_partition,
     canonical_point,
+    canonical_target,
     full_spread,
     lifted_ladder,
     num_points,
@@ -61,13 +62,6 @@ class RecoveryFamily(NamedTuple):
     method: str
     formula_size: int | None = None
     notes: Sequence[str] = ()
-
-
-def canonical_target(q: int, k: int, d: int) -> Subspace:
-    rows = tuple(
-        tuple(1 if j == k - d + i else 0 for j in range(k)) for i in range(d)
-    )
-    return Subspace(k, rows)
 
 
 def conjugate_family(family: RecoveryFamily, new_target: Subspace) -> RecoveryFamily:
@@ -282,10 +276,13 @@ def quintriple_partition(m: int) -> QuintriplePartition:
         raise ValueError("need m >= 4")
     if m <= 7:
         return _base_partition(m)
-    maps, left = lifted_ladder(m, 4, 7)
-    quints = [
-        tuple(ff[x] for x in qt) for ff in maps for qt in _base_partition(4).quintriples
-    ]
+    bases, left = lifted_ladder(m, 4, 7)
+    quints = []
+    for basis in bases:
+        span = [0]  # span[c]: the part's vector with coordinates the bits of c
+        for b in basis:
+            span += [v ^ b for v in span]
+        quints += [tuple(span[x] for x in qt) for qt in _base_partition(4).quintriples]
     sub, shift = _base_partition(left), m - left
     quints.extend(tuple(e << shift for e in qt) for qt in sub.quintriples)
     dep4 = tuple(e << shift for e in sub.dependent_four) if sub.dependent_four else None
@@ -353,7 +350,7 @@ def _three_subspace_rows(k: int) -> Sets:
     first_leftovers = [a(12), a(13), a(14)]
 
     # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
-    maps, base = lifted_ladder(m, 3, {0: 3, 1: 4, 2: 5}[m % 3])
+    bases, base = lifted_ladder(m, 3, {0: 3, 1: 4, 2: 5}[m % 3])
     shift = m - base
     u1, u2, u3, u4 = a(0), a(1), a(2), a(3)
 
@@ -361,7 +358,7 @@ def _three_subspace_rows(k: int) -> Sets:
         return [(b1, u1), (b2, add(u1, u2)), (b3, add(u1, u3)), (b1 ^ b2, 0), (b1 ^ b3, 0),
                 (b2 ^ b3, add(add(u2, u3), u4)), (b1 ^ b2 ^ b3, add(u2, u3))]
 
-    stitched = [three_subspace(ff[1], ff[2], ff[4]) for ff in maps]
+    stitched = [three_subspace(*basis) for basis in bases]
     stitched.append(three_subspace(1 << shift, 2 << shift, 4 << shift))
     spare: list[Cell] = []
     if base == 4:
@@ -411,7 +408,7 @@ def _line_group_rows(k: int) -> Sets:
     inside = [frozenset(lay.pt(0, a(1 + 5 * i + j)) for j in range(5)) for i in range(6)]
 
     # in a group of four lines, each of the first three takes one row of the fourth
-    lines = [ff[1:4] for ff in binary_line_partition(m)]
+    lines = [(x, y, x ^ y) for x, y in binary_line_partition(m)]
     n_groups = len(lines) // 4
     stitched: list[list[Cell]] = []
     for g in range(n_groups):
@@ -476,10 +473,11 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
     target = [pack(row, q) for row in canonical_target(q, k, d).basis]
     amb = extension(lay.fld, k - d)
 
-    for part in full_spread(q, k - d, 2):
-        # row encodings are those of F_{q^(k-d)}, so a line's elements are rows
+    for x, y in full_spread(q, k - d, 2):
+        # row encodings are those of F_{q^(k-d)}, so a line's points y and
+        # x + c*y, scaled to canonical, are rows
         line = {amb.from_vector(canonical_point(amb.to_vector(e), lay.fld))
-                for e in part[1:]}
+                for e in [y] + [amb.add(x, amb.mul(c, y)) for c in range(q)]}
         line_rows = sorted(line, key=lay.row_bits.__getitem__)
         for gi in range(0, len(line_rows), d + 2):
             group = line_rows[gi: gi + d + 2]

@@ -226,9 +226,6 @@ class ExtField:
     def alpha_pow(self, i: int) -> int:
         return self.antilog[i % (self.order - 1)]
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def __repr__(self):
         return f"ExtField(order={self.order}, base={self.q}, modulus={self.modulus})"
 

@@ -10,9 +10,10 @@ row 0 carries the points inside the target space.
 Spreads and partial spreads of F_q^n come in two flavours used by the
 recovery-set constructions: the multiplicative coset spread (t | n) and
 the lifted matrix-code partial spread ([I_t | M_a] for a ranging over
-F_{q^{n-t}}).  Each part is returned as its F_q-linear bijection with the
-field F_{q^t} (a from_field tuple, see `_part_from_span`), so that
-structures found once in the field can be transported into every part.
+F_{q^{n-t}}).  Each part is returned as a tuple of its t basis vectors,
+encoded like field elements; basis vector i is the image of x^i under an
+F_q-linear bijection from F_{q^t}, so that structures found once in the
+field can be transported into every part through the span.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from itertools import product
 
 from .field_core import (
     MAX_FIELD_ORDER,
-    ExtField,
     Field,
+    Subspace,
     Vector,
     extension,
     field,
@@ -73,6 +74,15 @@ def _packed_table(q: int, n: int, shift: int) -> list[int]:
     return table
 
 
+def canonical_target(q: int, k: int, d: int) -> Subspace:
+    """The target every builder works against, row 0 of the Layout: the
+    span of the last d unit vectors of F_q^k."""
+    rows = tuple(
+        tuple(1 if j == k - d + i else 0 for j in range(k)) for i in range(d)
+    )
+    return Subspace(k, rows)
+
+
 class Layout:
     """The array every stored point sits in, for parameters (q, k, d).
 
@@ -121,45 +131,18 @@ class Layout:
 # ---------------------------------------------------------------------------
 
 
-def _part_from_span(amb: ExtField, images: list[int]) -> tuple[int, ...]:
-    """One t-subspace of a partition as its field identification, built
-    from the images of the polynomial basis of F_{q^t}.
-
-    Entry c is the ambient element (integer encoding over F_q)
-    corresponding to the element of F_{q^t} encoded by c; the map is
-    F_q-linear and bijective, so additive structure transports through it.
-    Its nonzero entries are the nonzero vectors of the part.
-    """
-    part_f = extension(amb.base, len(images))
-    from_field = []
-    for c in part_f.elements():
-        digits = part_f.to_vector(c)
-        acc = 0
-        for ci, img in zip(digits, images):
-            if ci:
-                acc = amb.add(acc, amb.mul(ci, img))
-        from_field.append(acc)
-    return tuple(from_field)
-
-
 def full_spread(q: int, n: int, t: int) -> list[tuple[int, ...]]:
     """Partition of the nonzero vectors of F_q^n into (q^n-1)/(q^t-1)
     pairwise disjoint t-subspaces, via multiplicative cosets of the
-    subfield F_{q^t}; part i is alpha^i times the subfield, and its field
-    identification divides by alpha^i.  Returns each part's from_field."""
+    subfield F_{q^t}: part i is alpha^i times the subfield, with basis
+    vector j the image alpha^i * alpha^(j*r) of x^j."""
     if t < 1 or n % t != 0:
         raise ValueError(f"{t} does not divide {n}")
-    fld = field(q)
-    amb = extension(fld, n)
+    amb = extension(field(q), n)
     r = (q**n - 1) // (q**t - 1)
     # F_q-basis of the subfield copy: alpha^(j*r) for j < t
     sub_basis = [amb.alpha_pow(j * r) for j in range(t)]
-    parts = []
-    for i in range(r):
-        shift = amb.alpha_pow(i)
-        images = [amb.mul(shift, b) for b in sub_basis]
-        parts.append(_part_from_span(amb, images))
-    return parts
+    return [tuple(amb.mul(amb.alpha_pow(i), b) for b in sub_basis) for i in range(r)]
 
 
 def lifted_partial_spread(q: int, n: int, t: int) -> list[tuple[int, ...]]:
@@ -168,21 +151,13 @@ def lifted_partial_spread(q: int, n: int, t: int) -> list[tuple[int, ...]]:
     of F_{q^{n-t}}; distinct a give matrices whose difference has full
     rank, so the lifted subspaces meet only in zero.  They leave out the
     (n-t)-subspace of vectors whose t leading coordinates vanish.
-    Returns each part's from_field, one per a in order."""
+    Returns each part's basis, the rows of [I_t | M_a], one per a in order."""
     if t < 1 or t > n - t:
         raise ValueError(f"lifting needs t <= n - t, got t={t}, n={n}")
-    fld = field(q)
-    amb = extension(fld, n)
-    ext = extension(fld, n - t)
+    ext = extension(field(q), n - t)
     qt = q**t
-    parts = []
-    for a in ext.elements():
-        images = []
-        for i in range(t):
-            high = ext.mul(a, ext.alpha_pow(i)) if a else 0
-            images.append(q**i + high * qt)
-        parts.append(_part_from_span(amb, images))
-    return parts
+    return [tuple(q**i + ext.mul(a, ext.alpha_pow(i)) * qt for i in range(t))
+            for a in range(ext.order)]
 
 
 def lifted_ladder(n: int, t: int, stop: int) -> tuple[list[tuple[int, ...]], int]:
@@ -190,21 +165,20 @@ def lifted_ladder(n: int, t: int, stop: int) -> tuple[list[tuple[int, ...]], int
     at most `stop` dimensions are left.  Each level is placed on the
     coordinates the levels below it leave out, so the parts of all levels
     are pairwise disjoint; what remains is the subspace on the top
-    coordinates.  Returns every part's from_field map, shifted into F_2^n,
-    and the dimension left."""
-    maps: list[tuple[int, ...]] = []
+    coordinates.  Returns every part's basis, shifted into F_2^n, and the
+    dimension left."""
+    bases: list[tuple[int, ...]] = []
     shift = 0
     while n - shift > stop:
-        for ff in lifted_partial_spread(2, n - shift, t):
-            maps.append(tuple(e << shift for e in ff))
+        bases += [tuple(e << shift for e in b) for b in lifted_partial_spread(2, n - shift, t)]
         shift += t
-    return maps, n - shift
+    return bases, n - shift
 
 
 def binary_line_partition(n: int) -> list[tuple[int, ...]]:
-    """The from_field maps of 2-subspaces (lines) partitioning F_2^n minus
-    zero, except for one residual 3-subspace on the top coordinates when
-    n is odd.  Even n uses the full coset spread; odd n >= 5 peels lifted
+    """The bases of 2-subspaces (lines) partitioning F_2^n minus zero,
+    except for one residual 3-subspace on the top coordinates when n is
+    odd.  Even n uses the full coset spread; odd n >= 5 peels lifted
     partial spreads until the 3-subspace base remains."""
     if n < 2:
         raise ValueError("need n >= 2")

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .field_core import Echelon, _slots, pack, point_bit_lengths, slot_bits
 from .geometry import num_points
-from .constructions import RecoveryFamily
+
 
 class Certificate(NamedTuple):
     q: int

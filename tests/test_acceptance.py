@@ -26,6 +26,7 @@ from recovery_sets.oracle import exact_N
 from recovery_sets.verifier import verify_family
 
 from quintriple_search import find_quintriple_partition_m7
+from spans import vector_span
 
 # families the acceptance criteria exercise, shared by criterion 9
 GRID = (
@@ -155,31 +156,27 @@ def test_criterion_7_general_q():
 def test_criterion_8_structural():
     started = time.monotonic()
 
-    def check_partial_spread(parts, q, t, universe_size, covered_all):
+    def check_partial_spread(parts, q, n, t):
+        # each part is a basis of t vectors, spanning q^t of F_q^n
         cover = set()
-        for ff in parts:
-            els = set(ff) - {0}
-            assert len(els) == q**t - 1
+        for basis in parts:
+            assert len(basis) == t
+            els = vector_span(basis, q, n)
+            assert len(els) == q**t
+            els.discard(0)
             assert not (cover & els)
             cover |= els
-        if covered_all:
-            assert len(cover) == universe_size
         return cover
 
     # coset spreads and lifted partial spreads used by the constructions
     for q, n, t in ((2, 2, 2), (2, 4, 2), (2, 6, 2), (7, 2, 2), (2, 8, 4)):
-        check_partial_spread(full_spread(q, n, t), q, t, q**n - 1, covered_all=True)
+        assert len(check_partial_spread(full_spread(q, n, t), q, n, t)) == q**n - 1
     for q, n, t in [(2, m, 4) for m in range(8, 13)] + [(2, m, 3) for m in (6, 7, 8, 9)] \
             + [(2, m, 2) for m in (4, 5, 6, 7)]:
-        cover = check_partial_spread(lifted_partial_spread(q, n, t), q, t, q**n - 1,
-                                     covered_all=False)
+        cover = check_partial_spread(lifted_partial_spread(q, n, t), q, n, t)
         assert len(cover) == (q**n - 1) - (q ** (n - t) - 1)
     for m in range(2, 8):
-        cover = set()
-        for ff in binary_line_partition(m):
-            els = set(ff) - {0}
-            assert not (cover & els)
-            cover |= els
+        cover = check_partial_spread(binary_line_partition(m), 2, m, 2)
         expected = 2**m - 1 if m % 2 == 0 else 2**m - 8
         assert len(cover) == expected
     for m in (2, 3):
@@ -196,7 +193,7 @@ def test_criterion_8_structural():
             for d in range(1, k + 1):
                 lay = Layout(q, k, d)
                 pts = [lay.pt(0, lay.col.alpha_pow(e)) for e in range(num_points(q, d))]
-                pts += [lay.pt(x, y) for x in lay.rows for y in lay.col.elements()]
+                pts += [lay.pt(x, y) for x in lay.rows for y in range(lay.col.order)]
                 assert len(pts) == num_points(q, k), (q, k, d)
                 assert set(pts) == {pack(p, q) for p in enumerate_points(q, k)}, (q, k, d)
     elapsed = time.monotonic() - started

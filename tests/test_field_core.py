@@ -111,13 +111,13 @@ class TestExtField:
 
     def test_additive_identity(self):
         f = extension(3, 2)
-        for a in f.elements():
+        for a in range(f.order):
             assert f.add(a, 0) == a
 
     @pytest.mark.parametrize("q,n", [(2, 3), (3, 2), (4, 2), (5, 2)])
     def test_field_axioms_sampled(self, q, n):
         f = extension(q, n)
-        els = list(f.elements())
+        els = list(range(f.order))
         for a in els:
             if a:
                 assert f.mul(a, f.inv(a)) == 1
@@ -134,7 +134,7 @@ class TestExtField:
 
     def test_vector_roundtrip(self):
         f = extension(3, 3)
-        for a in f.elements():
+        for a in range(f.order):
             assert f.from_vector(f.to_vector(a)) == a
 
     def test_nested_field(self):

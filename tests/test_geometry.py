@@ -1,7 +1,7 @@
 import pytest
 from itertools import product
 
-from recovery_sets.field_core import extension, field, pack, slot_bits
+from recovery_sets.field_core import field, pack, slot_bits
 from recovery_sets.geometry import (
     Layout,
     binary_line_partition,
@@ -13,6 +13,8 @@ from recovery_sets.geometry import (
     num_points,
 )
 
+from spans import vector_span
+
 
 def brute_points(q, k):
     """Canonical representatives by raw enumeration of all nonzero vectors."""
@@ -20,13 +22,17 @@ def brute_points(q, k):
     return {canonical_point(v, fld) for v in product(range(q), repeat=k) if any(v)}
 
 
-def spread_cover(parts):
-    """(cover set, True-if-disjoint) over the from_field maps of a partial
-    spread; a part's nonzero vectors are its nonzero entries."""
+def spread_cover(parts, q, n, t):
+    """(cover set, True-if-disjoint) over the nonzero vectors the bases of
+    a partial spread of F_q^n span; each part holds t vectors and spans
+    q^t vectors."""
     cover = set()
     disjoint = True
-    for ff in parts:
-        els = set(ff) - {0}
+    for basis in parts:
+        assert len(basis) == t
+        els = vector_span(basis, q, n)
+        assert len(els) == q**t
+        els.discard(0)
         if cover & els:
             disjoint = False
         cover |= els
@@ -72,7 +78,7 @@ def layout_points(lay):
     and every column, as packed ints."""
     r = num_points(lay.q, lay.d)
     pts = [lay.pt(0, lay.col.alpha_pow(e)) for e in range(r)]
-    pts += [lay.pt(x, y) for x in lay.rows for y in lay.col.elements()]
+    pts += [lay.pt(x, y) for x in lay.rows for y in range(lay.col.order)]
     return pts
 
 
@@ -132,18 +138,18 @@ class TestSpreads:
     def test_coset_spread_17_parts(self):
         s = full_spread(2, 8, 4)
         assert len(s) == 17
-        cover, disjoint = spread_cover(s)
+        cover, disjoint = spread_cover(s, 2, 8, 4)
         assert disjoint and cover == set(range(1, 256))
 
     def test_whole_space(self):
         s = full_spread(2, 4, 4)
         assert len(s) == 1
-        assert set(s[0]) - {0} == set(range(1, 16))
+        assert vector_span(s[0], 2, 4) == set(range(16))
 
     def test_21_lines(self):
         s = full_spread(2, 6, 2)
         assert len(s) == 21
-        cover, disjoint = spread_cover(s)
+        cover, disjoint = spread_cover(s, 2, 6, 2)
         assert disjoint and cover == set(range(1, 64))
 
     def test_divisibility_required(self):
@@ -152,19 +158,17 @@ class TestSpreads:
 
     @pytest.mark.parametrize("q,n,t", [(2, 8, 4), (3, 4, 2), (2, 6, 2)])
     def test_part_isomorphisms_linear(self, q, n, t):
+        # each basis of t vectors maps F_{q^t} onto q^t distinct vectors, and
+        # the (q^n-1)/(q^t-1) images partition the nonzero vectors
         s = full_spread(q, n, t)
-        f = extension(q, t)
-        amb = extension(q, n)
-        for ff in s[:4]:
-            assert ff[0] == 0 and len(set(ff)) == q**t
-            for a in range(q**t):
-                for b in range(q**t):
-                    assert ff[f.add(a, b)] == amb.add(ff[a], ff[b])
+        assert len(s) == (q**n - 1) // (q**t - 1)
+        cover, disjoint = spread_cover(s, q, n, t)
+        assert disjoint and cover == set(range(1, q**n))
 
     def test_lifted_2_8_4(self):
         s = lifted_partial_spread(2, 8, 4)
         assert len(s) == 16
-        cover, disjoint = spread_cover(s)
+        cover, disjoint = spread_cover(s, 2, 8, 4)
         residual_els = {e for e in range(1, 256) if e % 16 == 0}
         assert disjoint and cover == set(range(1, 256)) - residual_els
         # together with the residual as a 17th part this matches the coset count
@@ -173,26 +177,27 @@ class TestSpreads:
     def test_lifted_2_7_3(self):
         s = lifted_partial_spread(2, 7, 3)
         assert len(s) == 16
-        cover, disjoint = spread_cover(s)
+        cover, disjoint = spread_cover(s, 2, 7, 3)
         # what is left over is the 4-subspace with the 3 low bits zero
         assert disjoint and cover == {e for e in range(1, 128) if e % 8}
 
     def test_lifted_zero_codeword(self):
+        # a = 0 lifts [I_2 | 0]: the unit vectors, spanning the 2 low coordinates
         s = lifted_partial_spread(3, 4, 2)
-        assert set(s[0]) - {0} == {e for e in range(1, 9)}
+        assert s[0] == (1, 3)
+        assert vector_span(s[0], 3, 4) == set(range(9))
 
     def test_lifted_requires_room(self):
         with pytest.raises(ValueError):
             lifted_partial_spread(2, 7, 4)
 
     def test_lifted_isomorphisms(self):
+        # the 64 bases each span 8 vectors; the leftover is the vectors
+        # with the 3 low bits zero
         s = lifted_partial_spread(2, 9, 3)
-        f = extension(2, 3)
-        amb = extension(2, 9)
-        for ff in s[:5]:
-            for a in range(8):
-                for b in range(8):
-                    assert ff[f.add(a, b)] == amb.add(ff[a], ff[b])
+        assert len(s) == 64
+        cover, disjoint = spread_cover(s, 2, 9, 3)
+        assert disjoint and cover == {e for e in range(1, 512) if e % 8}
 
 
 class TestLinePartition:
@@ -201,7 +206,7 @@ class TestLinePartition:
     def test_counts_and_cover(self, n, lines, residual):
         lp = binary_line_partition(n)
         assert len(lp) == lines
-        cover, disjoint = spread_cover(lp)
+        cover, disjoint = spread_cover(lp, 2, n, 2)
         assert disjoint
         if residual is None:
             assert n % 2 == 0

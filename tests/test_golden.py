@@ -57,6 +57,12 @@ CONSTRUCT = {
     (19, 5, 3): ("19-5-3", "e150b452195354dbf250d508a921ecc68eeaa771"),
     # with (2, 9, 4): the three 9-sets of a terminal F_2^5 block at a second k
     (2, 12, 4): ("2-12-4", "be96b684520ae347b379b569ac78b0cc2e78b3b7"),
+    # d = 5 with even m = 4: the lines of the coset spread full_spread(2, 4, 2)
+    (2, 9, 5): ("2-9-5", "fd2fe65a01aae65f51d8288a07ab760536660260"),
+    # line leftovers over the 50 lines of full_spread(7, 4, 2)
+    (7, 6, 2): ("7-6-2", "23322c248062577b1c3faa3992a26ecadf16dbf3"),
+    # two levels of the 4-subspace ladder under the quintriples: (2,12,4), (2,8,4)
+    (2, 14, 2): ("2-14-2", "07c9725319d94fbab62f58277db9ca2bf03f69c7"),
 }
 
 # (q, k, d) or (q, k, d, node limit) -> (test id, sha1).  The payload

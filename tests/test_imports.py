@@ -65,7 +65,7 @@ CORE = ["cli", "constructions", "field_core", "geometry", "verifier"]
     (["bounds", "--q", "2", "--k", "4", "--d", "2"],
      ["bounds", "cli", "constructions", "field_core", "geometry"]),
     (["construct", "--q", "2", "--k", "4", "--d", "2"], CORE),
-    (["verify", "{family}"], CORE),
+    (["verify", "{family}"], ["cli", "field_core", "geometry", "verifier"]),
     (["oracle", "--q", "2", "--k", "3", "--d", "2"], sorted(CORE + ["oracle"])),
 ], ids=["ilp", "bounds", "construct", "verify", "oracle"])
 def test_command_loads_only_what_it_runs(tmp_path, argv, submodules):
