@@ -5,8 +5,9 @@ disjoint recovery sets.
 builds for (q, k, d), `upper` the least of the upper bounds implemented
 here, and `exact` is set exactly where the two meet.  The one exception
 is d = 1, where the dimension-one theorem says the row-structure bound
-is met, so `lower` is lifted to it.  Each record carries provenance tags
-naming where each value comes from.
+is met, so `lower` is lifted to it; construct() reaches it except at odd
+q with k >= 3, where it does only if q = 2 (mod 3) and k is odd (ROADMAP
+item 2).  Each record carries provenance tags naming each value's source.
 """
 
 from __future__ import annotations

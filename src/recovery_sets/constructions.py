@@ -442,13 +442,11 @@ def _consecutive_powers(q: int, k: int, d: int) -> Sets:
 
 
 def _line_leftover_gap(q: int, k: int, d: int) -> str | None:
-    """None when the line-spread leftover sets apply (for q > 2);
+    """None when the line-spread leftover sets apply (never at q = 2);
     otherwise the note naming what blocks them, empty when there are no
     leftovers to stitch: no rows (d = k), or none left on a row."""
     if k == d or q**d % (d + 1) == 0:
         return ""
-    if d < 2:
-        return "leftover enhancement needs d >= 2"
     if (q + 1) % (d + 2) != 0:
         return f"leftover enhancement needs d+2 | q+1 (q={q}, d={d})"
     if (k - d) % 2 != 0:
@@ -464,7 +462,10 @@ def _consecutive_powers_notes(q: int, k: int, d: int) -> list[str]:
 def _line_leftovers(q: int, k: int, d: int) -> Sets:
     """Baseline sets for q > 2, plus sets stitched from row leftovers along
     a line spread of the rows: each line's q+1 rows split into groups of
-    d+2, and each group yields q^d mod (d+1) layered sets."""
+    d+2, and each group yields q^d mod (d+1) layered sets.  At d = 1 a
+    group is three collinear rows, c1*x1 + c2*x2 + c3*x3 = 0 with each c
+    nonzero, so {(x1 | alpha^0), (x2 | 0), (x3 | 0)} spans (0 | c1), the
+    target; each row leaves one column, a run `_row_layout` accepts."""
     lay = Layout(q, k, d)
     colf = lay.col
     a = colf.alpha_pow
@@ -553,7 +554,7 @@ REGISTRY = (
     ),
     Construction(
         "consecutive-powers+line-leftovers",
-        lambda q, k, d: q > 2 and _line_leftover_gap(q, k, d) is None,
+        lambda q, k, d: _line_leftover_gap(q, k, d) is None,
         lambda q, k, d: _tight_size(q, k, d) + num_points(q, k - d) * (q**d % (d + 1)) // (d + 2),
         _line_leftovers,
     ),

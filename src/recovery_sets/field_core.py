@@ -133,8 +133,6 @@ class ExtField:
         self.q = base.order
         self.char = base.char
         self.order = base.order**n
-        if self.order > MAX_FIELD_ORDER:
-            raise ValueError(f"field order {self.order} exceeds supported ceiling")
         self.modulus = find_primitive_poly(base, n)
         self._build_tables()
 

@@ -57,10 +57,9 @@ def enumerate_points(q: int, k: int) -> list[Point]:
     if count > MAX_FIELD_ORDER:
         raise ValueError(f"{count} points exceed the ceiling {MAX_FIELD_ORDER}")
     pts = []
-    for pivot in range(k):
+    for pivot in reversed(range(k)):  # more leading zeros sort first
         for tail in product(range(q), repeat=k - pivot - 1):
             pts.append((0,) * pivot + (1,) + tail)
-    pts.sort()
     assert len(pts) == count
     return pts
 

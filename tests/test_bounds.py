@@ -180,10 +180,16 @@ class TestExactArguments:
 
     def test_lower_is_the_construction(self):
         for r in _rows():
+            entry = construction_for(r.q, r.k, r.d)
+            size = entry.size(r.q, r.k, r.d)
+            lower_tags = [t for t in r.provenance if t.startswith("lower:")]
             if r.d != 1:
-                entry = construction_for(r.q, r.k, r.d)
-                assert r.lower == entry.size(r.q, r.k, r.d), r
-                assert "lower:" + entry.method in r.provenance, r
+                assert r.lower == size, r
+            # at d = 1 `lower` is lifted; it names a builder only where one reaches it
+            if r.lower == size:
+                assert lower_tags == ["lower:" + entry.method], r
+            else:
+                assert lower_tags == [], r
 
     def test_every_tag_names_one_argument(self):
         for r in _rows():
@@ -217,10 +223,10 @@ ORACLE_VALUES = {
 }
 
 # the table does not reach the proved value with a construction: (3,3,1)
-# and (5,3,1) lift `lower` to the dimension-one value, above what
-# construct() builds (ROADMAP item 2); (3,4,3) is proved 11 while the
-# table has [10, 11] (item 5)
-_CONSTRUCTION_SHORT = {(3, 3, 1), (5, 3, 1), (3, 4, 3)}
+# lifts `lower` to the dimension-one value, above what construct() builds
+# (ROADMAP item 2); (3,4,3) is proved 11 while the table has [10, 11]
+# (item 5)
+_CONSTRUCTION_SHORT = {(3, 3, 1), (3, 4, 3)}
 
 
 class TestAgainstOracle:

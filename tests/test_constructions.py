@@ -219,7 +219,12 @@ class TestPerfect:
 
 
 class TestGeneralQ:
-    @pytest.mark.parametrize("q,k,d,size", [(3, 4, 2, 14), (5, 5, 4, 164), (7, 4, 2, 134)])
+    @pytest.mark.parametrize("q,k,d,size", [
+        (3, 4, 2, 14), (5, 5, 4, 164), (7, 4, 2, 134),
+        # d = 1: line-spread leftovers in groups of three rows reach N_q(k,1)
+        (5, 3, 1, 15), (5, 5, 1, 365), (11, 3, 1, 65), (17, 3, 1, 151),
+        (125, 3, 1, 7855),  # column slots wider than a byte
+    ])
     def test_exact_regimes(self, q, k, d, size):
         fam = construct(q, k, d)
         assert_valid(fam, size)

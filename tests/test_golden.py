@@ -46,7 +46,6 @@ CONSTRUCT = {
     (5, 6, 2): ("qkd15", "c848190b30b324238176d87f2f1809483196365f"),
     (9, 4, 3): ("qkd17", "eeb61a7b9cea414d61b52db7babb3428fefb61f2"),
     (4, 5, 2): ("qkd13", "74277d5f5f3af7e49f37c99647563159342f3e6c"),
-    (3, 3, 1): ("qkd11", "e33b077c53c78357879c3d655186643f16bdcfef"),
     (13, 3, 2): ("qkd18", "694127bceaa888fcd6614ee8f07a7a4d8de71935"),
     # lifted partial spread ladders: (2,10,4); (2,7,3); (2,7,2) then (2,5,2)
     (2, 12, 2): ("qkd9", "ee9ce54f43f6991a2d595b8ff4fb3e4f0c2f9ade"),
@@ -63,6 +62,9 @@ CONSTRUCT = {
     (7, 6, 2): ("7-6-2", "23322c248062577b1c3faa3992a26ecadf16dbf3"),
     # two levels of the 4-subspace ladder under the quintriples: (2,12,4), (2,8,4)
     (2, 14, 2): ("2-14-2", "07c9725319d94fbab62f58277db9ca2bf03f69c7"),
+    # consecutive powers at d = 1, its note naming d+2 | q+1 as what blocks
+    # the line-spread leftovers
+    (3, 3, 1): ("3-3-1", "6bbf56ac96e6538c9e0dbb809b8247f1234959b5"),
 }
 
 # (q, k, d) or (q, k, d, node limit) -> (test id, sha1).  The payload
@@ -73,7 +75,7 @@ CONSTRUCT = {
 ORACLE = {
     (2, 4, 2): ("qkd0", "d6546ac5c6e58468b0d56da52e9276be3b63c69b"),
     (3, 3, 2): ("qkd1", "f2ddece2d63ccbeed188021ba0aa487e682bdb7a"),
-    (5, 3, 1): ("oracle-5-3-1", "77a2177e7c7c0cf2910401222b1e74d3a995ae57"),
+    (5, 3, 1): ("oracle-5-3-1", "f83e9d8b817fe1657fe6a011caf1946680832017"),
     (4, 3, 2): ("oracle-4-3-2", "b23245357a33ecc7c927c170c2bb8be4214f4847"),
     (7, 3, 2): ("oracle-7-3-2", "60780e3edfb77e9aadb1fa0bb5d93b6b6f9218a3"),
     # stops at the node limit with the 9-set construct() family as its
@@ -87,7 +89,7 @@ ORACLE = {
 VERIFY = {(3, 4, 2): ("verify-3-4-2", "1626849f0392195932eabd754be6f347b7d5b6b9")}
 
 BOUND_TABLE = "062c13e8b497f54676b793e7fea80529bd620233"
-BOUND_PROVENANCE = "afb4e731c42e10dedc70ef525b1a237e8a511b4c"
+BOUND_PROVENANCE = "4b0ede99bcae24fdcada406148f8edaa24cb3f8d"
 
 
 def _cells(table):

@@ -61,11 +61,14 @@ class TestExactValues:
         assert (result.value, result.status, result.nodes) == (5, "exact", 1)
 
     def test_witness_names_its_builder(self):
-        # the seed returned untouched keeps its builder's method; a family
-        # the packer found past the root is its own
+        # the seed returned untouched keeps its builder's method, also after
+        # a search that finds nothing larger; a family the packer found past
+        # the root is its own
         assert exact_N(2, 4, 2).witness.method == "quintriple-rows"
-        result = exact_N(5, 3, 1)
+        result = exact_N(3, 3, 1)
         assert result.nodes > 1 and result.witness.method == "oracle-packing"
+        result = exact_N(5, 3, 1)
+        assert result.nodes > 1 and result.witness.method == "consecutive-powers+line-leftovers"
 
     def test_budget_returns_lower_bound(self):
         # the seeded construct() family is kept unless the search beats it

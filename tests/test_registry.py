@@ -6,9 +6,11 @@ Every entry but the consecutive-powers fallback builds more sets than the
 fallback wherever it applies, so no entry only relabels that family.
 
 The gap of ROADMAP item 2 needs a new builder and is marked as a strict
-xfail, so closing it forces the marker to go: d = 1 with odd q, where
-bound() lifts `lower` to the dimension-one exact value, above the
-consecutive-power family (e.g. N_3(3,1) = 6 against 5 built).
+xfail, so closing it forces the marker to go: d = 1 with odd q and k >= 3,
+where bound() lifts `lower` to the dimension-one exact value, above the
+consecutive-power family (e.g. N_3(3,1) = 6 against 5 built).  The
+line-spread leftovers already reach that value where q = 2 (mod 3) and k
+is odd, so those cells carry no marker.
 """
 
 import pytest
@@ -29,7 +31,7 @@ def _cells(marked: bool = True):
         while num_points(q, k) <= MAX_POINTS:
             for d in range(1, k + 1):
                 marks = []
-                if marked and d == 1 and q % 2 and k >= 3:
+                if marked and d == 1 and q % 2 and k >= 3 and not (q % 3 == 2 and k % 2):
                     marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 2: d=1, odd q")]
                 yield pytest.param(q, k, d, marks=marks, id=f"{q}-{k}-{d}")
             k += 1
