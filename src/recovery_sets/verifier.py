@@ -19,6 +19,16 @@ call, which must leave no residue of any basis row of the target.  The
 universe and disjointness checks are this module's own; the span kernel
 is the one the builders and the oracle use, tested against `rref` in
 `tests/test_verifier.py`.
+
+Against the canonical target U, the span of the low d slots, a set whose
+points (x | y_i) all share one nonzero high part x is reduced once per
+distinct set of column parts {y_i} in a call.  This is sound: as x is
+not 0, sum c_i (x | y_i) lies in U iff sum c_i = 0, and then it equals
+(0 | sum c_i y_i).  So U lies in the span iff the differences y_i - y_1
+span F_q^d, which depends on the column parts alone.  The test reads x
+off the points (min and max share it, and `v >> low` is monotone), so no
+builder bookkeeping is trusted here either.  Every other set, and every
+set against another target, takes its own reduction.
 """
 
 from __future__ import annotations
@@ -63,6 +73,10 @@ def verify_packed(q: int, k: int, d: int, target: list[int], sets: Iterable[Coll
     `field_core.pack` with no int twice in one set, against the packed
     basis rows `target`.  `sets` is read once, so it may be a generator."""
     lengths = point_bit_lengths(q, k)
+    bits = slot_bits(q)
+    low = bits * d
+    # span verdicts of one-row sets by column set, against the canonical target only
+    memo = {} if sorted(target) == [1 << bits * i for i in range(d)] else None
     universe_ok = True
     spanning_ok = True
     seen: set[int] = set()
@@ -72,6 +86,14 @@ def verify_packed(q: int, k: int, d: int, target: list[int], sets: Iterable[Coll
         sizes[len(vs)] += 1
         occurrences += len(vs)
         seen.update(vs)
+        # a one-row set: every point has the high part x, so one bit length
+        if (memo is not None and vs and 0 < (x := min(vs) >> low) == max(vs) >> low
+                and x.bit_length() + low in lengths):
+            key = frozenset(map((x << low).__xor__, vs))
+            if (spans := memo.get(key)) is None:
+                spans = memo[key] = not Echelon(q).reduce(vs, target)
+            spanning_ok = spanning_ok and spans
+            continue
         if not lengths.issuperset(map(int.bit_length, vs)):
             universe_ok = False
             # malformed points cannot participate in the span computation

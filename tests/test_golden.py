@@ -4,11 +4,12 @@ Each hash is sha1 over a compact JSON rendering of what the CLI reports.
 They pin "same behaviour" across refactors: a change that alters a payload
 byte, a lower/upper/exact number or a provenance tag fails here.  The
 bound table has two hashes, numbers and provenance, so a failure says
-which of the two changed.
+which of the two changed, and two counts per q that say it in numbers.
 """
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -90,6 +91,11 @@ VERIFY = {(3, 4, 2): ("verify-3-4-2", "1626849f0392195932eabd754be6f347b7d5b6b9"
 
 BOUND_TABLE = "062c13e8b497f54676b793e7fea80529bd620233"
 BOUND_PROVENANCE = "4b0ede99bcae24fdcada406148f8edaa24cb3f8d"
+# The same tables as readable progress: the exact rows per q (2,656 of
+# 14,560), and the rows per q whose lower a stitching entry builds rather
+# than consecutive-powers.  A change that raises lowers moves these.
+EXACT_ROWS = {2: 511, 3: 377, 4: 401, 5: 301, 7: 300, 8: 390, 9: 376}
+STITCHED_ROWS = {2: 178, 5: 31, 7: 31, 9: 30}
 
 
 def _cells(table):
@@ -135,3 +141,11 @@ def test_bound_table_numbers():
 def test_bound_table_provenance():
     rows = [[r.q, r.k, r.d, list(r.provenance)] for r in _bound_rows()]
     assert _digest(rows) == BOUND_PROVENANCE
+
+
+def test_bound_table_progress():
+    rows = _bound_rows()
+    assert dict(Counter(r.q for r in rows if r.exact is not None)) == EXACT_ROWS
+    stitched = [r.q for r in rows if any(tag.startswith("lower:") and tag != "lower:consecutive-powers"
+                                         for tag in r.provenance)]
+    assert dict(Counter(stitched)) == STITCHED_ROWS

@@ -1,11 +1,13 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
-from recovery_sets.field_core import Subspace, field, pack, prime_power, rref, slot_bits, unpack
+from recovery_sets.field_core import Echelon, Subspace, field, pack, prime_power, rref, slot_bits, unpack
 from recovery_sets.constructions import RecoveryFamily, canonical_target, conjugate_family, construct
 from recovery_sets.geometry import enumerate_points, num_points
+from recovery_sets import verifier
 from recovery_sets.verifier import Certificate, verify_family
 
 from spans import span_contains
@@ -201,30 +203,80 @@ def _corruptions(rng, fam: RecoveryFamily):
 
 # the check each corruption must fail; a dropped point may leave the set spanning
 _BREAKS = {"duplicated": "disjoint_ok", **dict.fromkeys(
-    ["too large", "digit", "padding", "negative", "zero", "too long", "float", "bool", "scaled"],
+    ["too large", "digit", "padding", "negative", "zero", "too long", "float", "bool", "scaled", "scaled row"],
     "universe_ok")}
+
+
+def _one_row_family(rng, q, k, d) -> list[frozenset]:
+    """Disjoint sets, each on one row (x | *) against the canonical target,
+    on a few random rows.  Every row takes one of three random partitions
+    of the same sample of columns into parts of 1..d+2 points, so column
+    sets repeat across rows; a part of d points or fewer never spans, and
+    most parts of d+1 or more do."""
+    low = slot_bits(q) * d
+    cols = [pack(y, q) for y in product(range(q), repeat=d)]
+    sample = rng.sample(cols, min(len(cols), 24))
+    partitions = []
+    for _ in range(3):
+        ys = rng.sample(sample, len(sample))
+        parts = []
+        while ys:
+            size = rng.randint(1, d + 2)
+            parts.append(ys[:size])
+            del ys[:size]
+        partitions.append(parts)
+    rows = [pack(x, q) for x in enumerate_points(q, k - d)]
+    return [frozenset(x << low | y for y in part)
+            for x in rng.sample(rows, min(len(rows), 6)) for part in rng.choice(partitions)]
+
+
+def _scaled_row(q, k, d, sets, c) -> list[frozenset]:
+    """The sets with every point of the first one-row set times c != 1:
+    no point of it has 1 in its leading slot."""
+    fld = field(q)
+    low = slot_bits(q) * d
+    i = next(i for i, s in enumerate(sets) if min(s) >> low and len({v >> low for v in s}) == 1)
+    out = list(sets)
+    out[i] = frozenset(pack(tuple(fld.mul(c, x) for x in unpack(v, q, k)), q) for v in sets[i])
+    return out
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_matches_echelon_reference(q):
     """The span kernel gives the rref certificate, field for field, on
-    moved construct() families, random families and corrupted copies."""
+    construct() families moved to random targets and left on the
+    canonical one, where one-row sets share span verdicts by column set;
+    on random families, random one-row families (some sets spanning, some
+    not), corrupted copies, and a copy with one one-row set scaled."""
     rng = random.Random(q)
+    verdicts = set()
     for k in range(1, 6):
         for d in range(1, k + 1):
-            target = _random_target(rng, q, k, d)
-            moved = conjugate_family(construct(q, k, d), target)
-            # corrupt a few sets only: the reference is slow at (9,5,d)
-            part = RecoveryFamily(q, k, d, target, moved.sets[:40], moved.method)
-            variants = [("moved", moved.sets), ("random", _random_family(rng, q, k, d))]
-            variants += list(_corruptions(rng, part))
-            for name, sets in variants:
-                fam = RecoveryFamily(q, k, d, target, sets, moved.method)
-                cert = verify_family(fam)
-                assert cert == _reference(fam), (q, k, d, name)
+            fam = construct(q, k, d)
+            moved = conjugate_family(fam, _random_target(rng, q, k, d))
+            variants = [(moved.target, "moved", moved.sets), (fam.target, "unmoved", fam.sets),
+                        (moved.target, "random", _random_family(rng, q, k, d))]
+            for base in (moved, fam):
+                # corrupt a few sets only: the reference is slow at (9,5,d)
+                part = RecoveryFamily(q, k, d, base.target, base.sets[:40], base.method)
+                variants += [(base.target, name, sets) for name, sets in _corruptions(rng, part)]
+            if k > d:
+                rows = _one_row_family(rng, q, k, d)
+                variants.append((fam.target, "one-row", rows))
+                verdicts.update(verify_family(RecoveryFamily(q, k, d, fam.target, [s], "")).spanning_ok
+                                for s in rows)
+                if q > 2:
+                    variants.append((fam.target, "scaled row", _scaled_row(q, k, d, fam.sets, rng.randrange(2, q))))
+            for target, name, sets in variants:
+                sub = RecoveryFamily(q, k, d, target, sets, fam.method)
+                cert = verify_family(sub)
+                assert cert == _reference(sub), (q, k, d, name)
                 if name in _BREAKS:
                     assert not getattr(cert, _BREAKS[name]), (q, k, d, name)
-            assert verify_family(moved).valid
+                # a set with no well-formed point spans nothing
+                assert name != "scaled row" or not cert.spanning_ok, (q, k, d)
+            assert verify_family(moved).valid and verify_family(fam).valid
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("qkd", [(257, 2, 1), (257, 2, 2), (512, 2, 1), (27, 3, 2), (121, 2, 1), (131, 2, 2),
@@ -242,3 +294,81 @@ def test_large_field_matches_echelon_reference(qkd):
         fam = RecoveryFamily(q, k, d, moved.target, sets, moved.method)
         assert verify_family(fam) == _reference(fam), name
     assert verify_family(moved).valid
+
+
+def _one_row_sets(q, k, d, sets) -> RecoveryFamily:
+    """A family on the canonical target from sets of (row, column) pairs."""
+    low = slot_bits(q) * d
+    packed = [frozenset(pack(x, q) << low | pack(y, q) for x, y in s) for s in sets]
+    return RecoveryFamily(q, k, d, canonical_target(q, k, d), packed, "memo")
+
+
+class TestSpanMemo:
+    """The per-call memo of `verify_packed`: against the canonical target a
+    set whose points share one nonzero row part x is reduced once per
+    distinct set of column parts."""
+
+    @staticmethod
+    def _certify(monkeypatch, fam):
+        """The certificate, checked against the reference, and the number
+        of `Echelon.reduce` calls it took."""
+        calls = []
+
+        class Counting(Echelon):
+            def reduce(self, *args):
+                calls.append(args)
+                return super().reduce(*args)
+
+        monkeypatch.setattr(verifier, "Echelon", Counting)
+        cert = verify_family(fam)
+        assert cert == _reference(fam)
+        return cert, len(calls)
+
+    def test_bad_set_on_a_row_of_good_sets(self, monkeypatch):
+        """A set of d+1 points on a row whose other sets span, its columns
+        on one line through 0, fails the family."""
+        good = [[((1, 1), (0, 1)), ((1, 1), (1, 0)), ((1, 1), (1, 2))],
+                [((1, 1), (0, 2)), ((1, 1), (2, 0)), ((1, 1), (2, 1))]]
+        assert self._certify(monkeypatch, _one_row_sets(3, 4, 2, good))[0].valid
+        bad = good + [[((1, 1), (0, 0)), ((1, 1), (1, 1)), ((1, 1), (2, 2))]]
+        cert, calls = self._certify(monkeypatch, _one_row_sets(3, 4, 2, bad))
+        assert not cert.spanning_ok and cert.universe_ok and cert.disjoint_ok and calls == 3
+
+    def test_two_rows_take_the_plain_path(self, monkeypatch):
+        """(0,1 | 0) and (1,1 | 1) have the column parts of the spanning
+        one-row set on row (1,0), yet their span meets the target in 0."""
+        one_row = [((1, 0), (0,)), ((1, 0), (1,))]
+        two_rows = [((0, 1), (0,)), ((1, 1), (1,))]
+        assert self._certify(monkeypatch, _one_row_sets(3, 3, 1, [one_row]))[0].valid
+        for sets in ([one_row, two_rows], [two_rows, one_row]):
+            cert, calls = self._certify(monkeypatch, _one_row_sets(3, 3, 1, sets))
+            assert not cert.spanning_ok and cert.universe_ok and calls == 2
+
+    def test_rows_with_one_column_set_share_a_verdict(self, monkeypatch):
+        """Four rows with the columns {00, 10, 01} take one reduction; a
+        row with other columns takes its own."""
+        cols = [(0, 0), (1, 0), (0, 1)]
+        rows = [(1, 0), (0, 1), (1, 2), (1, 1)]
+        cert, calls = self._certify(monkeypatch, _one_row_sets(3, 4, 2, [[(x, y) for y in cols] for x in rows]))
+        assert cert.valid and calls == 1
+        sets = [[(x, y) for y in cols] for x in rows[1:]] + [[((1, 0), y) for y in [(1, 1), (2, 1), (1, 2)]]]
+        cert, calls = self._certify(monkeypatch, _one_row_sets(3, 4, 2, sets))
+        assert cert.valid and calls == 2
+
+    def test_a_smaller_column_set_is_another_entry(self, monkeypatch):
+        """{00, 10} is a subset of the spanning {00, 10, 01} but not its key."""
+        big = [((1, 0), (0, 0)), ((1, 0), (1, 0)), ((1, 0), (0, 1))]
+        small = [((0, 1), (0, 0)), ((0, 1), (1, 0))]
+        for sets in ([big, small], [small, big]):
+            cert, calls = self._certify(monkeypatch, _one_row_sets(3, 4, 2, sets))
+            assert not cert.spanning_ok and cert.universe_ok and calls == 2
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_non_unit_basis_of_the_canonical_target(self, monkeypatch, q):
+        """The canonical target spanned by combined rows takes the plain
+        path, one reduction per set, and gets the same certificate."""
+        fam = construct(q, 4, 2)
+        canonical, memo_calls = self._certify(monkeypatch, fam)
+        cert, calls = self._certify(monkeypatch, fam._replace(target=Subspace(4, ((0, 0, 1, 1), (0, 0, 0, 1)))))
+        assert cert == canonical and cert.valid
+        assert calls == len(fam.sets) > memo_calls
