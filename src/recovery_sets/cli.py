@@ -12,6 +12,10 @@ verification failure.
 packed once (`field_core.pack`), checked and scaled to its canonical
 representative on the int, and the packed sets go to
 `verifier.verify_packed`; no tuple form of the family is built.
+`construct` and `oracle` write a family's sets straight from the packed
+points, one set per write: in a one-digit field (2 < q <= 10) from the
+points' bytes into fixed-width point text, otherwise from each distinct
+row and column half formatted once (`_PackedSets`).
 
 The module imports only the standard library; each command imports the
 submodules it runs when it starts, so a fresh process compiles no more of
@@ -28,7 +32,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from itertools import chain
+from itertools import accumulate, chain, repeat
 
 SCHEMA_VERSION = "1"
 
@@ -120,28 +124,52 @@ def _parse_range(text: str) -> range:
 
 class _PackedSets:
     """A family's sets as a document value that `_write_json` has write
-    itself, one set per write, in `family_payload`'s order.  A point's int
-    splits into its row half (the first k - d coordinates) and column half;
-    each distinct half is formatted once, as indented JSON text."""
+    itself, one set per write, in `family_payload`'s order.
+
+    Where 2 < q <= 10 every coordinate is one digit and one byte of the
+    packed int, so every point's text has one width: 256 sets at a time,
+    the points' bytes are read as digits and filled into a run of copies
+    of one point's text, one coordinate at a time, and each set is a slice
+    of the run.  Otherwise a point's int splits into its row half (the
+    first k - d coordinates) and column half, and each distinct half is
+    formatted once."""
 
     def __init__(self, family: RecoveryFamily):
         self.family = family
 
     def write_json(self, nl: str, write) -> None:
-        from .field_core import slot_bits, unpack
+        from .field_core import _slots, slot_bits, unpack
 
         q, k, d, sets = self.family.q, self.family.k, self.family.d, self.family.sets
         si, pi, ci = nl + "  ", nl + "    ", nl + "      "  # how a set, a point and a coordinate indent
-        split = slot_bits(q) * d
-        low = (1 << split) - 1
-        row = "[" + (ci + "%s,") * (k - d)
-        col = ci + ("," + ci).join(["%s"] * d) + pi + "]"
-        rows = {h: row % unpack(h, q, k - d) for h in {v >> split for s in sets for v in s}}
-        cols = {h: col % unpack(h, q, d) for h in {v & low for s in sets for v in s}}
         sep = "[" + si
-        for s in sorted(map(sorted, sets)):
-            write(sep + "[" + pi + ("," + pi).join([rows[v >> split] + cols[v & low] for v in s]) + si + "]")
-            sep = "," + si
+        if 2 < q <= 10:
+            block = (pi + "[" + ci + ("," + ci).join("0" * k) + pi + "],").encode()  # a point's text
+            width, start, step = len(block), len(pi) + 1 + len(ci), len(ci) + 2  # digit j at start + j * step
+            table = bytes.maketrans(bytes(map(_slots(q).spread, range(q))), b"0123456789"[:q])
+            ordered = sorted(map(sorted, sets))
+            for i in range(0, len(ordered), 256):
+                run = ordered[i:i + 256]
+                points = list(chain.from_iterable(run))
+                digits = b"".join(map(int.to_bytes, points, repeat(k), repeat("big"))).translate(table)
+                buf = bytearray(block * len(points))
+                for j in range(k):
+                    buf[start + j * step::width] = digits[j::k]
+                text = buf.decode()
+                a = 0
+                for b in accumulate(map(len, run)):
+                    write(sep + "[" + text[a * width:b * width - 1] + si + "]")
+                    sep, a = "," + si, b
+        else:
+            split = slot_bits(q) * d
+            low = (1 << split) - 1
+            row = "[" + (ci + "%s,") * (k - d)
+            col = ci + ("," + ci).join(["%s"] * d) + pi + "]"
+            rows = {h: row % unpack(h, q, k - d) for h in {v >> split for s in sets for v in s}}
+            cols = {h: col % unpack(h, q, d) for h in {v & low for s in sets for v in s}}
+            for s in sorted(map(sorted, sets)):
+                write(sep + "[" + pi + ("," + pi).join([rows[v >> split] + cols[v & low] for v in s]) + si + "]")
+                sep = "," + si
         write(nl + "]" if sets else "[]")
 
 

@@ -113,7 +113,12 @@ class Layout:
         if q == 2:
             self.rows: range | list[int] = range(1, 1 << m)
         else:
-            self.rows = [sum(c * q**i for i, c in enumerate(p)) for p in enumerate_points(q, m)] if m else []
+            # tails[n]: the encodings of F_q^n in lexicographic order of the
+            # coordinates; a row is 1 at digit p, then a tail above it
+            tails = [[0]]
+            for _ in range(m - 1):
+                tails.append([c + q * t for c in range(q) for t in tails[-1]])
+            self.rows = [q**p + q ** (p + 1) * t for p in reversed(range(m)) for t in tails[m - p - 1]]
 
     def pt(self, row: int, col: int) -> int:
         """The packed point at (row, col); `row` is 0 or one of `rows`."""

@@ -543,9 +543,19 @@ class TestWriter:
         ("construct", "--q", "27", "--k", "3", "--d", "2"),
         ("construct", "--q", "257", "--k", "2", "--d", "1"),
         ("oracle", "--q", "2", "--k", "5", "--d", "2", "--node-limit", "2000"),
+        # one-digit fields fill fixed-width point blocks from the points'
+        # bytes: extension fields whose slot is the element; line leftovers,
+        # sets of 2, 3 and 4 points interleaved in sorted order; d = k; and
+        # a witness, one indent deeper
+        ("construct", "--q", "4", "--k", "5", "--d", "2"),
+        ("construct", "--q", "8", "--k", "4", "--d", "2"),
+        ("construct", "--q", "7", "--k", "4", "--d", "2"),
+        ("construct", "--q", "5", "--k", "2", "--d", "2"),
+        ("oracle", "--q", "4", "--k", "3", "--d", "2"),
     ], ids=["construct", "verify", "ilp", "bounds", "oracle", "construct-13-3-2", "oracle-11-2-1",
             "construct-2-4-4", "construct-3-4-1", "construct-11-4-2", "construct-16-3-2",
-            "construct-27-3-2", "construct-257-2-1", "oracle-2-5-2-limited"])
+            "construct-27-3-2", "construct-257-2-1", "oracle-2-5-2-limited",
+            "construct-4-5-2", "construct-8-4-2", "construct-7-4-2", "construct-5-2-2", "oracle-4-3-2"])
     def test_command_output_is_indented_json(self, capsys, tmp_path, argv):
         family = tmp_path / "fam.json"
         family.write_text(run_cli(capsys, "construct", "--q", "2", "--k", "5", "--d", "2")[1])
@@ -564,8 +574,19 @@ class TestWriter:
             assert written["sets"] == family_payload(reference)["sets"]
 
     def test_packed_sets_of_no_sets(self):
-        family = construct(2, 3, 2)._replace(sets=[])
-        assert _written({"sets": cli._PackedSets(family)}) == json.dumps({"sets": []}, indent=2)
+        for q in (2, 5):
+            family = construct(q, 3, 2)._replace(sets=[])
+            assert _written({"sets": cli._PackedSets(family)}) == json.dumps({"sets": []}, indent=2)
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
+    def test_packed_sets_across_runs(self, n):
+        # one-digit fields are written 256 sets at a time: a family cut at,
+        # next to and past those boundaries
+        family = construct(5, 6, 2)
+        assert len(family.sets) == 1251
+        family = family._replace(sets=family.sets[:n])
+        reference = json.dumps({"sets": family_payload(family)["sets"]}, indent=2)
+        assert _written({"sets": cli._PackedSets(family)}) == reference
 
     def test_rows_of_no_rows(self):
         assert _written({"rows": cli._Rows([])}) == json.dumps({"rows": []}, indent=2)
@@ -606,10 +627,11 @@ class TestWriter:
             def write(self, text):
                 self.parts.append(text)
 
-        # one recovery set per write at most, at q = 2 and at q = 5: no write
-        # is longer than the longest set's text in the document, with the
-        # ",\n" and indent that open it
-        for q, k in (("2", "12"), ("5", "6")):
+        # one recovery set per write at most, at q = 2, at q = 5 and at q = 9,
+        # where a slot is not the element: no write is longer than the
+        # longest set's text in the document, with the ",\n" and indent that
+        # open it
+        for q, k in (("2", "12"), ("5", "6"), ("9", "4")):
             rec = Recorder()
             monkeypatch.setattr("sys.stdout", rec)
             assert main(["construct", "--q", q, "--k", k, "--d", "2"]) == 0

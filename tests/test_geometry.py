@@ -112,6 +112,15 @@ class TestLayout:
         assert lay.row_bits[lay.rows[-1]] == pack((1, 2, 2), 3) << 2 * slot_bits(3)
         assert lay.rows[-1] == 1 + 2 * 3 + 2 * 9
 
+    @pytest.mark.parametrize("q", [3, 4, 5, 7, 9, 11])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5])
+    def test_rows_encode_enumerate_points(self, q, m):
+        # the rows are the canonical points of PG(m-1,q), encoded first
+        # coordinate lowest, in the order of enumerate_points
+        k, d = m + 1, 1
+        expected = [sum(c * q**i for i, c in enumerate(p)) for p in enumerate_points(q, k - d)] if m else []
+        assert Layout(q, k, d).rows == expected
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
     def test_bijection_grid(self, q):
         # every point appears exactly once over the target and the rows
