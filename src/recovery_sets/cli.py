@@ -1,8 +1,9 @@
 """Command-line surface: construct families, verify them, print bound
 tables, run the packing bound ILP, run the exact oracle.
 
-Every command emits one JSON document (CSV optionally for tables) with a
-fixed schema: schema_version, command, parameters, payload, timing_ms.
+Every command emits one JSON document with a fixed schema:
+schema_version, command, parameters, payload, timing_ms; `bounds --format
+csv` writes CSV instead and `ilp --emit-model` a plain-text listing.
 Payloads are deterministic for fixed parameters; timing stays outside
 the payload.  Exit codes: 0 success, 1 invalid family, 2 bad input
 (including instances past the ceiling on points and field orders), 3 internal
@@ -449,10 +450,7 @@ def cmd_oracle(args) -> int:
     try:
         if limit is not None and not limit.is_integer():
             raise ValueError(f"node_limit must be a positive integer, not {limit}")
-        cfg = SearchConfig(
-            node_limit=None if limit is None else int(limit),
-            time_limit=args.time_limit,
-        )
+        cfg = SearchConfig(node_limit=None if limit is None else int(limit))
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     result = exact_N(args.q, args.k, args.d, cfg)
@@ -472,9 +470,7 @@ def cmd_oracle(args) -> int:
         started,
     )
     _emit(doc)
-    if not cert.valid:
-        return EXIT_INTERNAL
-    return EXIT_OK
+    return EXIT_OK if cert.valid else EXIT_INTERNAL
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -511,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--node-limit", type=float, default=None)
-    p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_oracle)
     return parser
 

@@ -139,14 +139,12 @@ def full_spread(q: int, n: int, t: int) -> list[tuple[int, ...]]:
     """Partition of the nonzero vectors of F_q^n into (q^n-1)/(q^t-1)
     pairwise disjoint t-subspaces, via multiplicative cosets of the
     subfield F_{q^t}: part i is alpha^i times the subfield, with basis
-    vector j the image alpha^i * alpha^(j*r) of x^j."""
+    vector j the image alpha^i * alpha^(j*r) = alpha^(i + j*r) of x^j."""
     if t < 1 or n % t != 0:
         raise ValueError(f"{t} does not divide {n}")
     amb = extension(field(q), n)
     r = (q**n - 1) // (q**t - 1)
-    # F_q-basis of the subfield copy: alpha^(j*r) for j < t
-    sub_basis = [amb.alpha_pow(j * r) for j in range(t)]
-    return [tuple(amb.mul(amb.alpha_pow(i), b) for b in sub_basis) for i in range(r)]
+    return [tuple(amb.alpha_pow(i + j * r) for j in range(t)) for i in range(r)]
 
 
 def lifted_partial_spread(q: int, n: int, t: int) -> list[tuple[int, ...]]:

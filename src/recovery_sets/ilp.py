@@ -135,14 +135,7 @@ def solve_ilp(model: IlpModel) -> tuple[int, dict[str, int]]:
         suffix_vertices.append(_dual_vertices(cols))
 
     def lp_bound(j: int, caps: tuple[int, ...]) -> Fraction:
-        if j >= nvars:
-            return Fraction(0)
-        best = None
-        for z in suffix_vertices[j]:
-            val = sum(Fraction(c) * v for c, v in zip(caps, z))
-            if best is None or val < best:
-                best = val
-        return best if best is not None else Fraction(0)
+        return min(sum(Fraction(c) * v for c, v in zip(caps, z)) for z in suffix_vertices[j])
 
     best_value = -1
     best_assignment: dict[str, int] = {}

@@ -28,14 +28,12 @@ families as int bitmasks over point ids; its `nodes` count packing nodes
 plus enumeration steps, each point's enumeration once.  Points are
 packed once, and spans are `field_core.Echelon`s grown by copy-and-insert.
 
-Results that exhaust the node or time budget are reported as lower
-bounds, never as exact values.
+Results that exhaust the node budget are reported as lower bounds,
+never as exact values.
 """
 
 from __future__ import annotations
 
-import math
-import time
 from typing import NamedTuple
 
 from .field_core import Echelon, pack, slot_bits
@@ -45,21 +43,20 @@ from .verifier import verify_family
 
 
 class SearchConfig:
-    """The oracle's node and time budgets; None leaves one unbounded."""
+    """The oracle's node budget; None leaves it unbounded."""
 
-    __slots__ = ("node_limit", "time_limit")
+    __slots__ = ("node_limit",)
 
-    # max_set_size stays for perfbench/tracer.py until ROADMAP item 1 step B
+    # max_set_size and time_limit stay for perfbench/tracer.py until ROADMAP item 1 step B
     def __init__(self, max_set_size: None = None, node_limit: int | None = None,
-                 time_limit: float | None = None):
+                 time_limit: None = None):
         if max_set_size is not None:
             raise ValueError(f"max_set_size must be None, not {max_set_size!r}")
         if node_limit is not None and (type(node_limit) is not int or node_limit < 1):
             raise ValueError(f"node_limit must be a positive integer, not {node_limit!r}")
-        if time_limit is not None and not 0 < time_limit < math.inf:
-            raise ValueError(f"time_limit must be a positive finite number, not {time_limit!r}")
+        if time_limit is not None:
+            raise ValueError(f"time_limit must be None, not {time_limit!r}")
         self.node_limit = node_limit
-        self.time_limit = time_limit
 
 
 class OracleResult(NamedTuple):
@@ -189,7 +186,6 @@ def _search(q: int, d: int, vecs: list, target_rows: list, cfg: SearchConfig,
     target_span = Echelon(q, target_rows)
     inside = sum(1 << i for i, v in enumerate(vecs) if not target_span.reduce((), (v,)))
     sets_from: dict[int, list[int]] = {}
-    start_time = time.monotonic()
     nodes = 0
     best = incumbent
 
@@ -198,9 +194,6 @@ def _search(q: int, d: int, vecs: list, target_rows: list, cfg: SearchConfig,
         nodes += 1
         if cfg.node_limit is not None and nodes > cfg.node_limit:
             raise _Budget
-        if cfg.time_limit is not None and nodes % 256 == 0:
-            if time.monotonic() - start_time > cfg.time_limit:
-                raise _Budget
 
     def dfs(free: int, family: list[int]):
         nonlocal best

@@ -91,6 +91,15 @@ class TestBounds:
         code, _, err = run_cli(capsys, "bounds", "--q", "2", "--k", "9..7", "--d", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--q", "6", "--k", "2", "--d", "1"), "6 is not a prime power"),
+        (("--q", "2", "--k", "1..x", "--d", "1"), "invalid literal for int()"),
+    ], ids=["q-6", "k-1..x"])
+    def test_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "bounds", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
 
 class TestVerifyRoundTrip:
     def test_roundtrip(self, capsys, tmp_path):
@@ -185,13 +194,17 @@ class TestVerifyRoundTrip:
         '{"q":9,"k":2,"d":1,"target":[],"sets":[[[1,9]]]}',
         '{"q":9,"k":2,"d":1,"target":[],"sets":[[[1,8],[1,8]]]}',
         '{"q":9,"k":2,"d":1,"target":[],"sets":[[[1,3],[2,6]]]}',
+        # target rows spanning a line, not a plane; sets that are not lists
+        '{"q":3,"k":3,"d":2,"target":[[0,1,0],[0,2,0]],"sets":[]}',
+        '{"q":2,"k":2,"d":1,"target":[],"sets":[1,2]}',
     ], ids=["huge-k", "overflowing-q", "not-an-object", "float-coordinate", "bool-coordinate",
             "string-coordinate", "float-q", "string-k", "target-3-at-q-2", "negative-target",
             "float-target", "string-point", "target-9-at-q-4", "repeated-point",
             "repeated-representative", "not-utf-8", "nested-too-deep",
             *(f"{case}-at-q-{q}" for q in (3, 9)
               for case in ("float-coordinate", "bool-coordinate", "string-coordinate", "coordinate-q",
-                           "repeated-point", "repeated-representative"))])
+                           "repeated-point", "repeated-representative")),
+            "target-dimension", "sets-not-lists"])
     def test_refused_up_front(self, capsys, tmp_path, text):
         path = tmp_path / "doc.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -348,23 +361,50 @@ class TestOracle:
         ("--node-limit", "0"),
         ("--node-limit", "-3"),
         ("--node-limit", "2.5"),
-        ("--time-limit", "-1"),
-        ("--time-limit", "0"),
-        ("--time-limit", "nan"),
-        ("--time-limit", "inf"),
     ])
     def test_bad_limit_refused(self, capsys, limit):
         code, out, err = run_cli(capsys, "oracle", "--q", "2", "--k", "4", "--d", "2", *limit)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert limit[0][2:].replace("-", "_") in err
+        assert "node_limit" in err
+
+
+class TestFailedCertificate:
+    """A family the verifier refuses still gets its document, with
+    `"valid": false`, and the command exits 3."""
+
+    @staticmethod
+    def _drop_a_point(family):
+        first, *rest = family.sets
+        return family._replace(sets=[first - {min(first)}, *rest])
+
+    def test_construct(self, capsys, monkeypatch):
+        from recovery_sets import constructions
+
+        monkeypatch.setattr(constructions, "construct", lambda q, k, d: self._drop_a_point(construct(q, k, d)))
+        code, doc, _ = run_json(capsys, "construct", "--q", "2", "--k", "4", "--d", "2")
+        assert code == 3
+        assert doc["payload"]["certificate"]["valid"] is False
+
+    def test_oracle(self, capsys, monkeypatch):
+        from recovery_sets import oracle
+
+        def broken(q, k, d, cfg):
+            result = exact_N(q, k, d, cfg)
+            return result._replace(witness=self._drop_a_point(result.witness))
+
+        monkeypatch.setattr(oracle, "exact_N", broken)
+        code, doc, _ = run_json(capsys, "oracle", "--q", "2", "--k", "4", "--d", "2")
+        assert code == 3
+        assert doc["payload"]["witness_certificate"]["valid"] is False
 
 
 class TestRemovedOptions:
     @pytest.mark.parametrize("argv", [
         ("bounds", "--q", "2", "--k", "4", "--d", "2", "--upper-variant", "printed"),
         ("oracle", "--q", "2", "--k", "4", "--d", "2", "--max-set-size", "1"),
-    ], ids=["upper-variant", "max-set-size"])
+        ("oracle", "--q", "2", "--k", "4", "--d", "2", "--time-limit", "1"),
+    ], ids=["upper-variant", "max-set-size", "time-limit"])
     def test_refused_by_the_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))

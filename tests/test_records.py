@@ -85,21 +85,20 @@ class TestSubspace:
 
 class TestSearchConfig:
     def test_defaults_unbounded(self):
-        cfg = SearchConfig()
-        assert (cfg.node_limit, cfg.time_limit) == (None, None)
+        assert SearchConfig().node_limit is None
+        assert SearchConfig.__slots__ == ("node_limit",)
 
     def test_keyword_and_positional(self):
-        cfg = SearchConfig(max_set_size=None, node_limit=5, time_limit=None)
-        assert (cfg.node_limit, cfg.time_limit) == (5, None)
-        cfg = SearchConfig(None, 7, 1.5)
-        assert (cfg.node_limit, cfg.time_limit) == (7, 1.5)
+        # max_set_size and time_limit are accepted as None only (ROADMAP item 1 step B)
+        assert SearchConfig(max_set_size=None, node_limit=5, time_limit=None).node_limit == 5
+        assert SearchConfig(None, 7, None).node_limit == 7
 
     @pytest.mark.parametrize("kwargs", [
         {"max_set_size": 2}, {"max_set_size": 0},
         {"node_limit": 0}, {"node_limit": -3}, {"node_limit": 1.0}, {"node_limit": True},
         {"node_limit": "5"},
         {"time_limit": 0}, {"time_limit": -1.0}, {"time_limit": math.inf},
-        {"time_limit": math.nan},
+        {"time_limit": math.nan}, {"time_limit": 1.5},
     ], ids=repr)
     def test_refused(self, kwargs):
         name = next(iter(kwargs))
