@@ -33,6 +33,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from functools import partial
 from itertools import accumulate, chain, repeat
 
 SCHEMA_VERSION = "1"
@@ -125,7 +126,12 @@ def _parse_range(text: str) -> range:
 
 class _PackedSets:
     """A family's sets as a document value that `_write_json` has write
-    itself, one set per write, in `family_payload`'s order.
+    itself, one set per write.  The sets go in the order of their smallest
+    points, and each set is sorted only as it is written, so no sorted
+    copy of the family is made.  For pairwise disjoint sets that is
+    `family_payload`'s order; sets that share a smallest point, which only
+    a family that fails `disjoint_ok` holds, keep their order in the
+    family among themselves.
 
     Where 2 < q <= 10 every coordinate is one digit and one byte of the
     packed int, so every point's text has one width: 256 sets at a time,
@@ -142,15 +148,16 @@ class _PackedSets:
         from .field_core import _slots, slot_bits, unpack
 
         q, k, d, sets = self.family.q, self.family.k, self.family.d, self.family.sets
+        # an empty set, smallest point -1, goes first as `sorted` puts []
+        ordered = sorted(sets, key=partial(min, default=-1))
         si, pi, ci = nl + "  ", nl + "    ", nl + "      "  # how a set, a point and a coordinate indent
         sep = "[" + si
         if 2 < q <= 10:
             block = (pi + "[" + ci + ("," + ci).join("0" * k) + pi + "],").encode()  # a point's text
             width, start, step = len(block), len(pi) + 1 + len(ci), len(ci) + 2  # digit j at start + j * step
             table = bytes.maketrans(bytes(map(_slots(q).spread, range(q))), b"0123456789"[:q])
-            ordered = sorted(map(sorted, sets))
             for i in range(0, len(ordered), 256):
-                run = ordered[i:i + 256]
+                run = list(map(sorted, ordered[i:i + 256]))
                 points = list(chain.from_iterable(run))
                 digits = b"".join(map(int.to_bytes, points, repeat(k), repeat("big"))).translate(table)
                 buf = bytearray(block * len(points))
@@ -168,8 +175,8 @@ class _PackedSets:
             col = ci + ("," + ci).join(["%s"] * d) + pi + "]"
             rows = {h: row % unpack(h, q, k - d) for h in {v >> split for s in sets for v in s}}
             cols = {h: col % unpack(h, q, d) for h in {v & low for s in sets for v in s}}
-            for s in sorted(map(sorted, sets)):
-                write(sep + "[" + pi + ("," + pi).join([rows[v >> split] + cols[v & low] for v in s]) + si + "]")
+            for s in ordered:
+                write(sep + "[" + pi + ("," + pi).join([rows[v >> split] + cols[v & low] for v in sorted(s)]) + si + "]")
                 sep = "," + si
         write(nl + "]" if sets else "[]")
 
@@ -298,7 +305,7 @@ def family_from_payload(payload: dict) -> tuple[RecoveryFamily, list[str]]:
     from .constructions import RecoveryFamily
 
     q, k, d, target, sets, method, warnings = _parse_family(payload)
-    return RecoveryFamily(q, k, d, target, list(map(frozenset, sets)), method), warnings
+    return RecoveryFamily(q, k, d, target, [tuple(sorted(s)) for s in sets], method), warnings
 
 
 def _check_instance(q: int, k: int, d: int) -> None:

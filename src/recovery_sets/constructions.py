@@ -42,7 +42,7 @@ from .geometry import (
     num_points,
 )
 
-Sets = list[frozenset[int]]
+Sets = list[tuple[int, ...]]
 
 # ---------------------------------------------------------------------------
 # Family containers
@@ -52,13 +52,16 @@ Sets = list[frozenset[int]]
 class RecoveryFamily(NamedTuple):
     """Recovery sets for `target`; a point is the int `field_core.pack`
     makes of its canonical representative, the one form the builders, the
-    verifier, the oracle and the payload share."""
+    verifier, the oracle and the payload share.  Each set is a tuple of
+    distinct points in ascending order: packed points sort as their
+    coordinates do, and a tuple of three points takes a third of the
+    memory of a frozenset."""
 
     q: int
     k: int
     d: int
     target: Subspace
-    sets: list[frozenset[int]]
+    sets: list[tuple[int, ...]]
     method: str
     formula_size: int | None = None
     notes: Sequence[str] = ()
@@ -81,7 +84,8 @@ def conjugate_family(family: RecoveryFamily, new_target: Subspace) -> RecoveryFa
                 acc = [fld.add(a, fld.mul(c, b)) for a, b in zip(acc, row)]
         return pack(canonical_point(tuple(acc), fld), q)
 
-    sets = [frozenset(map(apply, s)) for s in family.sets]
+    # apply is a bijection of the points, so distinct points stay distinct
+    sets = [tuple(sorted(map(apply, s))) for s in family.sets]
     return RecoveryFamily(
         q, k, d, new_target, sets, family.method + "+conjugated",
         family.formula_size, list(family.notes),
@@ -104,7 +108,7 @@ def basic_sets_from_Td(lay: Layout) -> Sets:
     """
     a, d = lay.col.alpha_pow, lay.d
     return [
-        frozenset(lay.pt(0, a(i * d + j)) for j in range(d))
+        tuple(sorted(lay.pt(0, a(i * d + j)) for j in range(d)))
         for i in range(basic_count(lay.q, d))
     ]
 
@@ -146,8 +150,9 @@ def _stitched(lay: Layout, inside: Sets, stitched: list[list[Cell]],
     A row leaves over the columns the stitched sets take from it plus its
     `spare` cells, which no set uses; `_row_layout` partitions the rest.
     Rows with the same leftover share one partition, its columns packed
-    once; a row's sets are its packed row OR each packed column.  Cells on
-    row 0 are points of the target itself.
+    and sorted once; a row's sets are its packed row OR each packed
+    column, ascending as the columns are, since the row sits above the
+    column slots.  Cells on row 0 are points of the target itself.
     """
     pt, row_bits, col_bits = lay.pt, lay.row_bits, lay.col_bits
     left: dict[int, list[int]] = {}
@@ -159,10 +164,9 @@ def _stitched(lay: Layout, inside: Sets, stitched: list[list[Cell]],
         lo = frozenset(left.get(x, ()))
         cols = layouts.get(lo)
         if cols is None:
-            cols = layouts[lo] = [[col_bits[c] for c in cs] for cs in _row_layout(lay, lo)]
-        sets.extend([frozenset(map(row_bits[x].__or__, cs)) for cs in cols])
-    # built from a set, a frozenset gets a table sized to its members
-    return sets + [frozenset({pt(r, c) for r, c in s}) for s in stitched]
+            cols = layouts[lo] = [sorted(col_bits[c] for c in cs) for cs in _row_layout(lay, lo)]
+        sets.extend([tuple(map(row_bits[x].__or__, cs)) for cs in cols])
+    return sets + [tuple(sorted(pt(r, c) for r, c in s)) for s in stitched]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +325,7 @@ def _quintriple_rows(k: int) -> Sets:
     elif part.dependent_four:
         y1, y2, y3, y4 = sorted(part.dependent_four)
         stitched.append([(0, v), (y1, u), (y2, 0), (y3, 0), (y4, 0)])
-    inside = [frozenset({lay.pt(0, u), lay.pt(0, w)})]
+    inside = [tuple(sorted((lay.pt(0, u), lay.pt(0, w))))]
     return _stitched(lay, inside, stitched, [(x, 0) for x in spare])
 
 
@@ -346,7 +350,7 @@ def _three_subspace_rows(k: int) -> Sets:
     a, add = lay.col.alpha_pow, lay.col.add
     m = k - 4
 
-    inside = [frozenset(lay.pt(0, a(4 * i + j)) for j in range(4)) for i in range(3)]
+    inside = [tuple(sorted(lay.pt(0, a(4 * i + j)) for j in range(4))) for i in range(3)]
     first_leftovers = [a(12), a(13), a(14)]
 
     # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
@@ -386,7 +390,7 @@ def _d4_k6_sets() -> Sets:
     """The pinned thirteen-set family for (q, k, d) = (2, 6, 4)."""
     lay = Layout(2, 6, 4)
     a = lay.col.alpha_pow
-    inside = [frozenset(lay.pt(0, a(e)) for e in range(s, s + 4)) for s in (3, 7, 14)]
+    inside = [tuple(sorted(lay.pt(0, a(e)) for e in range(s, s + 4))) for s in (3, 7, 14)]
     stitched = [[(0, a(11)), (0, a(12)), (0, a(13)), (1, a(14)), (2, a(14)), (3, a(14))]]
     return _stitched(lay, inside, stitched)
 
@@ -405,7 +409,7 @@ def _line_group_rows(k: int) -> Sets:
     a = lay.col.alpha_pow
     m = k - 5
     u1, u2, u3, u4, u5 = (a(i) for i in range(5))
-    inside = [frozenset(lay.pt(0, a(1 + 5 * i + j)) for j in range(5)) for i in range(6)]
+    inside = [tuple(sorted(lay.pt(0, a(1 + 5 * i + j)) for j in range(5))) for i in range(6)]
 
     # in a group of four lines, each of the first three takes one row of the fourth
     lines = [(x, y, x ^ y) for x, y in binary_line_partition(m)]

@@ -128,14 +128,13 @@ def solve_ilp(model: IlpModel) -> tuple[int, dict[str, int]]:
     for j in range(nvars):
         if all(row[j] == 0 for row in model.constraints):
             raise ValueError(f"model is unbounded in {model.variables[j]}")
-    # bound oracle per suffix: min over dual vertices of the residual rhs
-    suffix_vertices = []
-    for j in range(nvars):
-        cols = [tuple(row[i] for row in model.constraints) for i in range(j, nvars)]
-        suffix_vertices.append(_dual_vertices(cols))
+    # bound oracle per suffix: min over dual vertices of the residual rhs;
+    # dfs reads it as lp_bound(j + 1, ...), so only from the second variable on
+    columns = [tuple(row[i] for row in model.constraints) for i in range(nvars)]
+    suffix_vertices = [_dual_vertices(columns[j:]) for j in range(1, nvars)]
 
     def lp_bound(j: int, caps: tuple[int, ...]) -> Fraction:
-        return min(sum(Fraction(c) * v for c, v in zip(caps, z)) for z in suffix_vertices[j])
+        return min(sum(Fraction(c) * v for c, v in zip(caps, z)) for z in suffix_vertices[j - 1])
 
     best_value = -1
     best_assignment: dict[str, int] = {}

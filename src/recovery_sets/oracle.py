@@ -5,8 +5,9 @@ A minimal recovery set is an independent point set whose span contains
 the target and loses it on removing any member.  The packer repeatedly
 either assigns the smallest free point to one of its minimal sets whose
 points are all free or declares it unused, which visits every packing
-exactly once.  Bounds come from counting: sets inside the target need d
-points, all other sets need at least d+1.
+exactly once.  Two bounds prune a node: a count of points (sets inside
+the target need d points, all other sets at least d+1) and a count by
+rows of the stored array (`_row_bound`).
 
 The search starts from an incumbent: the sets of `construct(q, k, d)`,
 once `verify_family` certifies them.  That family is the lower bound and
@@ -171,6 +172,56 @@ def _certified_seed(q: int, k: int, d: int, vecs: list) -> tuple[list[int], str]
     return [sum(map(bit.get, s)) for s in family.sets], family.method
 
 
+def _point_classes(q: int, d: int, vecs: list, target_rows: list) -> tuple[int, list[int]]:
+    """The mask of the point ids inside the target and one mask per row,
+    the other points with one image modulo the target.  The target rows
+    are the low d slots, so that image is the packed point shifted down
+    past them."""
+    target_span = Echelon(q, target_rows)
+    inside = sum(1 << i for i, v in enumerate(vecs) if not target_span.reduce((), (v,)))
+    low = slot_bits(q) * d
+    rows: dict[int, int] = {}
+    for i, v in enumerate(vecs):
+        if not inside >> i & 1:
+            rows[v >> low] = rows.get(v >> low, 0) | 1 << i
+    return inside, list(rows.values())
+
+
+def _row_bound(free: int, inside: int, rows: list[int], d: int) -> int:
+    """An upper bound on the minimal recovery sets that pack into the
+    points `free`, given `inside`, the mask of the target U's points, and
+    `rows`, one mask per row: the points outside U with one image in
+    F_q^k / U.  With u free points of U and r_i free points in row i, it is
+
+        max over A in 0..u // d of
+            A + sum(r_i // (d+1)) + (sum(r_i % (d+1)) + 2 (u - d A)) // (d+2).
+
+    A minimal set s is independent and its span holds U, so |s| - d is the
+    dimension of its image modulo U.  A set inside U has d points; let A
+    be their number, which leaves at most u - dA points of U to the rest.
+    Give every other set s with e points in U a cost of |s| + e "pool
+    units", one per row point and two per point of U.  If s lies on one
+    row (its image is one point), |s| = d+1, so e >= 1 makes the cost at
+    least d+2; if s meets two rows, |s| >= d+2.  So only one-row sets with
+    e = 0 cost less, d+1 points of their row, and row i holds at most
+    c_i <= r_i // (d+1) of them.  The pool holds sum(r_i) - (d+1) sum(c_i)
+    + 2 (u - dA) units for the rest, so the sets number at most
+    A + C + (X - (d+1) C) // (d+2), with C = sum(c_i) and X = sum(r_i) +
+    2 (u - dA).  That never falls as C grows by one (+1 against a floor
+    falling by at most 1), so C at its largest, sum(r_i // (d+1)), gives
+    the bound for this A.  At the root and d <= 2 it is
+    `bounds.row_structure_upper`, derived here again so that the oracle
+    stays an independent check.
+    """
+    u = (free & inside).bit_count()
+    whole = rest = 0
+    for row in rows:
+        n, r = divmod((free & row).bit_count(), d + 1)
+        whole += n
+        rest += r
+    return whole + max(a + (rest + 2 * (u - d * a)) // (d + 2) for a in range(u // d + 1))
+
+
 def _search(q: int, d: int, vecs: list, target_rows: list, cfg: SearchConfig,
             incumbent: list[int]) -> tuple[list[int], int, bool]:
     """Pack minimal sets, starting from the family `incumbent` and
@@ -183,8 +234,7 @@ def _search(q: int, d: int, vecs: list, target_rows: list, cfg: SearchConfig,
     those that lie in `free`, then leaves p unused.  `nodes` counts
     packing nodes plus enumeration steps, each point's enumeration once.
     """
-    target_span = Echelon(q, target_rows)
-    inside = sum(1 << i for i, v in enumerate(vecs) if not target_span.reduce((), (v,)))
+    inside, rows = _point_classes(q, d, vecs, target_rows)
     sets_from: dict[int, list[int]] = {}
     nodes = 0
     best = incumbent
@@ -203,6 +253,8 @@ def _search(q: int, d: int, vecs: list, target_rows: list, cfg: SearchConfig,
         # counting bound: sets inside the target take d free points, others d+1
         x = (free & inside).bit_count() // d
         if len(family) + x + (free.bit_count() - x * d) // (d + 1) <= len(best):
+            return
+        if len(family) + _row_bound(free, inside, rows, d) <= len(best):
             return
         p = (free & -free).bit_length() - 1
         if p not in sets_from:
@@ -233,7 +285,8 @@ def exact_N(q: int, k: int, d: int, cfg: SearchConfig | None = None) -> OracleRe
     best, nodes, finished = _search(q, d, vecs, target_rows, cfg, seed)
     witness = RecoveryFamily(
         q, k, d, target,
-        [frozenset(v for i, v in enumerate(vecs) if s >> i & 1) for s in best],
+        # the packed points ascend with their ids, so each set is an ascending tuple
+        [tuple(v for i, v in enumerate(vecs) if s >> i & 1) for s in best],
         method if best is seed and seed else "oracle-packing",
     )
     return OracleResult(len(best), finished, witness, nodes)

@@ -13,7 +13,8 @@ arXiv:0901.1413), the form a `RecoveryFamily` holds them in:
 is such an int, and the `verify` command packs a document's points as it
 parses them.  A packed point lies in PG(k-1,q) when it is nonzero, fits
 in k slots and has 1 in its leading slot, all read off its bit length;
-disjointness is a set of ints; the span check adds each set's
+disjointness is one list of every point, sorted in place, in which a
+point listed twice sits next to itself; the span check adds each set's
 well-formed points to a fresh echelon in one `field_core.Echelon.reduce`
 call, which must leave no residue of any basis row of the target.  The
 universe and disjointness checks are this module's own; the span kernel
@@ -36,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Collection, Iterable
 from itertools import chain, islice, repeat
+from operator import eq
 from typing import NamedTuple
 
 from .field_core import Echelon, _slots, pack, point_bit_lengths, slot_bits
@@ -70,8 +72,10 @@ class Certificate(NamedTuple):
 def verify_packed(q: int, k: int, d: int, target: list[int], sets: Iterable[Collection[int]],
                   method: str) -> Certificate:
     """Certify `sets` of nonnegative ints, the points packed as by
-    `field_core.pack` with no int twice in one set, against the packed
-    basis rows `target`.  `sets` is read once, so it may be a generator."""
+    `field_core.pack`, against the packed basis rows `target`.  `sets` is
+    read once, so it may be a generator, and each set may be any
+    collection.  A point listed twice, in two sets or in one, fails
+    `disjoint_ok`; `points_used` counts distinct points."""
     lengths = point_bit_lengths(q, k)
     bits = slot_bits(q)
     low = bits * d
@@ -79,13 +83,11 @@ def verify_packed(q: int, k: int, d: int, target: list[int], sets: Iterable[Coll
     memo = {} if sorted(target) == [1 << bits * i for i in range(d)] else None
     universe_ok = True
     spanning_ok = True
-    seen: set[int] = set()
-    occurrences = 0
+    points: list[int] = []
     sizes: Counter[int] = Counter()
     for vs in sets:
         sizes[len(vs)] += 1
-        occurrences += len(vs)
-        seen.update(vs)
+        points += vs
         # a one-row set: every point has the high part x, so one bit length
         if (memo is not None and vs and 0 < (x := min(vs) >> low) == max(vs) >> low
                 and x.bit_length() + low in lengths):
@@ -100,15 +102,17 @@ def verify_packed(q: int, k: int, d: int, target: list[int], sets: Iterable[Coll
             vs = [v for v in vs if v.bit_length() in lengths]
         if Echelon(q).reduce(vs, target):
             spanning_ok = False
+    points.sort()
+    repeats = sum(map(eq, points, islice(points, 1, None)))
     return Certificate(
         q=q,
         k=k,
         d=d,
         family_size=sum(sizes.values()),
-        disjoint_ok=occurrences == len(seen),
+        disjoint_ok=not repeats,
         spanning_ok=spanning_ok,
         universe_ok=universe_ok,
-        points_used=len(seen),
+        points_used=len(points) - repeats,
         points_total=num_points(q, k),
         method=method,
         set_sizes=tuple(sorted(sizes.items())),

@@ -52,8 +52,8 @@ class TestBasicSets:
         sets = basic_sets_from_Td(lay)
         f8 = extension(2, 3)
         exp = lambda e: pack(f8.to_vector(f8.alpha_pow(e)), 2)
-        assert sets[0] == frozenset(exp(e) for e in (0, 1, 2))
-        assert sets[1] == frozenset(exp(e) for e in (3, 4, 5))
+        assert sets[0] == tuple(sorted(exp(e) for e in (0, 1, 2)))
+        assert sets[1] == tuple(sorted(exp(e) for e in (3, 4, 5)))
         assert leftovers(sets, target_points(lay)) == [exp(6)]
 
     def test_binary_d1(self):
@@ -281,6 +281,7 @@ class TestConjugation:
         fam = conjugate_family(construct(2, 4, 2), target)
         cert = assert_valid(fam, 5)
         assert fam.target == target
+        assert all(type(s) is tuple and list(s) == sorted(set(s)) for s in fam.sets)
 
     def test_q3_target(self):
         f3 = field(3)

@@ -1,12 +1,15 @@
+import functools
+import random
 from itertools import combinations
 
 import pytest
 
+from recovery_sets.bounds import row_structure_upper
 from recovery_sets.field_core import Subspace, field, rref
-from recovery_sets.geometry import enumerate_points
+from recovery_sets.geometry import enumerate_points, num_points
 from recovery_sets.constructions import canonical_target, construct
-from recovery_sets.oracle import (SearchConfig, _packed_instance, _search, exact_N,
-                                  minimal_recovery_sets)
+from recovery_sets.oracle import (SearchConfig, _packed_instance, _point_classes, _row_bound, _search,
+                                  exact_N, minimal_recovery_sets)
 from recovery_sets.verifier import verify_family
 
 from spans import span_contains
@@ -67,8 +70,58 @@ class TestExactValues:
         assert exact_N(2, 4, 2).witness.method == "quintriple-rows"
         result = exact_N(3, 3, 1)
         assert result.nodes > 1 and result.witness.method == "oracle-packing"
+        # the row bound proves the (5,3,1) seed at the root
         result = exact_N(5, 3, 1)
-        assert result.nodes > 1 and result.witness.method == "consecutive-powers+line-leftovers"
+        assert result.nodes == 1 and result.witness.method == "consecutive-powers+line-leftovers"
+        result = exact_N(2, 5, 2, SearchConfig(node_limit=2000))
+        assert result.nodes > 1 and not result.exact and result.witness.method == "quintriple-rows"
+
+    def test_witness_sets_are_ascending_tuples(self):
+        for q, k, d in ((3, 3, 1), (3, 3, 2), (2, 4, 4)):
+            sets = exact_N(q, k, d).witness.sets
+            assert all(type(s) is tuple and list(s) == sorted(set(s)) for s in sets)
+
+    def test_row_bound_at_the_root(self):
+        # two derivations of one bound: at the root, with every point free,
+        # the search's row bound is bounds.row_structure_upper for d <= 2
+        # (at d >= 3 it can be weaker, e.g. 8 against 7 at (2,5,4))
+        cells = 0
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            for k in range(1, 12):
+                if num_points(q, k) > 3000:
+                    break
+                for d in range(1, min(k, 2) + 1):
+                    _, _, vecs, target_rows = _packed_instance(q, k, d)
+                    inside, rows = _point_classes(q, d, vecs, target_rows)
+                    root = _row_bound((1 << len(vecs)) - 1, inside, rows, d)
+                    assert root == row_structure_upper(q, k, d), (q, k, d)
+                    cells += 1
+        assert cells > 40
+
+    @pytest.mark.parametrize("q,k,d", [(2, 4, 2), (2, 4, 3), (3, 3, 1), (3, 3, 2)])
+    def test_row_bound_holds_on_any_free_points(self, q, k, d):
+        # against the largest packing of minimal sets into random point
+        # subsets, found by trying every packing with no bound at all
+        points, _, vecs, target_rows = _packed_instance(q, k, d)
+        inside, rows = _point_classes(q, d, vecs, target_rows)
+        ids = {p: i for i, p in enumerate(points)}
+        by_lowest = {}
+        for s in minimal_recovery_sets(q, k, d):
+            mask = sum(1 << ids[p] for p in s)
+            by_lowest.setdefault(mask & -mask, []).append(mask)
+
+        @functools.lru_cache(maxsize=None)
+        def largest(free):
+            if not free:
+                return 0
+            p = free & -free
+            return max([largest(free ^ p)]
+                       + [1 + largest(free ^ s) for s in by_lowest.get(p, ()) if s & free == s])
+
+        rng = random.Random(len(points))
+        for _ in range(200):
+            free = rng.getrandbits(len(points)) | rng.getrandbits(len(points))
+            assert _row_bound(free, inside, rows, d) >= largest(free), bin(free)
 
     def test_budget_returns_lower_bound(self):
         # the seeded construct() family is kept unless the search beats it

@@ -1,7 +1,8 @@
 """Every registry cell on a small grid: construct() succeeds, the verifier
 certifies the family, its size is the entry's closed form, and it reaches
 the lower bound that bound() reports.  Every point is a packed int of
-PG(k-1,q), and the payload writes the points as their coordinate lists.
+PG(k-1,q), each set an ascending tuple of them, and the payload writes the
+points as their coordinate lists.
 Every entry but the consecutive-powers fallback builds more sets than the
 fallback wherever it applies, so no entry only relabels that family.
 
@@ -51,6 +52,8 @@ def test_cell(q, k, d):
 @pytest.mark.parametrize("q,k,d", _cells(marked=False))
 def test_points_and_payload(q, k, d):
     family = construct(q, k, d)
+    # every set an ascending tuple of distinct points
+    assert all(type(s) is tuple and list(s) == sorted(set(s)) for s in family.sets)
     points = [v for s in family.sets for v in s]
     assert all(type(v) is int and v > 0 for v in points)
     assert set(points) <= {pack(p, q) for p in enumerate_points(q, k)}

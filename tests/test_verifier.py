@@ -1,6 +1,7 @@
 import random
+import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -8,7 +9,7 @@ from recovery_sets.field_core import Echelon, Subspace, field, pack, prime_power
 from recovery_sets.constructions import RecoveryFamily, canonical_target, conjugate_family, construct
 from recovery_sets.geometry import enumerate_points, num_points
 from recovery_sets import verifier
-from recovery_sets.verifier import Certificate, verify_family
+from recovery_sets.verifier import Certificate, verify_family, verify_packed
 
 from spans import span_contains
 
@@ -81,6 +82,66 @@ class TestVerifyFamily:
     def test_point_usage_bounded(self):
         cert = verify_family(construct(2, 6, 4))
         assert cert.points_used <= cert.points_total == 63
+
+    def test_holds_no_hash_set_of_the_points(self):
+        # disjointness is one sorted list of the points: the pass costs less
+        # memory than a set of them would take alone
+        family = construct(5, 6, 2)
+        assert len(family.sets) >= 1000
+        verify_family(family)  # field tables and the like are built once, untraced
+        points = list(chain.from_iterable(family.sets))
+        tracemalloc.start()
+        try:
+            as_set = set(points)
+            set_size = tracemalloc.get_traced_memory()[0]
+            del as_set
+            tracemalloc.reset_peak()
+            assert verify_family(family).valid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < set_size
+
+
+class TestPointCount:
+    """`verify_packed` counts points in one sorted list: equal neighbours
+    are a point listed more than once."""
+
+    FAMILY = construct(2, 4, 2)
+    TARGET = [pack(row, 2) for row in FAMILY.target.basis]
+
+    def _cert(self, sets):
+        return verify_packed(2, 4, 2, self.TARGET, sets, "test")
+
+    def _shared(self):
+        # the first point of the second set is also in the first and third,
+        # and the first point of the fifth also in the fourth
+        sets = list(self.FAMILY.sets)
+        p = sets[1][0]
+        sets[0] += (p,)
+        sets[2] += (p,)
+        sets[3] += sets[4][:1]
+        return sets
+
+    def test_distinct(self):
+        cert = self._cert(self.FAMILY.sets)
+        assert cert.disjoint_ok and cert.points_used == 15
+
+    def test_a_point_in_two_sets_and_one_in_three(self):
+        sets = self._shared()
+        cert = self._cert(sets)
+        assert sum(map(len, sets)) == 18
+        assert not cert.disjoint_ok and cert.points_used == 15
+
+    def test_sets_from_a_generator(self):
+        cert = self._cert(s for s in self._shared())
+        assert not cert.disjoint_ok and cert.points_used == 15 and cert.family_size == 5
+
+    def test_a_point_twice_in_one_tuple(self):
+        sets = list(self.FAMILY.sets)
+        sets[0] += sets[0][:1]
+        cert = self._cert(sets)
+        assert not cert.disjoint_ok and cert.points_used == 15
 
 
 def _decode(v, q: int, k: int):
