@@ -385,10 +385,10 @@ class _Slots:
         # sum past p - 1 into the sub-slot's top bit, and ones marks the
         # sub-slots' low bits.
         self.consts = [(0, 0)]
-        self._bias = self._ones = b""
+        self.bias = self.ones = b""
         if p > 2:
-            self._bias = sum((1 << w - 1) - p << i * w for i in range(e)).to_bytes(self.nbytes, "big")
-            self._ones = sum(1 << i * w for i in range(e)).to_bytes(self.nbytes, "big")
+            self.bias = sum((1 << w - 1) - p << i * w for i in range(e)).to_bytes(self.nbytes, "big")
+            self.ones = sum(1 << i * w for i in range(e)).to_bytes(self.nbytes, "big")
         # neg[c] and unit[c], indexed by the slot value of c: the tables
         # that scale a one-byte-slot vector by -c and by 1/c.  encode lays
         # out elements as slot values and sends every other byte to 255,
@@ -449,7 +449,7 @@ class _Slots:
         consts = self.consts
         while len(consts) <= n:
             m = len(consts)
-            consts.append((_from_bytes(self._bias * m, "big"), _from_bytes(self._ones * m, "big")))
+            consts.append((_from_bytes(self.bias * m, "big"), _from_bytes(self.ones * m, "big")))
         return ((n - 1) * self.bits, v, b) + consts[n]
 
 

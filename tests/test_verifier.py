@@ -86,21 +86,32 @@ class TestVerifyFamily:
     def test_holds_no_hash_set_of_the_points(self):
         # disjointness is one sorted list of the points: the pass costs less
         # memory than a set of them would take alone
+        _peak_below_a_set_of_its_points(construct(5, 6, 2))
+
+    def test_holds_no_hash_set_of_the_points_on_a_moved_target(self):
+        # the frame change works on runs of at most 256 sets, so it keeps
+        # the same bound
         family = construct(5, 6, 2)
-        assert len(family.sets) >= 1000
-        verify_family(family)  # field tables and the like are built once, untraced
-        points = list(chain.from_iterable(family.sets))
-        tracemalloc.start()
-        try:
-            as_set = set(points)
-            set_size = tracemalloc.get_traced_memory()[0]
-            del as_set
-            tracemalloc.reset_peak()
-            assert verify_family(family).valid
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < set_size
+        _peak_below_a_set_of_its_points(conjugate_family(family, _random_target(random.Random(56), 5, 6, 2)))
+
+
+def _peak_below_a_set_of_its_points(family: RecoveryFamily) -> None:
+    """`verify_family` certifies the family, its traced peak below what a
+    set of the family's points takes."""
+    assert len(family.sets) >= 1000
+    verify_family(family)  # field tables and the like are built once, untraced
+    points = list(chain.from_iterable(family.sets))
+    tracemalloc.start()
+    try:
+        as_set = set(points)
+        set_size = tracemalloc.get_traced_memory()[0]
+        del as_set
+        tracemalloc.reset_peak()
+        assert verify_family(family).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < set_size
 
 
 class TestPointCount:
@@ -264,7 +275,8 @@ def _corruptions(rng, fam: RecoveryFamily):
 
 # the check each corruption must fail; a dropped point may leave the set spanning
 _BREAKS = {"duplicated": "disjoint_ok", **dict.fromkeys(
-    ["too large", "digit", "padding", "negative", "zero", "too long", "float", "bool", "scaled", "scaled row"],
+    ["too large", "digit", "padding", "negative", "zero", "too long", "float", "bool", "scaled", "scaled row",
+     "moved scaled row"],
     "universe_ok")}
 
 
@@ -291,12 +303,16 @@ def _one_row_family(rng, q, k, d) -> list[frozenset]:
             for x in rng.sample(rows, min(len(rows), 6)) for part in rng.choice(partitions)]
 
 
-def _scaled_row(q, k, d, sets, c) -> list[frozenset]:
-    """The sets with every point of the first one-row set times c != 1:
-    no point of it has 1 in its leading slot."""
-    fld = field(q)
+def _first_one_row(q, d, sets) -> int:
+    """The index of the first set on one row against the canonical target."""
     low = slot_bits(q) * d
-    i = next(i for i, s in enumerate(sets) if min(s) >> low and len({v >> low for v in s}) == 1)
+    return next(i for i, s in enumerate(sets) if min(s) >> low and len({v >> low for v in s}) == 1)
+
+
+def _scaled(q, k, sets, i, c) -> list[frozenset]:
+    """The sets with every point of set i times c != 1: no point of it has
+    1 in its leading slot."""
+    fld = field(q)
     out = list(sets)
     out[i] = frozenset(pack(tuple(fld.mul(c, x) for x in unpack(v, q, k)), q) for v in sets[i])
     return out
@@ -308,7 +324,8 @@ def test_matches_echelon_reference(q):
     construct() families moved to random targets and left on the
     canonical one, where one-row sets share span verdicts by column set;
     on random families, random one-row families (some sets spanning, some
-    not), corrupted copies, and a copy with one one-row set scaled."""
+    not) on the canonical target and moved to a random one, corrupted
+    copies, and copies with one one-row set scaled."""
     rng = random.Random(q)
     verdicts = set()
     for k in range(1, 6):
@@ -323,11 +340,15 @@ def test_matches_echelon_reference(q):
                 variants += [(base.target, name, sets) for name, sets in _corruptions(rng, part)]
             if k > d:
                 rows = _one_row_family(rng, q, k, d)
-                variants.append((fam.target, "one-row", rows))
+                # conjugation keeps the order of the sets, and each stays on one row
+                moved_rows = conjugate_family(RecoveryFamily(q, k, d, fam.target, rows, ""), moved.target).sets
+                variants += [(fam.target, "one-row", rows), (moved.target, "moved one-row", moved_rows)]
                 verdicts.update(verify_family(RecoveryFamily(q, k, d, fam.target, [s], "")).spanning_ok
                                 for s in rows)
                 if q > 2:
-                    variants.append((fam.target, "scaled row", _scaled_row(q, k, d, fam.sets, rng.randrange(2, q))))
+                    i = _first_one_row(q, d, fam.sets)
+                    variants += [(fam.target, "scaled row", _scaled(q, k, fam.sets, i, rng.randrange(2, q))),
+                                 (moved.target, "moved scaled row", _scaled(q, k, moved_rows, 0, rng.randrange(2, q)))]
             for target, name, sets in variants:
                 sub = RecoveryFamily(q, k, d, target, sets, fam.method)
                 cert = verify_family(sub)
@@ -335,7 +356,7 @@ def test_matches_echelon_reference(q):
                 if name in _BREAKS:
                     assert not getattr(cert, _BREAKS[name]), (q, k, d, name)
                 # a set with no well-formed point spans nothing
-                assert name != "scaled row" or not cert.spanning_ok, (q, k, d)
+                assert "scaled row" not in name or not cert.spanning_ok, (q, k, d, name)
             assert verify_family(moved).valid and verify_family(fam).valid
     assert verdicts == {True, False}
 
@@ -358,10 +379,37 @@ def test_large_field_matches_echelon_reference(qkd):
 
 
 def _one_row_sets(q, k, d, sets) -> RecoveryFamily:
-    """A family on the canonical target from sets of (row, column) pairs."""
+    """A family on the canonical target from sets of (row, column) pairs,
+    each set an ascending tuple."""
     low = slot_bits(q) * d
-    packed = [frozenset(pack(x, q) << low | pack(y, q) for x, y in s) for s in sets]
+    packed = [tuple(sorted(pack(x, q) << low | pack(y, q) for x, y in s)) for s in sets]
     return RecoveryFamily(q, k, d, canonical_target(q, k, d), packed, "memo")
+
+
+def _moved_sets(q, basis, sets) -> RecoveryFamily:
+    """A family on the span of `basis` from sets of (row, column) pairs in
+    the frame of its RREF rows R with pivot columns P: the pair (x, y) is
+    the point sum_j x_j e_j over the other columns j plus sum_i y_i R_i,
+    scaled to its canonical representative.  Its quotient part is x and
+    its pivot coordinates y, both times the scale.  Each set is a tuple
+    in the order of its pairs."""
+    fld = field(q)
+    k, d = len(basis[0]), len(basis)
+    rows = rref(basis, fld)
+    pivots = [next(j for j, c in enumerate(r) if c) for r in rows]
+    free = [j for j in range(k) if j not in pivots]
+
+    def point(x, y):
+        v = [0] * k
+        for j, c in zip(free, x):
+            v[j] = c
+        for c, r in zip(y, rows):
+            v = [fld.add(a, fld.mul(c, b)) for a, b in zip(v, r)]
+        lead = next(c for c in v if c)
+        return pack(tuple(fld.mul(fld.inv(lead), c) for c in v), q)
+
+    packed = [tuple(point(x, y) for x, y in s) for s in sets]
+    return RecoveryFamily(q, k, d, Subspace(k, tuple(basis)), packed, "moved")
 
 
 class TestSpanMemo:
@@ -426,10 +474,98 @@ class TestSpanMemo:
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_non_unit_basis_of_the_canonical_target(self, monkeypatch, q):
-        """The canonical target spanned by combined rows takes the plain
-        path, one reduction per set, and gets the same certificate."""
+        """The canonical target spanned by combined rows gets the same
+        certificate.  For q > 2 the verifier takes the RREF of the rows
+        itself, so the memo calls are the same; for q = 2 it takes the
+        plain path, one reduction per set."""
         fam = construct(q, 4, 2)
         canonical, memo_calls = self._certify(monkeypatch, fam)
         cert, calls = self._certify(monkeypatch, fam._replace(target=Subspace(4, ((0, 0, 1, 1), (0, 0, 0, 1)))))
         assert cert == canonical and cert.valid
-        assert calls == len(fam.sets) > memo_calls
+        if q == 2:
+            assert calls == len(fam.sets) > memo_calls
+        else:
+            assert calls == memo_calls < len(fam.sets)
+
+    # a moved target of F_3^4 with pivot columns 0 and 2: a point whose
+    # pivot coordinate 0 is 2 has the lead 2 in its quotient part once it
+    # is scaled to its canonical representative
+    MOVED = ((1, 1, 0, 2), (0, 0, 1, 1))
+    # the third set lists the second one's columns on another row
+    GOOD = [[((1, 1), (0, 1)), ((1, 1), (1, 0)), ((1, 1), (1, 2))],
+            [((1, 1), (0, 2)), ((1, 1), (2, 0)), ((1, 1), (2, 1))],
+            [((1, 0), (0, 2)), ((1, 0), (2, 0)), ((1, 0), (2, 1))]]
+
+    def test_moved_set_on_a_line_fails_the_family(self, monkeypatch):
+        """On a moved target, a one-row set of d+1 points whose normalised
+        columns lie on one line through 0 fails a family whose other
+        one-row sets span; each key takes one reduction."""
+        cert, calls = self._certify(monkeypatch, _moved_sets(3, self.MOVED, self.GOOD))
+        assert cert.valid and calls == 2
+        line = [((1, 2), (0, 0)), ((1, 2), (1, 1)), ((1, 2), (2, 2))]
+        for sets in (self.GOOD + [line], [line] + self.GOOD):
+            cert, calls = self._certify(monkeypatch, _moved_sets(3, self.MOVED, sets))
+            assert not cert.spanning_ok and cert.universe_ok and cert.disjoint_ok and calls == 3
+
+    def test_moved_rows_with_one_key_share_a_verdict(self, monkeypatch):
+        """On a moved target, one-row sets on four rows with the same
+        normalised columns take one reduction."""
+        cols = [(0, 0), (1, 0), (0, 1)]
+        rows = [(1, 0), (0, 1), (1, 2), (1, 1)]
+        cert, calls = self._certify(monkeypatch, _moved_sets(3, self.MOVED, [[(x, y) for y in cols] for x in rows]))
+        assert cert.valid and calls == 1
+
+    def test_moved_two_rows_take_the_plain_path(self, monkeypatch):
+        """(0,1 | 0) and (1,1 | 1) in the frame of a moved target have the
+        normalised column parts of the spanning one-row set on row (1,0),
+        yet their span meets the target in 0."""
+        basis = ((1, 0, 2),)
+        one_row = [((1, 0), (0,)), ((1, 0), (1,))]
+        two_rows = [((0, 1), (0,)), ((1, 1), (1,))]
+        assert self._certify(monkeypatch, _moved_sets(3, basis, [one_row]))[0].valid
+        for sets in ([one_row, two_rows], [two_rows, one_row]):
+            cert, calls = self._certify(monkeypatch, _moved_sets(3, basis, sets))
+            assert not cert.spanning_ok and cert.universe_ok and calls == 2
+
+    def test_moved_set_off_one_row_takes_the_plain_path(self, monkeypatch):
+        """A set of d+1 points whose normalised columns would span, one of
+        them on a row that differs from the others' in its last quotient
+        coordinate only, fails wherever the set lists that point."""
+        on_row = [((1, 0), (0, 0)), ((1, 0), (1, 0))]
+        off_row = ((1, 1), (0, 1))
+        for i in range(3):
+            cert, calls = self._certify(monkeypatch, _moved_sets(3, self.MOVED, [on_row[:i] + [off_row] + on_row[i:]]))
+            assert not cert.spanning_ok and cert.universe_ok and calls == 1, i
+
+    def test_moved_point_inside_the_target_takes_the_plain_path(self, monkeypatch):
+        """A set with a point of the target is not one-row, whether its
+        other points share a row or lie in the target too."""
+        inside = [((0, 0), (1, 0)), ((0, 0), (0, 1))]
+        mixed = [((0, 0), (1, 1)), ((1, 2), (0, 0)), ((1, 2), (0, 1))]
+        cert, calls = self._certify(monkeypatch, _moved_sets(3, self.MOVED, self.GOOD[:1] + [inside, mixed]))
+        assert cert.valid and calls == 3
+        # less its second point on the row, the mixed set spans one line of the target
+        cert, calls = self._certify(monkeypatch, _moved_sets(3, self.MOVED, [inside, mixed[:2]]))
+        assert not cert.spanning_ok and cert.universe_ok and calls == 2
+
+    @pytest.mark.parametrize("q", [3, 4, 5])
+    def test_non_rref_basis_of_a_moved_target(self, monkeypatch, q):
+        """A moved family certified against other bases of its target,
+        combined and scaled rows, gets the same certificate and takes the
+        same reductions."""
+        fld = field(q)
+        fam = conjugate_family(construct(q, 5, 2), _random_target(random.Random(q), q, 5, 2))
+        a, b = rref(fam.target.basis, fld)
+        cert, calls = self._certify(monkeypatch, fam._replace(target=Subspace(5, (a, b))))
+        assert cert.valid and calls < len(fam.sets)
+        for basis in ((b, a), (tuple(map(fld.add, a, b)), tuple(fld.mul(q - 1, x) for x in b))):
+            assert self._certify(monkeypatch, fam._replace(target=Subspace(5, basis))) == (cert, calls)
+
+    @pytest.mark.parametrize("qkd", [(2, 6, 2), (27, 3, 2)], ids=["2-6-2", "27-3-2"])
+    def test_binary_and_wide_moved_families_take_the_plain_path(self, monkeypatch, qkd):
+        """Against a moved target, q = 2 and slots wider than a byte take
+        one reduction per set."""
+        q, k, d = qkd
+        fam = conjugate_family(construct(q, k, d), _random_target(random.Random(q), q, k, d))
+        cert, calls = self._certify(monkeypatch, fam)
+        assert cert.valid and calls == len(fam.sets)
