@@ -14,9 +14,10 @@ packed once (`field_core.pack`), checked and scaled to its canonical
 representative on the int, and the packed sets go to
 `verifier.verify_packed`; no tuple form of the family is built.
 `construct` and `oracle` write a family's sets straight from the packed
-points, one set per write: in a one-digit field (2 < q <= 10) from the
-points' bytes into fixed-width point text, otherwise from each distinct
-row and column half formatted once (`_PackedSets`).
+points, one set per write, in tuple order and each set as the family
+holds it (`_PackedSets`).  The path is chosen by q: in a one-digit field
+(q <= 10) the points' bits or bytes fill fixed-width point text,
+otherwise each point is one format of its coordinates.
 
 The module imports only the standard library; each command imports the
 submodules it runs when it starts, so a fresh process compiles no more of
@@ -33,7 +34,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from functools import partial
 from itertools import accumulate, chain, repeat
 
 SCHEMA_VERSION = "1"
@@ -126,57 +126,53 @@ def _parse_range(text: str) -> range:
 
 class _PackedSets:
     """A family's sets as a document value that `_write_json` has write
-    itself, one set per write.  The sets go in the order of their smallest
-    points, and each set is sorted only as it is written, so no sorted
-    copy of the family is made.  For pairwise disjoint sets that is
-    `family_payload`'s order; sets that share a smallest point, which only
-    a family that fails `disjoint_ok` holds, keep their order in the
-    family among themselves.
+    itself, one set per write.  Every producer gives its sets as ascending
+    tuples of packed points, and packed points sort as their coordinates
+    do, so the sets go in tuple order, `family_payload`'s order, and each
+    set is written as the family holds it: no sorted copy of a set is
+    made, and no text is kept from one set to the next.
 
-    Where 2 < q <= 10 every coordinate is one digit and one byte of the
-    packed int, so every point's text has one width: 256 sets at a time,
-    the points' bytes are read as digits and filled into a run of copies
-    of one point's text, one coordinate at a time, and each set is a slice
-    of the run.  Otherwise a point's int splits into its row half (the
-    first k - d coordinates) and column half, and each distinct half is
-    formatted once."""
+    Where q <= 10 every coordinate is one digit, so every point's text has
+    one width: 64 sets at a time, the points' digits (a binary point's
+    bits, otherwise its bytes read through the slot table) are filled into
+    a run of copies of one point's text, one coordinate at a time, and
+    each set is a slice of the run.  Otherwise each point is one format of
+    its coordinates."""
 
     def __init__(self, family: RecoveryFamily):
         self.family = family
 
     def write_json(self, nl: str, write) -> None:
-        from .field_core import _slots, slot_bits, unpack
+        from .field_core import _slots, unpack
 
-        q, k, d, sets = self.family.q, self.family.k, self.family.d, self.family.sets
-        # an empty set, smallest point -1, goes first as `sorted` puts []
-        ordered = sorted(sets, key=partial(min, default=-1))
+        q, k, sets = self.family.q, self.family.k, self.family.sets
+        ordered = sorted(sets)
         si, pi, ci = nl + "  ", nl + "    ", nl + "      "  # how a set, a point and a coordinate indent
         sep = "[" + si
-        if 2 < q <= 10:
+        if q <= 10:
             block = (pi + "[" + ci + ("," + ci).join("0" * k) + pi + "],").encode()  # a point's text
             width, start, step = len(block), len(pi) + 1 + len(ci), len(ci) + 2  # digit j at start + j * step
-            table = bytes.maketrans(bytes(map(_slots(q).spread, range(q))), b"0123456789"[:q])
-            for i in range(0, len(ordered), 256):
-                run = list(map(sorted, ordered[i:i + 256]))
+            if q > 2:
+                table = bytes.maketrans(bytes(map(_slots(q).spread, range(q))), b"0123456789"[:q])
+            for i in range(0, len(ordered), 64):
+                run = ordered[i:i + 64]
                 points = list(chain.from_iterable(run))
-                digits = b"".join(map(int.to_bytes, points, repeat(k), repeat("big"))).translate(table)
+                if q == 2:
+                    digits = "".join(map(format, points, repeat(f"0{k}b"))).encode()
+                else:
+                    digits = b"".join(map(int.to_bytes, points, repeat(k), repeat("big"))).translate(table)
                 buf = bytearray(block * len(points))
                 for j in range(k):
                     buf[start + j * step::width] = digits[j::k]
                 text = buf.decode()
                 a = 0
                 for b in accumulate(map(len, run)):
-                    write(sep + "[" + text[a * width:b * width - 1] + si + "]")
+                    write(sep + ("[" + text[a * width:b * width - 1] + si + "]" if b > a else "[]"))
                     sep, a = "," + si, b
         else:
-            split = slot_bits(q) * d
-            low = (1 << split) - 1
-            row = "[" + (ci + "%s,") * (k - d)
-            col = ci + ("," + ci).join(["%s"] * d) + pi + "]"
-            rows = {h: row % unpack(h, q, k - d) for h in {v >> split for s in sets for v in s}}
-            cols = {h: col % unpack(h, q, d) for h in {v & low for s in sets for v in s}}
+            point = "[" + ci + ("," + ci).join(["%d"] * k) + pi + "]"
             for s in ordered:
-                write(sep + "[" + pi + ("," + pi).join([rows[v >> split] + cols[v & low] for v in sorted(s)]) + si + "]")
+                write(sep + ("[" + pi + ("," + pi).join([point % unpack(v, q, k) for v in s]) + si + "]" if s else "[]"))
                 sep = "," + si
         write(nl + "]" if sets else "[]")
 

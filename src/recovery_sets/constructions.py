@@ -268,7 +268,6 @@ _M7_QUINTRIPLES: tuple[tuple[int, int, int, int, int], ...] = (
 )
 
 
-@functools.lru_cache(maxsize=None)
 def quintriple_partition(m: int) -> QuintriplePartition:
     """Partition F_2^m minus zero into quintriples plus the small remainder.
 

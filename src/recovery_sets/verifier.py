@@ -300,11 +300,8 @@ def _slot_test(q: int, k: int):
     """A test of a set of ints in 1..2^(k slots)-1: does every slot of
     every one hold the slot value `pack` gives an element of F_q?"""
     s = _slots(q)
-    if s.nbytes == 1:
-        valid = bytes(map(s.spread, range(q)))
-        return lambda vs: not b"".join(map(int.to_bytes, vs, repeat(k), repeat("big"))).translate(None, valid)
-    # wider slots: no bit above the digits of a slot is set, and adding
-    # 2^w - p to a w-bit digit carries out of it iff the digit is p or more
+    # no bit above the digits of a slot is set, and adding 2^w - p to a
+    # w-bit digit carries out of it iff the digit is p or more
     lows = range(0, s.e * s.w, s.w) if s.p > 2 else ()
     every = sum(1 << j * s.bits for j in range(k))
     pad = (s.mask >> s.e * s.w << s.e * s.w) * every

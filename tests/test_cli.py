@@ -577,28 +577,30 @@ class TestWriter:
         ("oracle", "--q", "2", "--k", "4", "--d", "2"),
         ("construct", "--q", "13", "--k", "3", "--d", "2"),
         ("oracle", "--q", "11", "--k", "2", "--d", "1"),
-        # the sets' text joins a row half and a column half per point: d = k
-        # leaves the row half empty; two-digit coordinates in both halves;
-        # byte slots holding several digits, two-byte slots and wide slots
-        ("construct", "--q", "2", "--k", "4", "--d", "4"),
-        ("construct", "--q", "3", "--k", "4", "--d", "1"),
+        # from q = 11 on each point is one format of its coordinates:
+        # two-digit coordinates, two-byte slots and wide slots
         ("construct", "--q", "11", "--k", "4", "--d", "2"),
         ("construct", "--q", "16", "--k", "3", "--d", "2"),
         ("construct", "--q", "27", "--k", "3", "--d", "2"),
         ("construct", "--q", "257", "--k", "2", "--d", "1"),
-        ("oracle", "--q", "2", "--k", "5", "--d", "2", "--node-limit", "2000"),
         # one-digit fields fill fixed-width point blocks from the points'
-        # bytes: extension fields whose slot is the element; line leftovers,
+        # bits or bytes: binary d = k, the widest binary blocks (9-point
+        # sets) and a budgeted binary witness; byte slots holding several
+        # digits; extension fields whose slot is the element; line leftovers,
         # sets of 2, 3 and 4 points interleaved in sorted order; d = k; and
         # a witness, one indent deeper
+        ("construct", "--q", "2", "--k", "4", "--d", "4"),
+        ("construct", "--q", "2", "--k", "10", "--d", "8"),
+        ("oracle", "--q", "2", "--k", "5", "--d", "2", "--node-limit", "2000"),
+        ("construct", "--q", "3", "--k", "4", "--d", "1"),
         ("construct", "--q", "4", "--k", "5", "--d", "2"),
         ("construct", "--q", "8", "--k", "4", "--d", "2"),
         ("construct", "--q", "7", "--k", "4", "--d", "2"),
         ("construct", "--q", "5", "--k", "2", "--d", "2"),
         ("oracle", "--q", "4", "--k", "3", "--d", "2"),
     ], ids=["construct", "verify", "ilp", "bounds", "oracle", "construct-13-3-2", "oracle-11-2-1",
-            "construct-2-4-4", "construct-3-4-1", "construct-11-4-2", "construct-16-3-2",
-            "construct-27-3-2", "construct-257-2-1", "oracle-2-5-2-limited",
+            "construct-11-4-2", "construct-16-3-2", "construct-27-3-2", "construct-257-2-1",
+            "construct-2-4-4", "construct-2-10-8", "oracle-2-5-2-limited", "construct-3-4-1",
             "construct-4-5-2", "construct-8-4-2", "construct-7-4-2", "construct-5-2-2", "oracle-4-3-2"])
     def test_command_output_is_indented_json(self, capsys, tmp_path, argv):
         family = tmp_path / "fam.json"
@@ -622,31 +624,43 @@ class TestWriter:
             family = construct(q, 3, 2)._replace(sets=[])
             assert _written({"sets": cli._PackedSets(family)}) == json.dumps({"sets": []}, indent=2)
 
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 513])
-    def test_packed_sets_across_runs(self, n):
-        # one-digit fields are written 256 sets at a time: a family cut at,
-        # next to and past those boundaries
-        family = construct(5, 6, 2)
-        assert len(family.sets) == 1251
-        family = family._replace(sets=family.sets[:n])
+    @pytest.mark.parametrize("q", [2, 5, 11, 27])
+    def test_packed_sets_with_an_empty_set(self, q):
+        # an empty set sorts first and is written as []: in a fixed-width
+        # run it takes no point, and a formatted set holds no line
+        family = construct(q, 3, 2)
+        family = family._replace(sets=[*family.sets, ()])
         reference = json.dumps({"sets": family_payload(family)["sets"]}, indent=2)
         assert _written({"sets": cli._PackedSets(family)}) == reference
 
-    def test_sets_sharing_a_smallest_point_keep_their_order(self):
-        # only a family that is not disjoint has them; each is still sorted
-        for q in (2, 5):
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 255, 256, 257, 513])
+    def test_packed_sets_across_runs(self, n):
+        # one-digit fields are written 64 sets at a time: binary and q = 5
+        # families cut at, next to and past those boundaries
+        for q, k in ((2, 11), (5, 6)):
+            family = construct(q, k, 2)
+            assert len(family.sets) > 513
+            family = family._replace(sets=family.sets[:n])
+            reference = json.dumps({"sets": family_payload(family)["sets"]}, indent=2)
+            assert _written({"sets": cli._PackedSets(family)}) == reference
+
+    def test_sets_sharing_a_smallest_point_take_tuple_order(self):
+        # only a family that is not disjoint has them; two ascending sets
+        # listed in reverse are written in family_payload's order
+        for q in (2, 5, 11):
             family = construct(q, 3, 2)
             p, r1, r2 = sorted(chain.from_iterable(family.sets))[:3]
-            family = family._replace(sets=[(r2, p), (p, r1)])
-            expected = [[list(unpack(v, q, 3)) for v in s] for s in ((p, r2), (p, r1))]
-            assert _written({"sets": cli._PackedSets(family)}) == json.dumps({"sets": expected}, indent=2)
+            family = family._replace(sets=[(p, r2), (p, r1)])
+            reference = json.dumps({"sets": family_payload(family)["sets"]}, indent=2)
+            assert _written({"sets": cli._PackedSets(family)}) == reference
+            assert json.loads(reference)["sets"][0][1] == list(unpack(r1, q, 3))
 
-    @pytest.mark.parametrize("qkd", [(5, 7, 2), (2, 16, 8)], ids=["one-digit", "per-half"])
+    @pytest.mark.parametrize("qkd", [(5, 7, 2), (2, 16, 8), (2, 16, 2), (11, 5, 2)],
+                             ids=["one-digit", "binary", "binary-d2", "per-point"])
     def test_packed_sets_make_no_sorted_copy(self, qkd):
-        # the writer orders the sets by their smallest points and sorts each
-        # only as it is written: its traced peak stays below that of the
-        # sorted copy of the family.  At binary d = 2 the per-half path's
-        # row texts alone take more, e.g. 2.5 MB against 1.0 at (2,15,2).
+        # the writer orders the sets as tuples and writes each as the family
+        # holds it, keeping no text from one set to the next: its traced
+        # peak stays below that of the sorted copy of the family
         family = construct(*qkd)
         assert len(family.sets) >= 5000
         writer = cli._PackedSets(family)

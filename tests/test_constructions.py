@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from recovery_sets.field_core import Echelon, Subspace, extension, field, pack
@@ -16,6 +20,10 @@ from recovery_sets.geometry import Layout, hamming_partition, num_points
 from recovery_sets.verifier import verify_family
 
 from quintriple_search import find_quintriple_partition_m7
+
+import recovery_sets
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(recovery_sets.__file__)))
 
 
 def assert_valid(family, size=None):
@@ -143,6 +151,20 @@ class TestQuintriples:
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):
             quintriple_partition(3)
+
+    def test_no_partition_outlives_its_family(self):
+        # in a fresh interpreter, where no partition is built yet: once the
+        # (2,16,2) family is dropped, what stays traced is the field tables
+        body = ("import gc, tracemalloc\n"
+                "from recovery_sets.constructions import construct\n"
+                "tracemalloc.start()\n"
+                "construct(2, 16, 2)\n"
+                "gc.collect()\n"
+                "print(tracemalloc.get_traced_memory()[0])\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", body], env=env,
+                             capture_output=True, text=True, check=True, timeout=120).stdout
+        assert int(out) < 250_000
 
 
 class TestD2:

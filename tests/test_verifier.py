@@ -8,7 +8,7 @@ import pytest
 from recovery_sets.field_core import Echelon, Subspace, field, pack, prime_power, rref, slot_bits, unpack
 from recovery_sets.constructions import RecoveryFamily, canonical_target, conjugate_family, construct
 from recovery_sets.geometry import enumerate_points, num_points
-from recovery_sets import verifier
+from recovery_sets import field_core, verifier
 from recovery_sets.verifier import Certificate, verify_family, verify_packed
 
 from spans import span_contains
@@ -93,6 +93,17 @@ class TestVerifyFamily:
         # the same bound
         family = construct(5, 6, 2)
         _peak_below_a_set_of_its_points(conjugate_family(family, _random_target(random.Random(56), 5, 6, 2)))
+
+
+@pytest.mark.parametrize("q", [3, 4, 8, 9, 16, 25, 256])
+def test_slot_test_on_one_byte_slots(q):
+    """The slot test's pad-bit and carry arithmetic passes exactly the
+    slot values of the elements, on every one-slot value."""
+    s = field_core._slots(q)
+    valid = set(map(s.spread, range(q)))
+    test = verifier._slot_test(q, 1)
+    assert s.nbytes == 1
+    assert [v for v in range(256) if test((v,))] == sorted(valid)
 
 
 def _peak_below_a_set_of_its_points(family: RecoveryFamily) -> None:
