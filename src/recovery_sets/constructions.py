@@ -12,9 +12,10 @@ floor(q^d/(d+1)) sets, each either d+1 consecutive powers or the zero
 column plus d consecutive powers.  What remains per row (the leftovers,
 q^d mod (d+1) columns) is stitched into cross-row sets; the stitching
 patterns depend on (q, d) and are what the specialized builders below
-implement.  A builder names each stitched set once, as (row, column)
-cells, and `_stitched` reads every row's leftover run from those cells
-before it partitions the rest of the row.
+implement.  A stitching builder gives a pattern of (row, column) cells
+on a model and its blocks, echelon bases of rows; `_carried` maps the
+pattern into every block, and `_stitched` reads every row's leftover run
+from the cells before it partitions the rest of the row.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .field_core import (
     field,
     pack,
     prime_power,
+    rref,
     unpack,
 )
 from .geometry import (
@@ -167,6 +169,28 @@ def _stitched(lay: Layout, inside: Sets, stitched: list[list[Cell]],
             cols = layouts[lo] = [sorted(col_bits[c] for c in cs) for cs in _row_layout(lay, lo)]
         sets.extend([tuple(map(row_bits[x].__or__, cs)) for cs in cols])
     return sets + [tuple(sorted(pt(r, c) for r, c in s)) for s in stitched]
+
+
+def _carried(lay: Layout, blocks, pattern: list[list[Cell]]) -> list[list[Cell]]:
+    """Every block's copy of `pattern`, sets of (row, column) cells on a
+    model whose rows are canonical vectors of F_q^j, encoded as `Layout`
+    rows are.  A block is j rows b_0..b_(j-1) in echelon form (any rows at
+    q = 2); model row r goes to sum r_i b_i, row 0 to row 0, and the
+    column stays.  The map is linear and fixes the target, so a recovery
+    set stays one; where it is injective on the rows the pattern uses,
+    disjoint sets stay disjoint; and echelon rows send a canonical row to
+    a canonical row, so no column needs rescaling."""
+    q = lay.q
+    amb = extension(lay.fld, lay.k - lay.d) if q > 2 else None
+
+    def image(basis, r: int) -> int:
+        v = 0
+        for b in basis:
+            r, c = divmod(r, q)
+            if c:
+                v = v ^ b if amb is None else amb.add(v, amb.mul(c, b))
+        return v
+    return [[(image(basis, r), c) for r, c in s] for basis in blocks for s in pattern]
 
 
 # ---------------------------------------------------------------------------
@@ -354,35 +378,29 @@ def _three_subspace_rows(k: int) -> Sets:
 
     # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
     bases, base = lifted_ladder(m, 3, {0: 3, 1: 4, 2: 5}[m % 3])
-    shift = m - base
     u1, u2, u3, u4 = a(0), a(1), a(2), a(3)
-
-    def three_subspace(b1: int, b2: int, b3: int) -> list[Cell]:
-        return [(b1, u1), (b2, add(u1, u2)), (b3, add(u1, u3)), (b1 ^ b2, 0), (b1 ^ b3, 0),
-                (b2 ^ b3, add(add(u2, u3), u4)), (b1 ^ b2 ^ b3, add(u2, u3))]
-
-    stitched = [three_subspace(*basis) for basis in bases]
-    stitched.append(three_subspace(1 << shift, 2 << shift, 4 << shift))
-    spare: list[Cell] = []
+    # the (3,4) pattern on the rows of F_2^3; the residual F_2^base takes it too
+    fano = [(1, u1), (2, add(u1, u2)), (4, add(u1, u3)), (3, 0), (5, 0),
+            (6, add(add(u2, u3), u4)), (7, add(u2, u3))]
+    last, spare = [fano], []
     if base == 4:
-        y1, y2, y3, y4 = (e << shift for e in (8, 9, 10, 11))
-        stitched.append([(0, c) for c in first_leftovers]
-                        + [(y1, u1), (y2, 0), (y3, 0), (y4, 0)])
-        spare = [(e << shift, 0) for e in (12, 13, 14, 15)]
+        last.append([(0, c) for c in first_leftovers] + [(8, u1), (9, 0), (10, 0), (11, 0)])
+        spare = [(y, 0) for y in (12, 13, 14, 15)]
     elif base == 5:
-        # Group gi is the coset y_j = (8 + 8 gi + j) << shift, j < 8, of a
-        # 3-subspace, so y0+y1+y4+y5, y0+y2+y4+y6 and y0+y1+y2+y3 vanish.
-        # Rows y0, y1, y2 take the columns v_j = alpha^e_j (alpha a root of
-        # x^4+x+1) and the other rows column 0, so the set spans (0, c) for
-        # c = v0+v1, v0+v2 and v0+v1+v2: these are the two first-row
-        # leftovers other than w and u1 = alpha^0, which with (0, w) span
-        # the target.
+        # Group gi is the coset y_j = 8 + 8 gi + j, j < 8, of a 3-subspace,
+        # so y0+y1+y4+y5, y0+y2+y4+y6 and y0+y1+y2+y3 vanish.  Rows y0, y1,
+        # y2 take the columns v_j = alpha^e_j (alpha a root of x^4+x+1) and
+        # the other rows column 0, so the set spans (0, c) for c = v0+v1,
+        # v0+v2 and v0+v1+v2: these are the two first-row leftovers other
+        # than w and u1 = alpha^0, which with (0, w) span the target.
         exponents = ((8, 6, 2), (10, 11, 5), (4, 11, 1))
         for gi, (w, exps) in enumerate(zip(first_leftovers, exponents)):
-            group = [e << shift for e in range(8 + 8 * gi, 16 + 8 * gi)]
-            stitched.append([(0, w)] + [(y, a(e)) for y, e in zip(group, exps)]
-                            + [(y, 0) for y in group[3:]])
-    return _stitched(lay, inside, stitched, spare)
+            group = range(8 + 8 * gi, 16 + 8 * gi)
+            last.append([(0, w)] + [(y, a(e)) for y, e in zip(group, exps)]
+                        + [(y, 0) for y in group[3:]])
+    residual = [1 << i for i in range(m - base, m)]
+    stitched = _carried(lay, bases, [fano]) + _carried(lay, [residual], last)
+    return _stitched(lay, inside, stitched, _carried(lay, [residual], [spare])[0])
 
 
 def _d4_k6_sets() -> Sets:
@@ -410,26 +428,20 @@ def _line_group_rows(k: int) -> Sets:
     u1, u2, u3, u4, u5 = (a(i) for i in range(5))
     inside = [tuple(sorted(lay.pt(0, a(1 + 5 * i + j)) for j in range(5))) for i in range(6)]
 
-    # in a group of four lines, each of the first three takes one row of the fourth
-    lines = [(x, y, x ^ y) for x, y in binary_line_partition(m)]
-    n_groups = len(lines) // 4
-    stitched: list[list[Cell]] = []
-    for g in range(n_groups):
-        *three, last = lines[4 * g: 4 * g + 4]
-        for (x, y, xy), z in zip(three, last):
-            stitched.append([(x, 0), (x, u1), (y, 0), (y, u2), (xy, u3), (xy, u4),
-                             (z, 0), (z, u5)])
-
-    if m % 2 == 0:
-        x, y, xy = lines[4 * n_groups]
-        more = []
-    else:
-        z1, z2, z3 = (b << (m - 3) for b in (1, 2, 4))
-        x, y, xy = z1 ^ z2, z1 ^ z3, z2 ^ z3
-        more = [[(z1, 0), (z1, u1), (z2, 0), (z2, u2), (z3, 0), (z3, u3),
-                 (z1 ^ z2 ^ z3, u4), (z1 ^ z2 ^ z3, u5)]]
-    stitched.append([(0, u1), (x, 0), (x, u2), (y, 0), (y, u3), (xy, u4), (xy, u5)])
-    return _stitched(lay, inside, stitched + more)
+    # A group of four lines is a block of their eight basis vectors: on the
+    # model F_2^8, line i < 3 has rows 1, 2, 3 times 4^i and takes one row
+    # z of the fourth line, whose rows are 64, 128 and 192.
+    group = [[(x, 0), (x, u1), (2 * x, 0), (2 * x, u2), (3 * x, u3), (3 * x, u4), (z, 0), (z, u5)]
+             for x, z in ((1, 64), (4, 128), (16, 192))]
+    lines = binary_line_partition(m)
+    blocks = [sum(lines[g: g + 4], ()) for g in range(0, len(lines) - 3, 4)]
+    if m % 2 == 0:  # the spare line, rows 1, 2, 3
+        tail, last = lines[-1], [[(0, u1), (1, 0), (1, u2), (2, 0), (2, u3), (3, u4), (3, u5)]]
+    else:  # the residual 3-subspace on the top coordinates
+        tail = [1 << i for i in range(m - 3, m)]
+        last = [[(0, u1), (3, 0), (3, u2), (5, 0), (5, u3), (6, u4), (6, u5)],
+                [(1, 0), (1, u1), (2, 0), (2, u2), (4, 0), (4, u3), (7, u4), (7, u5)]]
+    return _stitched(lay, inside, _carried(lay, blocks, group) + _carried(lay, [tail], last))
 
 
 # ---------------------------------------------------------------------------
@@ -469,39 +481,34 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
     group is three collinear rows, c1*x1 + c2*x2 + c3*x3 = 0 with each c
     nonzero, so {(x1 | alpha^0), (x2 | 0), (x3 | 0)} spans (0 | c1), the
     target; each row leaves one column, a run `_row_layout` accepts."""
-    lay = Layout(q, k, d)
-    colf = lay.col
-    a = colf.alpha_pow
+    lay, model = Layout(q, k, d), Layout(q, d + 2, d)
+    a, mul = lay.col.alpha_pow, lay.col.mul
     t = q**d % (d + 1)
-    stitched: list[list[Cell]] = []
-    target = [pack(row, q) for row in canonical_target(q, k, d).basis]
+    # the groups and their layered sets, found once on the q+1 rows of the
+    # model, the points of PG(1,q)
+    rows = sorted(model.rows, key=model.row_bits.__getitem__)
+    pattern: list[list[Cell]] = []
+    for gi in range(0, q + 1, d + 2):
+        xs, tail = rows[gi: gi + d], rows[gi + d: gi + d + 2]
+        pattern.append([(x, a(j)) for j, x in enumerate(xs)] + [(x, 0) for x in tail])
+        if t >= 2:
+            ws = _search_layer_values(model, xs, tail)
+            for i in range(1, t):
+                pattern.append([(x, a(i + j)) for j, x in enumerate(xs)]
+                               + [(x, mul(a(i), w)) for x, w in zip(tail, ws)])
+    # line encodings are those of F_{q^(k-d)}, as rows are
     amb = extension(lay.fld, k - d)
-
-    for x, y in full_spread(q, k - d, 2):
-        # row encodings are those of F_{q^(k-d)}, so a line's points y and
-        # x + c*y, scaled to canonical, are rows
-        line = {amb.from_vector(canonical_point(amb.to_vector(e), lay.fld))
-                for e in [y] + [amb.add(x, amb.mul(c, y)) for c in range(q)]}
-        line_rows = sorted(line, key=lay.row_bits.__getitem__)
-        for gi in range(0, len(line_rows), d + 2):
-            group = line_rows[gi: gi + d + 2]
-            xs, tail = group[:d], group[d:]
-            stitched.append([(x, a(j)) for j, x in enumerate(xs)] + [(x, 0) for x in tail])
-            if t >= 2:
-                ws = _search_layer_values(lay, xs, tail, target)
-                if ws is None:
-                    raise RuntimeError(f"no layered leftover values for a line group of {(q, k, d)}")
-                for i in range(1, t):
-                    stitched.append([(x, a(i + j)) for j, x in enumerate(xs)]
-                                    + [(x, colf.mul(a(i), w)) for x, w in zip(tail, ws)])
-    return _stitched(lay, basic_sets_from_Td(lay), stitched)
+    blocks = [tuple(map(amb.from_vector, rref(map(amb.to_vector, line), lay.fld)))
+              for line in full_spread(q, k - d, 2)]
+    return _stitched(lay, basic_sets_from_Td(lay), _carried(lay, blocks, pattern))
 
 
-def _search_layer_values(lay: Layout, xs, tail, target: list[int]):
+def _search_layer_values(lay: Layout, xs, tail) -> tuple[int, int]:
     """Values for the two repeat rows of a layered leftover set, chosen so
-    the scaled copies still span the packed target rows; the scan is
-    deterministic."""
+    the scaled copies still span the target; the scan is deterministic,
+    and RuntimeError says that no pair was found."""
     colf, a = lay.col, lay.col.alpha_pow
+    target = [pack(row, lay.q) for row in canonical_target(lay.q, lay.k, lay.d).basis]
     pool = [a(j) for j in range(min(colf.order - 1, 24))]
     base = [lay.pt(x, a(1 + j)) for j, x in enumerate(xs)]
     for w1 in pool:
@@ -509,7 +516,7 @@ def _search_layer_values(lay: Layout, xs, tail, target: list[int]):
             cand = base + [lay.pt(tail[0], colf.mul(a(1), w1)), lay.pt(tail[1], colf.mul(a(1), w2))]
             if not Echelon(lay.q).reduce(cand, target):
                 return w1, w2
-    return None
+    raise RuntimeError(f"no layered leftover values for a line group of (q, d) = {(lay.q, lay.d)}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ recovery-set constructions: the multiplicative coset spread (t | n) and
 the lifted matrix-code partial spread ([I_t | M_a] for a ranging over
 F_{q^{n-t}}).  Each part is returned as a tuple of its t basis vectors,
 encoded like field elements; basis vector i is the image of x^i under an
-F_q-linear bijection from F_{q^t}, so that structures found once in the
-field can be transported into every part through the span.
+F_q-linear bijection from F_{q^t}, so that a pattern found once on a model
+is mapped into every part by `constructions._carried`.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def verify_packed(q: int, k: int, d: int, target: list[int], sets: Iterable[Coll
     if q == 2:
         check = _binary(d, target, lengths, check)
     elif _slots(q).nbytes == 1:
-        check = _byte_frame(q, k, target, lengths, well_formed, check)
+        check = _byte_frame(q, k, target, lengths, check)
     universe_ok = spanning_ok = True
     points: list[int] = []
     sizes: Counter[int] = Counter()
@@ -182,7 +182,7 @@ def _binary(d: int, target: list[int], lengths: frozenset[int], plain):
     return check
 
 
-def _byte_frame(q: int, k: int, target: list[int], lengths: frozenset[int], well_formed, plain):
+def _byte_frame(q: int, k: int, target: list[int], lengths: frozenset[int], plain):
     """The check of a run where slots are one byte: the frame change of
     the module docstring, one reduction per distinct key of the one-row
     sets, and `plain` for every other set."""
@@ -217,19 +217,11 @@ def _byte_frame(q: int, k: int, target: list[int], lengths: frozenset[int], well
         for vs in run:
             groups.setdefault(len(vs), []).append(vs)
         for m, group in groups.items():
-            buf = b""
-            if m and lengths.issuperset(map(int.bit_length, chain.from_iterable(group))):
-                buf = joined(group)  # the slot test below reads it too
-                if buf.translate(None, valid):
-                    buf = b""
-            if not buf:
-                # a set with no point or a malformed one goes to `plain`; the rest go on
-                good = []
-                for vs in group:
-                    (good if vs and well_formed(vs) else rest).append(vs)
-                if not good:
-                    continue
-                group, buf = good, joined(good)
+            ok = m and lengths.issuperset(map(int.bit_length, chain.from_iterable(group)))
+            buf = joined(group) if ok else b""  # the slot test below reads it too
+            if not buf or buf.translate(None, valid):
+                rest += group  # an empty set or a malformed point sends its size group to `plain`
+                continue
             n = len(group)
             size = n * m
             cols = [buf[j::k] for j in range(k)]

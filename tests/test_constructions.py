@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from recovery_sets.field_core import Echelon, Subspace, extension, field, pack
+from recovery_sets.field_core import Echelon, Subspace, extension, field, pack, rref
 
 from spans import span_contains
 from recovery_sets.constructions import (
@@ -14,9 +14,17 @@ from recovery_sets.constructions import (
     conjugate_family,
     construct,
     quintriple_partition,
+    _carried,
     _row_layout,
 )
-from recovery_sets.geometry import Layout, hamming_partition, num_points
+from recovery_sets.geometry import (
+    Layout,
+    binary_line_partition,
+    full_spread,
+    hamming_partition,
+    lifted_ladder,
+    num_points,
+)
 from recovery_sets.verifier import verify_family
 
 from quintriple_search import find_quintriple_partition_m7
@@ -216,6 +224,63 @@ class TestD5:
         fam = construct(2, 6, 5)
         assert fam.method == "consecutive-powers"
         assert_valid(fam, 11)
+
+
+class TestCarried:
+    """`_carried` maps a pattern on a model into every block: each mapped
+    row is a row of the layout, no cell repeats, and each mapped set
+    spans the target."""
+
+    @staticmethod
+    def check(lay, sets):
+        assert {r for s in sets for r, _ in s} <= {0, *lay.rows}
+        cells = [cell for s in sets for cell in s]
+        assert len(set(cells)) == len(cells)
+        target = canonical_target(lay.q, lay.k, lay.d)
+        for s in sets:
+            assert span_contains([lay.pt(r, c) for r, c in s], target, lay.fld), s
+
+    @pytest.mark.parametrize("q, d", [(3, 2), (4, 3), (5, 1), (7, 2), (9, 3)])
+    def test_line_groups_on_echelon_lines(self, q, d):
+        # the model's q+1 rows, the points of PG(1,q), in groups of d+2:
+        # d rows on alpha^0..alpha^(d-1) and two on the zero column
+        model = Layout(q, d + 2, d)
+        a = model.col.alpha_pow
+        rows = sorted(model.rows, key=model.row_bits.__getitem__)
+        pattern = [[(x, a(j)) for j, x in enumerate(rows[g: g + d])] + [(x, 0) for x in rows[g + d: g + d + 2]]
+                   for g in range(0, q + 1, d + 2)]
+        lay = Layout(q, d + 4, d)
+        amb = extension(lay.fld, 4)
+        spread = full_spread(q, 4, 2)
+        lines = [tuple(map(amb.from_vector, rref(map(amb.to_vector, line), lay.fld))) for line in spread]
+        sets = _carried(lay, lines, pattern)
+        assert len(sets) == len(spread) * (q + 1) // (d + 2)
+        self.check(lay, sets)
+        # the spread's own bases are not echelon: some image is not canonical
+        assert not {r for s in _carried(lay, spread, pattern) for r, _ in s} <= set(lay.rows)
+
+    def test_three_subspace_pattern_on_a_ladder(self):
+        lay = Layout(2, 10, 4)
+        a, add = lay.col.alpha_pow, lay.col.add
+        u1, u2, u3, u4 = a(0), a(1), a(2), a(3)
+        fano = [(1, u1), (2, add(u1, u2)), (4, add(u1, u3)), (3, 0), (5, 0),
+                (6, add(add(u2, u3), u4)), (7, add(u2, u3))]
+        bases, left = lifted_ladder(6, 3, 3)
+        assert (len(bases), left) == (8, 3)
+        self.check(lay, _carried(lay, bases + [(8, 16, 32)], [fano]))
+
+    def test_four_line_pattern_on_dependent_rows(self):
+        # four lines of F_2^4 give eight dependent basis vectors; the map is
+        # injective only on the twelve rows the pattern uses
+        lay = Layout(2, 9, 5)
+        u1, u2, u3, u4, u5 = map(lay.col.alpha_pow, range(5))
+        pattern = [[(x, 0), (x, u1), (2 * x, 0), (2 * x, u2), (3 * x, u3), (3 * x, u4), (z, 0), (z, u5)]
+                   for x, z in ((1, 64), (4, 128), (16, 192))]
+        block = sum(binary_line_partition(4)[:4], ())
+        assert len(block) == 8
+        sets = _carried(lay, [block], pattern)
+        assert len({r for s in sets for r, _ in s}) == 12
+        self.check(lay, sets)
 
 
 class TestPerfect:

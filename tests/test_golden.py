@@ -66,6 +66,12 @@ CONSTRUCT = {
     # consecutive powers at d = 1, its note naming d+2 | q+1 as what blocks
     # the line-spread leftovers
     (3, 3, 1): ("3-3-1", "6bbf56ac96e6538c9e0dbb809b8247f1234959b5"),
+    # a 3-subspace ladder that ends in a residual F_2^3 block
+    (2, 10, 4): ("2-10-4", "a787c6f5709f8a9aec82206c91632944d8011dc0"),
+    # d = 1: the groups of three rows carried onto 26 lines of full_spread(5, 4, 2)
+    (5, 5, 1): ("5-5-1", "3686fd838218954a664e256a872c1d60fe1d8eed"),
+    # line leftovers over F_9: two groups of five rows per line of full_spread(9, 2, 2)
+    (9, 5, 3): ("9-5-3", "afb022d0c8791f8d9ebb71724b6d40a8c62d3678"),
 }
 
 # (q, k, d) or (q, k, d, node limit) -> (test id, sha1).  The payload
