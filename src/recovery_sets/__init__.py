@@ -25,7 +25,7 @@ _NAMES = {
     ),
     "constructions": (
         "QuintriplePartition", "RecoveryFamily", "basic_sets_from_Td", "conjugate_family",
-        "construct", "quintriple_partition",
+        "construct",
     ),
     "verifier": ("Certificate", "verify_family"),
     "bounds": ("BoundsRecord", "bound", "bound_table"),

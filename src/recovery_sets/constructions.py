@@ -183,14 +183,16 @@ def _carried(lay: Layout, blocks, pattern: list[list[Cell]]) -> list[list[Cell]]
     q = lay.q
     amb = extension(lay.fld, lay.k - lay.d) if q > 2 else None
 
-    def image(basis, r: int) -> int:
+    def digits(r: int) -> list[tuple[int, int]]:  # (i, r_i) for each nonzero r_i
+        return [(i, r // q**i % q) for i in range(r.bit_length()) if r // q**i % q]
+
+    def image(basis, ds) -> int:
         v = 0
-        for b in basis:
-            r, c = divmod(r, q)
-            if c:
-                v = v ^ b if amb is None else amb.add(v, amb.mul(c, b))
+        for i, c in ds:
+            v = v ^ basis[i] if amb is None else amb.add(v, amb.mul(c, basis[i]))
         return v
-    return [[(image(basis, r), c) for r, c in s] for basis in blocks for s in pattern]
+    model = [[(digits(r), c) for r, c in s] for s in pattern]
+    return [[(image(basis, ds), c) for ds, c in s] for basis in blocks for s in model]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +204,8 @@ class QuintriplePartition(NamedTuple):
     """Partition of F_2^m minus zero into 5-sets {x1..x5} with
     x1 = x2+x3 = x4+x5, plus a small remainder depending on m mod 4:
     nothing (m=0), a zero-sum 4-set and 2 spares (m=1), a 3-element
-    2-subspace (m=2), or a zero-sum 4-set and 3 spares (m=3)."""
+    2-subspace (m=2), or a zero-sum 4-set and 3 spares (m=3).  The bases
+    m = 2 and m = 3 hold no quintriple, only that remainder."""
 
     m: int
     quintriples: tuple[tuple[int, int, int, int, int], ...]
@@ -247,6 +250,13 @@ def _shifted(f, exps, shift):
 
 @functools.lru_cache(maxsize=None)
 def _base_partition(m: int) -> QuintriplePartition:
+    """The fixed quintriple partition of F_2^m, 2 <= m <= 7: the spare
+    line (m = 2), the zero-sum four and spares of the m = 7 base (m = 3),
+    then alpha-power orbits (m = 4..6) and the pinned search (m = 7)."""
+    if m == 2:
+        return QuintriplePartition(2, (), None, (1, 2, 3))
+    if m == 3:
+        return QuintriplePartition(3, (), (1, 2, 4, 7), (3, 5, 6))
     if m == 4:
         f = extension(2, 4)
         s = (0, 1, 3, 4, 7)
@@ -292,64 +302,39 @@ _M7_QUINTRIPLES: tuple[tuple[int, int, int, int, int], ...] = (
 )
 
 
-def quintriple_partition(m: int) -> QuintriplePartition:
-    """Partition F_2^m minus zero into quintriples plus the small remainder.
-
-    Base cases m = 4..7 are fixed partitions; larger m transports the
-    m = 4 partition through every part of a lifted spread ladder down to
-    m <= 7 and puts the base partition of that size on the residual.
-    """
-    if m < 4:
-        raise ValueError("need m >= 4")
-    if m <= 7:
-        return _base_partition(m)
-    bases, left = lifted_ladder(m, 4, 7)
-    quints = []
-    for basis in bases:
-        span = [0]  # span[c]: the part's vector with coordinates the bits of c
-        for b in basis:
-            span += [v ^ b for v in span]
-        quints += [tuple(span[x] for x in qt) for qt in _base_partition(4).quintriples]
-    sub, shift = _base_partition(left), m - left
-    quints.extend(tuple(e << shift for e in qt) for qt in sub.quintriples)
-    dep4 = tuple(e << shift for e in sub.dependent_four) if sub.dependent_four else None
-    spare = tuple(e << shift for e in sub.spare)
-    return QuintriplePartition(m, tuple(quints), dep4, spare)
-
-
 # ---------------------------------------------------------------------------
 # d = 2 over F_2
 # ---------------------------------------------------------------------------
 
 
-# F_2^m for m < 4 holds no quintriple: a spare line (m = 2), or the
-# zero-sum 4-set and spares of the m = 7 base case (m = 3).
-_SMALL_REMAINDERS = {2: (None, (1, 2, 3)), 3: ((1, 2, 4, 7), (3, 5, 6))}
-
-
 def _quintriple_rows(k: int) -> Sets:
     """Binary d = 2, k >= 4: one pair inside the target, one 3-set per
     other row, and one 5-set per quintriple of row leftovers, with the
-    remainder classes contributing one final set."""
+    remainder classes contributing one final set.  The m = 4 base
+    quintriples are carried onto every part of the 4-subspace ladder of
+    F_2^(k-2); the residual block takes its base partition of size 2..7,
+    quintriples, remainder set and spares."""
     lay = Layout(2, k, 2)
     a = lay.col.alpha_pow
-    m = k - 2
     u, v, w = a(0), a(1), a(2)
     assert lay.col.add(u, v) == w
 
-    part = quintriple_partition(m) if m >= 4 else QuintriplePartition(m, (), *_SMALL_REMAINDERS[m])
-    stitched = [[(x1, 0), (x2, u), (x3, w), (x4, v), (x5, w)]
-                for x1, x2, x3, x4, x5 in part.quintriples]
-    spare = part.spare
-    if m % 4 == 2:
-        x1, x2, x3 = sorted(spare)
-        stitched.append([(0, v), (x1, 0), (x2, 0), (x3, u)])
-        spare = ()
+    def cells(part: QuintriplePartition) -> list[list[Cell]]:
+        return [[(x1, 0), (x2, u), (x3, w), (x4, v), (x5, w)] for x1, x2, x3, x4, x5 in part.quintriples]
+
+    bases, residual = lifted_ladder(k - 2, 4, 7)
+    part = _base_partition(len(residual))
+    last, spare = cells(part), [(x, 0) for x in part.spare]
+    if len(residual) % 4 == 2:
+        x1, x2, x3 = sorted(part.spare)
+        last.append([(0, v), (x1, 0), (x2, 0), (x3, u)])
+        spare = []
     elif part.dependent_four:
         y1, y2, y3, y4 = sorted(part.dependent_four)
-        stitched.append([(0, v), (y1, u), (y2, 0), (y3, 0), (y4, 0)])
+        last.append([(0, v), (y1, u), (y2, 0), (y3, 0), (y4, 0)])
+    stitched = _carried(lay, bases, cells(_base_partition(4))) + _carried(lay, [residual], last)
     inside = [tuple(sorted((lay.pt(0, u), lay.pt(0, w))))]
-    return _stitched(lay, inside, stitched, [(x, 0) for x in spare])
+    return _stitched(lay, inside, stitched, _carried(lay, [residual], [spare])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +362,16 @@ def _three_subspace_rows(k: int) -> Sets:
     first_leftovers = [a(12), a(13), a(14)]
 
     # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
-    bases, base = lifted_ladder(m, 3, {0: 3, 1: 4, 2: 5}[m % 3])
+    bases, residual = lifted_ladder(m, 3, {0: 3, 1: 4, 2: 5}[m % 3])
     u1, u2, u3, u4 = a(0), a(1), a(2), a(3)
-    # the (3,4) pattern on the rows of F_2^3; the residual F_2^base takes it too
+    # the (3,4) pattern on the rows of F_2^3; the residual block takes it too
     fano = [(1, u1), (2, add(u1, u2)), (4, add(u1, u3)), (3, 0), (5, 0),
             (6, add(add(u2, u3), u4)), (7, add(u2, u3))]
     last, spare = [fano], []
-    if base == 4:
+    if len(residual) == 4:
         last.append([(0, c) for c in first_leftovers] + [(8, u1), (9, 0), (10, 0), (11, 0)])
         spare = [(y, 0) for y in (12, 13, 14, 15)]
-    elif base == 5:
+    elif len(residual) == 5:
         # Group gi is the coset y_j = 8 + 8 gi + j, j < 8, of a 3-subspace,
         # so y0+y1+y4+y5, y0+y2+y4+y6 and y0+y1+y2+y3 vanish.  Rows y0, y1,
         # y2 take the columns v_j = alpha^e_j (alpha a root of x^4+x+1) and
@@ -398,7 +383,6 @@ def _three_subspace_rows(k: int) -> Sets:
             group = range(8 + 8 * gi, 16 + 8 * gi)
             last.append([(0, w)] + [(y, a(e)) for y, e in zip(group, exps)]
                         + [(y, 0) for y in group[3:]])
-    residual = [1 << i for i in range(m - base, m)]
     stitched = _carried(lay, bases, [fano]) + _carried(lay, [residual], last)
     return _stitched(lay, inside, stitched, _carried(lay, [residual], [spare])[0])
 

@@ -162,19 +162,19 @@ def lifted_partial_spread(q: int, n: int, t: int) -> list[tuple[int, ...]]:
             for a in range(ext.order)]
 
 
-def lifted_ladder(n: int, t: int, stop: int) -> tuple[list[tuple[int, ...]], int]:
+def lifted_ladder(n: int, t: int, stop: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
     """Binary lifted partial spreads of t-subspaces peeled off F_2^n until
     at most `stop` dimensions are left.  Each level is placed on the
     coordinates the levels below it leave out, so the parts of all levels
     are pairwise disjoint; what remains is the subspace on the top
     coordinates.  Returns every part's basis, shifted into F_2^n, and the
-    dimension left."""
+    residual's basis, the unit vectors of those top coordinates."""
     bases: list[tuple[int, ...]] = []
     shift = 0
     while n - shift > stop:
         bases += [tuple(e << shift for e in b) for b in lifted_partial_spread(2, n - shift, t)]
         shift += t
-    return bases, n - shift
+    return bases, tuple(1 << i for i in range(shift, n))
 
 
 def binary_line_partition(n: int) -> list[tuple[int, ...]]:

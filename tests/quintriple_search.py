@@ -1,7 +1,29 @@
 """The m = 7 quintriple search, the reference that `constructions`' pinned
-`_M7_QUINTRIPLES` is checked against (test_constructions, test_acceptance)."""
+`_M7_QUINTRIPLES` is checked against, and the whole quintriple partition
+of F_2^m that `quintriple-rows` stitches (test_constructions,
+test_acceptance)."""
 
-from recovery_sets.constructions import QuintriplePartition
+from recovery_sets.constructions import QuintriplePartition, _base_partition, _carried
+from recovery_sets.geometry import Layout, lifted_ladder
+
+
+def quintriple_partition(m: int) -> QuintriplePartition:
+    """Partition F_2^m minus zero, m >= 2, as `quintriple-rows` does: the
+    m = 4 base quintriples carried onto every part of the 4-subspace
+    ladder, and the residual's base partition carried onto the residual
+    block.  A vector is a row of `Layout(2, m + 2, 2)`, read off cells
+    that stand on column 0."""
+    lay = Layout(2, m + 2, 2)
+    bases, residual = lifted_ladder(m, 4, 7)
+    sub = _base_partition(len(residual))
+
+    def carried(blocks, vectors):
+        pattern = [[(x, 0) for x in vs] for vs in vectors]
+        return [tuple(r for r, _ in s) for s in _carried(lay, blocks, pattern)]
+
+    quints = carried(bases, _base_partition(4).quintriples) + carried([residual], sub.quintriples)
+    dep4, spare = carried([residual], [sub.dependent_four or (), sub.spare])
+    return QuintriplePartition(m, tuple(quints), dep4 or None, spare)
 
 
 def find_quintriple_partition_m7() -> QuintriplePartition:

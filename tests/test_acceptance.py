@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from recovery_sets.bounds import bound, d6_upper
-from recovery_sets.constructions import construct, quintriple_partition
+from recovery_sets.constructions import construct
 from recovery_sets.field_core import pack
 from recovery_sets.geometry import (
     Layout,
@@ -25,7 +25,7 @@ from recovery_sets.ilp import DualSolution, build_ilp_d2, check_dual, solve_ilp
 from recovery_sets.oracle import exact_N
 from recovery_sets.verifier import verify_family
 
-from quintriple_search import find_quintriple_partition_m7
+from quintriple_search import find_quintriple_partition_m7, quintriple_partition
 from spans import vector_span
 
 # families the acceptance criteria exercise, shared by criterion 9

@@ -13,7 +13,7 @@ from recovery_sets.constructions import (
     canonical_target,
     conjugate_family,
     construct,
-    quintriple_partition,
+    _base_partition,
     _carried,
     _row_layout,
 )
@@ -27,7 +27,7 @@ from recovery_sets.geometry import (
 )
 from recovery_sets.verifier import verify_family
 
-from quintriple_search import find_quintriple_partition_m7
+from quintriple_search import find_quintriple_partition_m7, quintriple_partition
 
 import recovery_sets
 
@@ -157,8 +157,9 @@ class TestQuintriples:
         assert part == quintriple_partition(7)
 
     def test_small_m_rejected(self):
-        with pytest.raises(ValueError):
-            quintriple_partition(3)
+        for m in (1, 8):
+            with pytest.raises(ValueError):
+                _base_partition(m)
 
     def test_no_partition_outlives_its_family(self):
         # in a fresh interpreter, where no partition is built yet: once the
@@ -265,9 +266,22 @@ class TestCarried:
         u1, u2, u3, u4 = a(0), a(1), a(2), a(3)
         fano = [(1, u1), (2, add(u1, u2)), (4, add(u1, u3)), (3, 0), (5, 0),
                 (6, add(add(u2, u3), u4)), (7, add(u2, u3))]
-        bases, left = lifted_ladder(6, 3, 3)
-        assert (len(bases), left) == (8, 3)
-        self.check(lay, _carried(lay, bases + [(8, 16, 32)], [fano]))
+        bases, residual = lifted_ladder(6, 3, 3)
+        assert (len(bases), residual) == (8, (8, 16, 32))
+        self.check(lay, _carried(lay, bases + [residual], [fano]))
+
+    def test_quintriples_on_a_four_subspace_ladder(self):
+        # the m = 4 cells on the 16 parts of the ladder of F_2^8 and on its
+        # residual F_2^4: 17 blocks of three 5-sets
+        lay = Layout(2, 10, 2)
+        u, v, w = map(lay.col.alpha_pow, range(3))
+        cells = [[(x1, 0), (x2, u), (x3, w), (x4, v), (x5, w)]
+                 for x1, x2, x3, x4, x5 in _base_partition(4).quintriples]
+        bases, residual = lifted_ladder(8, 4, 7)
+        assert residual == (16, 32, 64, 128)
+        sets = _carried(lay, bases + [residual], cells)
+        assert len(sets) == 51
+        self.check(lay, sets)
 
     def test_four_line_pattern_on_dependent_rows(self):
         # four lines of F_2^4 give eight dependent basis vectors; the map is

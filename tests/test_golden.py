@@ -72,6 +72,13 @@ CONSTRUCT = {
     (5, 5, 1): ("5-5-1", "3686fd838218954a664e256a872c1d60fe1d8eed"),
     # line leftovers over F_9: two groups of five rows per line of full_spread(9, 2, 2)
     (9, 5, 3): ("9-5-3", "afb022d0c8791f8d9ebb71724b6d40a8c62d3678"),
+    # the residual classes of the quintriples: F_2^2, the spare line alone;
+    # F_2^3, the zero-sum four and its spares; one ladder level onto a
+    # residual F_2^5; one level onto the pinned F_2^7
+    (2, 4, 2): ("2-4-2", "a6fc0478a01277b0e7daacc26771c5d7cf10a69b"),
+    (2, 5, 2): ("2-5-2", "ae6512498c5353b1bc8259228dadae2f905af45f"),
+    (2, 11, 2): ("2-11-2", "ace2795ac9def2c001b5c0d5a07667bda9db8584"),
+    (2, 13, 2): ("2-13-2", "55ded3c2273c87c7af51d68d998ec71df9069278"),
 }
 
 # (q, k, d) or (q, k, d, node limit) -> (test id, sha1).  The payload

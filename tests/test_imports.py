@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "construct", "constructions", "enumerate_points", "exact_N", "export_model", "extension",
     "field", "field_core", "find_primitive_poly", "full_spread",
     "geometry", "hamming_partition", "ilp", "lifted_partial_spread", "minimal_recovery_sets",
-    "oracle", "quintriple_partition", "solve_ilp", "verifier", "verify_family",
+    "oracle", "solve_ilp", "verifier", "verify_family",
 ]
 
 # Runs in a fresh interpreter: the modules that appear while it runs, as JSON.
