@@ -24,8 +24,7 @@ _NAMES = {
         "enumerate_points", "full_spread", "hamming_partition", "lifted_partial_spread",
     ),
     "constructions": (
-        "QuintriplePartition", "RecoveryFamily", "basic_sets_from_Td", "conjugate_family",
-        "construct",
+        "RecoveryFamily", "basic_sets_from_Td", "conjugate_family", "construct",
     ),
     "verifier": ("Certificate", "verify_family"),
     "bounds": ("BoundsRecord", "bound", "bound_table"),

@@ -13,9 +13,10 @@ column plus d consecutive powers.  What remains per row (the leftovers,
 q^d mod (d+1) columns) is stitched into cross-row sets; the stitching
 patterns depend on (q, d) and are what the specialized builders below
 implement.  A stitching builder gives a pattern of (row, column) cells
-on a model and its blocks, echelon bases of rows; `_carried` maps the
-pattern into every block, and `_stitched` reads every row's leftover run
-from the cells before it partitions the rest of the row.
+on a model (at d = 2, a `_base_pattern`) and its blocks, echelon bases
+of rows, a ladder's residual included; `_carried` maps the pattern into
+every block, and `_stitched` reads every row's leftover run from the
+cells before it partitions the rest of the row.
 """
 
 from __future__ import annotations
@@ -196,41 +197,8 @@ def _carried(lay: Layout, blocks, pattern: list[list[Cell]]) -> list[list[Cell]]
 
 
 # ---------------------------------------------------------------------------
-# Quintriple partitions of F_2^m (the d = 2 leftover structure)
+# Quintriple patterns of F_2^m (the d = 2 leftover structure)
 # ---------------------------------------------------------------------------
-
-
-class QuintriplePartition(NamedTuple):
-    """Partition of F_2^m minus zero into 5-sets {x1..x5} with
-    x1 = x2+x3 = x4+x5, plus a small remainder depending on m mod 4:
-    nothing (m=0), a zero-sum 4-set and 2 spares (m=1), a 3-element
-    2-subspace (m=2), or a zero-sum 4-set and 3 spares (m=3).  The bases
-    m = 2 and m = 3 hold no quintriple, only that remainder."""
-
-    m: int
-    quintriples: tuple[tuple[int, int, int, int, int], ...]
-    dependent_four: tuple[int, int, int, int] | None
-    spare: tuple[int, ...]
-
-    def validate(self) -> None:
-        seen: set[int] = set()
-        for x1, x2, x3, x4, x5 in self.quintriples:
-            if x1 != x2 ^ x3 or x1 != x4 ^ x5:
-                raise ValueError(f"not a quintriple: {(x1, x2, x3, x4, x5)}")
-            s = {x1, x2, x3, x4, x5}
-            if len(s) != 5 or seen & s:
-                raise ValueError("quintriples overlap or degenerate")
-            seen |= s
-        rest = list(self.dependent_four or ()) + list(self.spare)
-        if seen & set(rest) or len(set(rest)) != len(rest):
-            raise ValueError("remainder overlaps")
-        seen |= set(rest)
-        if self.dependent_four is not None:
-            a, b, c, d = self.dependent_four
-            if a ^ b ^ c ^ d != 0:
-                raise ValueError("dependent four does not sum to zero")
-        if seen != set(range(1, 1 << self.m)):
-            raise ValueError("not a partition of the nonzero vectors")
 
 
 def _oriented(elems: set[int]) -> tuple[int, int, int, int, int]:
@@ -249,42 +217,51 @@ def _shifted(f, exps, shift):
 
 
 @functools.lru_cache(maxsize=None)
-def _base_partition(m: int) -> QuintriplePartition:
-    """The fixed quintriple partition of F_2^m, 2 <= m <= 7: the spare
-    line (m = 2), the zero-sum four and spares of the m = 7 base (m = 3),
-    then alpha-power orbits (m = 4..6) and the pinned search (m = 7)."""
+def _base_pattern(m: int) -> tuple[tuple[tuple[Cell, ...], ...], tuple[Cell, ...]]:
+    """The stitched sets and spare cells of F_2^m, 2 <= m <= 7, on model
+    rows, the vectors of F_2^m, and the columns u, v, w = alpha^0,
+    alpha^1, alpha^2 of F_4.  A quintriple x1 = x2+x3 = x4+x5 is the 5-set
+    (x1, 0), (x2, u), (x3, w), (x4, v), (x5, w), which spans (0, u) and
+    (0, v), the target.  What the quintriples leave gives one more set: a
+    spare line x1 + x2 = x3 (m = 2, 6) the 4-set (0, v), (x1, 0), (x2, 0),
+    (x3, u), or a zero-sum four y1..y4 (m = 3, 5, 7) the 5-set (0, v),
+    (y1, u), (y2, 0), (y3, 0), (y4, 0); each vector left after that is a
+    spare cell (x, 0).  The quintriples are alpha-power orbits (m = 4..6)
+    and the pinned search (m = 7)."""
+    # m = 3 and m = 7 leave over the seven vectors of F_2^3
+    quints, line, four, spare = [], (), (1, 2, 4, 7), (3, 5, 6)
     if m == 2:
-        return QuintriplePartition(2, (), None, (1, 2, 3))
-    if m == 3:
-        return QuintriplePartition(3, (), (1, 2, 4, 7), (3, 5, 6))
-    if m == 4:
+        line, four, spare = (1, 2, 3), (), ()
+    elif m == 4:
         f = extension(2, 4)
-        s = (0, 1, 3, 4, 7)
-        quints = [_oriented(_shifted(f, s, i)) for i in (0, 5, 10)]
-        return QuintriplePartition(4, tuple(quints), None, ())
-    if m == 5:
+        quints = [_oriented(_shifted(f, (0, 1, 3, 4, 7), i)) for i in (0, 5, 10)]
+        four, spare = (), ()
+    elif m == 5:
         f = extension(2, 5)
-        s1 = (5, 0, 2, 7, 10)
-        quints = [_oriented(_shifted(f, s1, i)) for i in (0, 1, 12, 13)]
+        quints = [_oriented(_shifted(f, (5, 0, 2, 7, 10), i)) for i in (0, 1, 12, 13)]
         quints.append(_oriented(_shifted(f, (16, 4, 27, 29, 30), 0)))
-        dep4 = tuple(sorted(f.alpha_pow(e) for e in (21, 25, 26, 28)))
+        four = tuple(sorted(f.alpha_pow(e) for e in (21, 25, 26, 28)))
         spare = tuple(sorted(f.alpha_pow(e) for e in (9, 24)))
-        return QuintriplePartition(5, tuple(quints), dep4, spare)
-    if m == 6:
+    elif m == 6:
         f = extension(2, 6)
         s1 = (0, 1, 6, 13, 35)
-        s4 = (7, 9, 12, 19, 41)
-        quints = []
         for shift in (0, 21, 42):
-            for base in (s1, tuple(e + 2 for e in s1), tuple(e + 4 for e in s1), s4):
+            for base in (s1, tuple(e + 2 for e in s1), tuple(e + 4 for e in s1), (7, 9, 12, 19, 41)):
                 quints.append(_oriented(_shifted(f, base, shift)))
-        spare = tuple(sorted(f.alpha_pow(e) for e in (11, 32, 53)))
-        return QuintriplePartition(6, tuple(quints), None, spare)
-    if m == 7:
-        part = QuintriplePartition(7, _M7_QUINTRIPLES, (1, 2, 4, 7), (3, 5, 6))
-        part.validate()
-        return part
-    raise ValueError(f"no base partition for m={m}")
+        line, four, spare = tuple(sorted(f.alpha_pow(e) for e in (11, 32, 53))), (), ()
+    elif m == 7:
+        quints = _M7_QUINTRIPLES
+    elif m != 3:
+        raise ValueError(f"no base pattern for m={m}")
+    u, v, w = map(extension(2, 2).alpha_pow, range(3))
+    sets = [((x1, 0), (x2, u), (x3, w), (x4, v), (x5, w)) for x1, x2, x3, x4, x5 in quints]
+    if line:
+        x1, x2, x3 = line
+        sets.append(((0, v), (x1, 0), (x2, 0), (x3, u)))
+    if four:
+        y1, y2, y3, y4 = four
+        sets.append(((0, v), (y1, u), (y2, 0), (y3, 0), (y4, 0)))
+    return tuple(sets), tuple((x, 0) for x in spare)
 
 
 # Deterministic DFS output of the m = 7 search in tests/quintriple_search.py,
@@ -310,30 +287,16 @@ _M7_QUINTRIPLES: tuple[tuple[int, int, int, int, int], ...] = (
 def _quintriple_rows(k: int) -> Sets:
     """Binary d = 2, k >= 4: one pair inside the target, one 3-set per
     other row, and one 5-set per quintriple of row leftovers, with the
-    remainder classes contributing one final set.  The m = 4 base
-    quintriples are carried onto every part of the 4-subspace ladder of
-    F_2^(k-2); the residual block takes its base partition of size 2..7,
-    quintriples, remainder set and spares."""
+    remainder classes contributing one final set.  The m = 4 base pattern
+    is carried onto every part of the 4-subspace ladder of F_2^(k-2), and
+    the residual block takes the base pattern of its size, 2..7, with its
+    spare cells."""
     lay = Layout(2, k, 2)
     a = lay.col.alpha_pow
-    u, v, w = a(0), a(1), a(2)
-    assert lay.col.add(u, v) == w
-
-    def cells(part: QuintriplePartition) -> list[list[Cell]]:
-        return [[(x1, 0), (x2, u), (x3, w), (x4, v), (x5, w)] for x1, x2, x3, x4, x5 in part.quintriples]
-
     bases, residual = lifted_ladder(k - 2, 4, 7)
-    part = _base_partition(len(residual))
-    last, spare = cells(part), [(x, 0) for x in part.spare]
-    if len(residual) % 4 == 2:
-        x1, x2, x3 = sorted(part.spare)
-        last.append([(0, v), (x1, 0), (x2, 0), (x3, u)])
-        spare = []
-    elif part.dependent_four:
-        y1, y2, y3, y4 = sorted(part.dependent_four)
-        last.append([(0, v), (y1, u), (y2, 0), (y3, 0), (y4, 0)])
-    stitched = _carried(lay, bases, cells(_base_partition(4))) + _carried(lay, [residual], last)
-    inside = [tuple(sorted((lay.pt(0, u), lay.pt(0, w))))]
+    last, spare = _base_pattern(len(residual))
+    stitched = _carried(lay, bases, _base_pattern(4)[0]) + _carried(lay, [residual], last)
+    inside = [tuple(sorted((lay.pt(0, a(0)), lay.pt(0, a(2)))))]
     return _stitched(lay, inside, stitched, _carried(lay, [residual], [spare])[0])
 
 
@@ -358,7 +321,7 @@ def _three_subspace_rows(k: int) -> Sets:
     a, add = lay.col.alpha_pow, lay.col.add
     m = k - 4
 
-    inside = [tuple(sorted(lay.pt(0, a(4 * i + j)) for j in range(4))) for i in range(3)]
+    inside = basic_sets_from_Td(lay)
     first_leftovers = [a(12), a(13), a(14)]
 
     # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
@@ -417,12 +380,12 @@ def _line_group_rows(k: int) -> Sets:
     # z of the fourth line, whose rows are 64, 128 and 192.
     group = [[(x, 0), (x, u1), (2 * x, 0), (2 * x, u2), (3 * x, u3), (3 * x, u4), (z, 0), (z, u5)]
              for x, z in ((1, 64), (4, 128), (16, 192))]
-    lines = binary_line_partition(m)
+    lines, residual = binary_line_partition(m)
     blocks = [sum(lines[g: g + 4], ()) for g in range(0, len(lines) - 3, 4)]
     if m % 2 == 0:  # the spare line, rows 1, 2, 3
         tail, last = lines[-1], [[(0, u1), (1, 0), (1, u2), (2, 0), (2, u3), (3, u4), (3, u5)]]
     else:  # the residual 3-subspace on the top coordinates
-        tail = [1 << i for i in range(m - 3, m)]
+        tail = residual
         last = [[(0, u1), (3, 0), (3, u2), (5, 0), (5, u3), (6, u4), (6, u5)],
                 [(1, 0), (1, u1), (2, 0), (2, u2), (4, 0), (4, u3), (7, u4), (7, u5)]]
     return _stitched(lay, inside, _carried(lay, blocks, group) + _carried(lay, [tail], last))

@@ -177,16 +177,17 @@ def lifted_ladder(n: int, t: int, stop: int) -> tuple[list[tuple[int, ...]], tup
     return bases, tuple(1 << i for i in range(shift, n))
 
 
-def binary_line_partition(n: int) -> list[tuple[int, ...]]:
-    """The bases of 2-subspaces (lines) partitioning F_2^n minus zero,
-    except for one residual 3-subspace on the top coordinates when n is
-    odd.  Even n uses the full coset spread; odd n >= 5 peels lifted
-    partial spreads until the 3-subspace base remains."""
+def binary_line_partition(n: int) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """The bases of 2-subspaces (lines) of F_2^n and the basis of what
+    they leave out, as `lifted_ladder` returns them.  Even n: the full
+    coset spread, which partitions F_2^n minus zero, and no residual.  Odd
+    n >= 3: lifted partial spreads peeled until the 3-subspace on the top
+    coordinates remains, the residual."""
     if n < 2:
         raise ValueError("need n >= 2")
     if n % 2 == 0:
-        return full_spread(2, n, 2)
-    return lifted_ladder(n, 2, 3)[0]
+        return full_spread(2, n, 2), ()
+    return lifted_ladder(n, 2, 3)
 
 
 # ---------------------------------------------------------------------------

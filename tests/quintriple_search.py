@@ -1,29 +1,63 @@
-"""The m = 7 quintriple search, the reference that `constructions`' pinned
-`_M7_QUINTRIPLES` is checked against, and the whole quintriple partition
-of F_2^m that `quintriple-rows` stitches (test_constructions,
-test_acceptance)."""
+"""The quintriple partition of F_2^m as a record of vectors: the m = 7
+search, the reference that `constructions`' pinned `_M7_QUINTRIPLES` is
+checked against, and the whole partition that `quintriple-rows` stitches,
+read off its cells (test_constructions, test_acceptance)."""
 
-from recovery_sets.constructions import QuintriplePartition, _base_partition, _carried
+from typing import NamedTuple
+
+from recovery_sets.constructions import _base_pattern, _carried
 from recovery_sets.geometry import Layout, lifted_ladder
+
+
+class QuintriplePartition(NamedTuple):
+    """Partition of F_2^m minus zero into 5-sets {x1..x5} with
+    x1 = x2+x3 = x4+x5, plus a small remainder depending on m mod 4:
+    nothing (m=0), a zero-sum 4-set and 2 spares (m=1), a 3-element
+    2-subspace (m=2), or a zero-sum 4-set and 3 spares (m=3)."""
+
+    m: int
+    quintriples: tuple[tuple[int, int, int, int, int], ...]
+    dependent_four: tuple[int, int, int, int] | None
+    spare: tuple[int, ...]
+
+    def validate(self) -> None:
+        seen: set[int] = set()
+        for x1, x2, x3, x4, x5 in self.quintriples:
+            if x1 != x2 ^ x3 or x1 != x4 ^ x5:
+                raise ValueError(f"not a quintriple: {(x1, x2, x3, x4, x5)}")
+            s = {x1, x2, x3, x4, x5}
+            if len(s) != 5 or seen & s:
+                raise ValueError("quintriples overlap or degenerate")
+            seen |= s
+        rest = list(self.dependent_four or ()) + list(self.spare)
+        if seen & set(rest) or len(set(rest)) != len(rest):
+            raise ValueError("remainder overlaps")
+        seen |= set(rest)
+        if self.dependent_four is not None:
+            a, b, c, d = self.dependent_four
+            if a ^ b ^ c ^ d != 0:
+                raise ValueError("dependent four does not sum to zero")
+        if seen != set(range(1, 1 << self.m)):
+            raise ValueError("not a partition of the nonzero vectors")
 
 
 def quintriple_partition(m: int) -> QuintriplePartition:
     """Partition F_2^m minus zero, m >= 2, as `quintriple-rows` does: the
-    m = 4 base quintriples carried onto every part of the 4-subspace
-    ladder, and the residual's base partition carried onto the residual
-    block.  A vector is a row of `Layout(2, m + 2, 2)`, read off cells
-    that stand on column 0."""
+    m = 4 base pattern carried onto every part of the 4-subspace ladder,
+    and the residual's base pattern and spare cells carried onto the
+    residual block.  A vector is a row of `Layout(2, m + 2, 2)`; the
+    remainder set is the one with a cell on row 0, and holds the spare
+    line where m = 2 (mod 4), the dependent four otherwise."""
     lay = Layout(2, m + 2, 2)
     bases, residual = lifted_ladder(m, 4, 7)
-    sub = _base_partition(len(residual))
-
-    def carried(blocks, vectors):
-        pattern = [[(x, 0) for x in vs] for vs in vectors]
-        return [tuple(r for r, _ in s) for s in _carried(lay, blocks, pattern)]
-
-    quints = carried(bases, _base_partition(4).quintriples) + carried([residual], sub.quintriples)
-    dep4, spare = carried([residual], [sub.dependent_four or (), sub.spare])
-    return QuintriplePartition(m, tuple(quints), dep4 or None, spare)
+    last, spare_cells = _base_pattern(len(residual))
+    quints, rest = [], []
+    for s in _carried(lay, bases, _base_pattern(4)[0]) + _carried(lay, [residual], last):
+        (rest if any(r == 0 for r, _ in s) else quints).append(tuple(r for r, _ in s if r))
+    spare = tuple(r for r, _ in _carried(lay, [residual], [spare_cells])[0])
+    if m % 4 == 2:
+        return QuintriplePartition(m, tuple(quints), None, rest[0])
+    return QuintriplePartition(m, tuple(quints), rest[0] if rest else None, spare)
 
 
 def find_quintriple_partition_m7() -> QuintriplePartition:

@@ -176,7 +176,7 @@ def test_criterion_8_structural():
         cover = check_partial_spread(lifted_partial_spread(q, n, t), q, n, t)
         assert len(cover) == (q**n - 1) - (q ** (n - t) - 1)
     for m in range(2, 8):
-        cover = check_partial_spread(binary_line_partition(m), 2, m, 2)
+        cover = check_partial_spread(binary_line_partition(m)[0], 2, m, 2)
         expected = 2**m - 1 if m % 2 == 0 else 2**m - 8
         assert len(cover) == expected
     for m in (2, 3):

@@ -13,7 +13,7 @@ from recovery_sets.constructions import (
     canonical_target,
     conjugate_family,
     construct,
-    _base_partition,
+    _base_pattern,
     _carried,
     _row_layout,
 )
@@ -159,7 +159,25 @@ class TestQuintriples:
     def test_small_m_rejected(self):
         for m in (1, 8):
             with pytest.raises(ValueError):
-                _base_partition(m)
+                _base_pattern(m)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_base_patterns(self, m):
+        sets, spare = _base_pattern(m)
+        lay = Layout(2, m + 2, 2)
+        u, v, w = map(lay.col.alpha_pow, range(3))
+        for s in sets:
+            if all(r for r, _ in s):
+                assert len(s) == 5
+                (x1, c1), (x2, c2), (x3, c3), (x4, c4), (x5, c5) = s
+                assert x1 == x2 ^ x3 == x4 ^ x5
+                assert (c1, c2, c3, c4, c5) == (0, u, w, v, w)
+        rows = [r for s in sets for r, _ in s if r] + [r for r, _ in spare]
+        assert sorted(rows) == list(range(1, 2**m))
+        target = canonical_target(2, m + 2, 2)
+        units = tuple(1 << i for i in range(m))
+        for s in _carried(lay, [units], sets):
+            assert span_contains([lay.pt(r, c) for r, c in s], target, lay.fld), s
 
     def test_no_partition_outlives_its_family(self):
         # in a fresh interpreter, where no partition is built yet: once the
@@ -274,9 +292,7 @@ class TestCarried:
         # the m = 4 cells on the 16 parts of the ladder of F_2^8 and on its
         # residual F_2^4: 17 blocks of three 5-sets
         lay = Layout(2, 10, 2)
-        u, v, w = map(lay.col.alpha_pow, range(3))
-        cells = [[(x1, 0), (x2, u), (x3, w), (x4, v), (x5, w)]
-                 for x1, x2, x3, x4, x5 in _base_partition(4).quintriples]
+        cells = _base_pattern(4)[0]
         bases, residual = lifted_ladder(8, 4, 7)
         assert residual == (16, 32, 64, 128)
         sets = _carried(lay, bases + [residual], cells)
@@ -290,7 +306,7 @@ class TestCarried:
         u1, u2, u3, u4, u5 = map(lay.col.alpha_pow, range(5))
         pattern = [[(x, 0), (x, u1), (2 * x, 0), (2 * x, u2), (3 * x, u3), (3 * x, u4), (z, 0), (z, u5)]
                    for x, z in ((1, 64), (4, 128), (16, 192))]
-        block = sum(binary_line_partition(4)[:4], ())
+        block = sum(binary_line_partition(4)[0][:4], ())
         assert len(block) == 8
         sets = _carried(lay, [block], pattern)
         assert len({r for s in sets for r, _ in s}) == 12

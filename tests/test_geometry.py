@@ -9,6 +9,7 @@ from recovery_sets.geometry import (
     enumerate_points,
     full_spread,
     hamming_partition,
+    lifted_ladder,
     lifted_partial_spread,
     num_points,
 )
@@ -213,16 +214,18 @@ class TestLinePartition:
     @pytest.mark.parametrize("n,lines,residual", [(2, 1, None), (4, 5, None), (6, 21, None),
                                                   (3, 0, 3), (5, 8, 3), (7, 40, 3)])
     def test_counts_and_cover(self, n, lines, residual):
-        lp = binary_line_partition(n)
+        lp, basis = binary_line_partition(n)
         assert len(lp) == lines
         cover, disjoint = spread_cover(lp, 2, n, 2)
         assert disjoint
         if residual is None:
-            assert n % 2 == 0
+            assert n % 2 == 0 and basis == ()
             assert cover == set(range(1, 2**n))
         else:
-            # the lines leave out the subspace on the top `residual` bits
-            res = {x << (n - residual) for x in range(2**residual)}
+            # the lines leave out the subspace on the top `residual` bits,
+            # handed back as lifted_ladder hands back its residual
+            assert basis == lifted_ladder(n, 2, 3)[1] == tuple(1 << i for i in range(n - residual, n))
+            res = vector_span(basis, 2, n)
             assert not (cover & (res - {0}))
             assert cover | res == set(range(2**n))
 

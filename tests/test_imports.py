@@ -15,7 +15,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(recovery_sets.__file__)))
 
 PUBLIC_NAMES = [
     "BoundsRecord", "Certificate", "DualSolution", "ExtField", "IlpModel", "Layout",
-    "OracleResult", "PrimeField", "QuintriplePartition", "RecoveryFamily", "SearchConfig",
+    "OracleResult", "PrimeField", "RecoveryFamily", "SearchConfig",
     "Subspace", "basic_sets_from_Td", "binary_line_partition", "bound", "bound_table", "bounds",
     "build_ilp_d2", "canonical_point", "canonical_target", "check_dual", "conjugate_family",
     "construct", "constructions", "enumerate_points", "exact_N", "export_model", "extension",

@@ -10,8 +10,7 @@ import pytest
 
 from recovery_sets import cli
 from recovery_sets.bounds import BoundsRecord
-from recovery_sets.constructions import (REGISTRY, Construction, QuintriplePartition,
-                                         RecoveryFamily, canonical_target)
+from recovery_sets.constructions import REGISTRY, Construction, RecoveryFamily, canonical_target
 from recovery_sets.field_core import Subspace
 from recovery_sets.ilp import DualSolution, IlpModel
 from recovery_sets.oracle import OracleResult, SearchConfig
@@ -26,8 +25,6 @@ RECORDS = [
     (Subspace, (3, ((0, 0, 1),)), ["ambient", "basis"]),
     (RecoveryFamily, (2, 3, 1, TARGET, SETS, "m", 2, ["n"]),
      ["q", "k", "d", "target", "sets", "method", "formula_size", "notes"]),
-    (QuintriplePartition, (4, ((1, 2, 3, 4, 5),), None, ()),
-     ["m", "quintriples", "dependent_four", "spare"]),
     (Construction, tuple(REGISTRY[0]), ["method", "applies", "size", "build", "notes"]),
     (Certificate, (2, 3, 1, 2, True, True, True, 3, 7, "m", ((1, 1), (2, 1))),
      ["q", "k", "d", "family_size", "disjoint_ok", "spanning_ok", "universe_ok",
