@@ -28,24 +28,32 @@ def row_structure_upper(q: int, k: int, d: int) -> int:
 
     For a minimal set s outside the target U, |s| - d is the dimension
     of its image modulo U, so a set inside one row has d+1 points and a
-    cross-row set at least d+2.  The bound adds three terms:
-    - the basic_count(q, d) sets inside the target;
-    - floor(q^d/(d+1)) single-row sets per row, since a row holds q^d
-      points;
-    - the cross-row term floor((2l + rows*t)/(d+2)), over the l target
-      points the basic sets leave, counted twice, and the t = q^d mod
-      (d+1) points each row leaves.
+    cross-row set at least d+2.  Let A sets lie inside U, d of its
+    T = (q^d-1)/(q-1) points each, and give every other set s with e
+    points in U a cost of |s| + e pool units, one per row point and two
+    per point of U.  Only one-row sets with e = 0 cost less than d+2:
+    d+1 points of their row, at most M = floor(q^d/(d+1)) per row, and
+    taking all of them loses no set (`oracle._row_bound` gives the
+    argument).  The rest share the rows*t leftover units, t = q^d mod
+    (d+1), and 2(T - dA) units of U, so with X = rows*t + 2T
 
-    At d = 1 (l = 0, t = q mod 2, rows = the L lines through the target
-    point) it is the dimension-one value 1 + floor(q/2)*L, plus
-    floor(L/3) for odd q, which the paper proves is N_q(k,1).  It is the
-    only upper bound that meets the construction at (2,9,5) = 85 and on
-    the line-leftovers rows such as (7,6,2) and (9,7,3).
+        N <= rows*M + max over 0 <= A <= T // d of A + floor((X - 2dA)/(d+2)).
+
+    The maximand is floor((X - (d-2)A)/(d+2)): it falls as A grows when
+    d > 2, is flat at d = 2 and rises at d = 1, so the maximum is at A = 0,
+    or at A = T when d = 1.  A cannot be fixed at T // d, as many sets
+    inside U as fit: at (3,5,3) that gives 30, and a certified family
+    has 31 (tests/test_bounds.py).
+
+    At d = 1 (T = 1, t = q mod 2, rows = the L lines through the target
+    point) it is the dimension-one value 1 + floor(q/2)*L, plus floor(L/3)
+    for odd q, which the paper proves is N_q(k,1).
     """
     rows = (q ** (k - d) - 1) // (q - 1)
-    l = ((q**d - 1) // (q - 1)) % d
+    T = (q**d - 1) // (q - 1)
     t = q**d % (d + 1)
-    return basic_count(q, d) + rows * (q**d // (d + 1)) + (2 * l + rows * t) // (d + 2)
+    a = T if d == 1 else 0
+    return rows * (q**d // (d + 1)) + (rows * t + 2 * T - (d - 2) * a) // (d + 2)
 
 
 def d2_packing_upper(k: int) -> int:

@@ -15,8 +15,10 @@ patterns depend on (q, d) and are what the specialized builders below
 implement.  A stitching builder gives a pattern of (row, column) cells
 on a model (at d = 2, a `_base_pattern`) and its blocks, echelon bases
 of rows, a ladder's residual included; `_carried` maps the pattern into
-every block, and `_stitched` reads every row's leftover run from the
-cells before it partitions the rest of the row.
+every block.  Every builder hands `_stitched` its sets as cells, those
+inside U as row-0 cells, and `_stitched` reads every row's leftover run
+from them, partitions the rest of each row, and is the one place a cell
+becomes a packed point.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .geometry import (
 )
 
 Sets = list[tuple[int, ...]]
+Cell = tuple[int, int]
 
 # ---------------------------------------------------------------------------
 # Family containers
@@ -105,15 +108,12 @@ def basic_count(q: int, d: int) -> int:
     return (q**d - 1) // (d * (q - 1))
 
 
-def basic_sets_from_Td(lay: Layout) -> Sets:
+def basic_sets_from_Td(lay: Layout) -> list[list[Cell]]:
     """Sets of d consecutive alpha powers inside the target space itself:
-    floor((q^d-1)/(d(q-1))) recovery sets drawn from row 0 of the layout.
+    floor((q^d-1)/(d(q-1))) recovery sets of row-0 cells.
     """
     a, d = lay.col.alpha_pow, lay.d
-    return [
-        tuple(sorted(lay.pt(0, a(i * d + j)) for j in range(d)))
-        for i in range(basic_count(lay.q, d))
-    ]
+    return [[(0, a(i * d + j)) for j in range(d)] for i in range(basic_count(lay.q, d))]
 
 
 def _row_layout(lay: Layout, leftover) -> list[list[int]]:
@@ -142,34 +142,30 @@ def _row_layout(lay: Layout, leftover) -> list[list[int]]:
     return [cols[i: i + d + 1] for i in range(0, len(cols), d + 1)]
 
 
-Cell = tuple[int, int]
+def _stitched(lay: Layout, sets: list[list[Cell]], spare: list[Cell] = ()) -> Sets:
+    """Every row's sets, then `sets`, lists of (row, column) cells, packed
+    in the order given; cells on row 0 are points of the target itself.
 
-
-def _stitched(lay: Layout, inside: Sets, stitched: list[list[Cell]],
-              spare: list[Cell] = ()) -> Sets:
-    """The sets inside the target, every row's sets, then the stitched
-    sets, given as lists of (row, column) cells.
-
-    A row leaves over the columns the stitched sets take from it plus its
-    `spare` cells, which no set uses; `_row_layout` partitions the rest.
-    Rows with the same leftover share one partition, its columns packed
-    and sorted once; a row's sets are its packed row OR each packed
-    column, ascending as the columns are, since the row sits above the
-    column slots.  Cells on row 0 are points of the target itself.
+    A row leaves over the columns `sets` take from it plus its `spare`
+    cells, which no set uses; `_row_layout` partitions the rest.  Rows
+    with the same leftover share one partition, its columns packed and
+    sorted once; a row's sets are its packed row OR each packed column,
+    ascending as the columns are, since the row sits above the column
+    slots.  This is the one place a cell becomes a packed point.
     """
-    pt, row_bits, col_bits = lay.pt, lay.row_bits, lay.col_bits
+    row_bits, col_bits = lay.row_bits, lay.col_bits
     left: dict[int, list[int]] = {}
-    for r, c in itertools.chain(spare, *stitched):
+    for r, c in itertools.chain(spare, *sets):
         left.setdefault(r, []).append(c)
     layouts: dict[frozenset[int], list[list[int]]] = {}
-    sets = list(inside)
+    out: Sets = []
     for x in lay.rows:
         lo = frozenset(left.get(x, ()))
         cols = layouts.get(lo)
         if cols is None:
             cols = layouts[lo] = [sorted(col_bits[c] for c in cs) for cs in _row_layout(lay, lo)]
-        sets.extend([tuple(map(row_bits[x].__or__, cs)) for cs in cols])
-    return sets + [tuple(sorted(pt(r, c) for r, c in s)) for s in stitched]
+        out.extend([tuple(map(row_bits[x].__or__, cs)) for cs in cols])
+    return out + [tuple(sorted(lay.pt(r, c) for r, c in s)) for s in sets]
 
 
 def _carried(lay: Layout, blocks, pattern: list[list[Cell]]) -> list[list[Cell]]:
@@ -296,8 +292,7 @@ def _quintriple_rows(k: int) -> Sets:
     bases, residual = lifted_ladder(k - 2, 4, 7)
     last, spare = _base_pattern(len(residual))
     stitched = _carried(lay, bases, _base_pattern(4)[0]) + _carried(lay, [residual], last)
-    inside = [tuple(sorted((lay.pt(0, a(0)), lay.pt(0, a(2)))))]
-    return _stitched(lay, inside, stitched, _carried(lay, [residual], [spare])[0])
+    return _stitched(lay, [[(0, a(0)), (0, a(2))]] + stitched, _carried(lay, [residual], [spare])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +310,13 @@ def _three_subspace_rows(k: int) -> Sets:
     set with four of its rows; a terminal F_2^5 spends them in three fixed
     9-sets, one per coset of a 3-subspace.
     """
-    if k == 6:
-        return _d4_k6_sets()
     lay = Layout(2, k, 4)
     a, add = lay.col.alpha_pow, lay.col.add
+    if k == 6:
+        cross = [(0, a(11)), (0, a(12)), (0, a(13)), (1, a(14)), (2, a(14)), (3, a(14))]
+        return _stitched(lay, [[(0, a(e)) for e in range(s, s + 4)] for s in (3, 7, 14)] + [cross])
     m = k - 4
 
-    inside = basic_sets_from_Td(lay)
     first_leftovers = [a(12), a(13), a(14)]
 
     # disjoint 3-subspaces laddered down to F_2^{3,4,5} for m = 0, 1, 2 mod 3
@@ -347,16 +342,7 @@ def _three_subspace_rows(k: int) -> Sets:
             last.append([(0, w)] + [(y, a(e)) for y, e in zip(group, exps)]
                         + [(y, 0) for y in group[3:]])
     stitched = _carried(lay, bases, [fano]) + _carried(lay, [residual], last)
-    return _stitched(lay, inside, stitched, _carried(lay, [residual], [spare])[0])
-
-
-def _d4_k6_sets() -> Sets:
-    """The pinned thirteen-set family for (q, k, d) = (2, 6, 4)."""
-    lay = Layout(2, 6, 4)
-    a = lay.col.alpha_pow
-    inside = [tuple(sorted(lay.pt(0, a(e)) for e in range(s, s + 4))) for s in (3, 7, 14)]
-    stitched = [[(0, a(11)), (0, a(12)), (0, a(13)), (1, a(14)), (2, a(14)), (3, a(14))]]
-    return _stitched(lay, inside, stitched)
+    return _stitched(lay, basic_sets_from_Td(lay) + stitched, _carried(lay, [residual], [spare])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +359,7 @@ def _line_group_rows(k: int) -> Sets:
     a = lay.col.alpha_pow
     m = k - 5
     u1, u2, u3, u4, u5 = (a(i) for i in range(5))
-    inside = [tuple(sorted(lay.pt(0, a(1 + 5 * i + j)) for j in range(5))) for i in range(6)]
+    inside = [[(0, a(1 + 5 * i + j)) for j in range(5)] for i in range(6)]
 
     # A group of four lines is a block of their eight basis vectors: on the
     # model F_2^8, line i < 3 has rows 1, 2, 3 times 4^i and takes one row
@@ -388,7 +374,7 @@ def _line_group_rows(k: int) -> Sets:
         tail = residual
         last = [[(0, u1), (3, 0), (3, u2), (5, 0), (5, u3), (6, u4), (6, u5)],
                 [(1, 0), (1, u1), (2, 0), (2, u2), (4, 0), (4, u3), (7, u4), (7, u5)]]
-    return _stitched(lay, inside, _carried(lay, blocks, group) + _carried(lay, [tail], last))
+    return _stitched(lay, inside + _carried(lay, blocks, group) + _carried(lay, [tail], last))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +386,7 @@ def _consecutive_powers(q: int, k: int, d: int) -> Sets:
     """The baseline: floor((q^d-1)/(d(q-1))) sets inside the target plus
     floor(q^d/(d+1)) sets per row; leftovers are not used."""
     lay = Layout(q, k, d)
-    return _stitched(lay, basic_sets_from_Td(lay), [])
+    return _stitched(lay, basic_sets_from_Td(lay))
 
 
 def _line_leftover_gap(q: int, k: int, d: int) -> str | None:
@@ -433,7 +419,7 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
     t = q**d % (d + 1)
     # the groups and their layered sets, found once on the q+1 rows of the
     # model, the points of PG(1,q)
-    rows = sorted(model.rows, key=model.row_bits.__getitem__)
+    rows = model.rows
     pattern: list[list[Cell]] = []
     for gi in range(0, q + 1, d + 2):
         xs, tail = rows[gi: gi + d], rows[gi + d: gi + d + 2]
@@ -447,7 +433,7 @@ def _line_leftovers(q: int, k: int, d: int) -> Sets:
     amb = extension(lay.fld, k - d)
     blocks = [tuple(map(amb.from_vector, rref(map(amb.to_vector, line), lay.fld)))
               for line in full_spread(q, k - d, 2)]
-    return _stitched(lay, basic_sets_from_Td(lay), _carried(lay, blocks, pattern))
+    return _stitched(lay, basic_sets_from_Td(lay) + _carried(lay, blocks, pattern))
 
 
 def _search_layer_values(lay: Layout, xs, tail) -> tuple[int, int]:

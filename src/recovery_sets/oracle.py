@@ -209,9 +209,8 @@ def _row_bound(free: int, inside: int, rows: list[int], d: int) -> int:
     A + C + (X - (d+1) C) // (d+2), with C = sum(c_i) and X = sum(r_i) +
     2 (u - dA).  That never falls as C grows by one (+1 against a floor
     falling by at most 1), so C at its largest, sum(r_i // (d+1)), gives
-    the bound for this A.  At the root and d <= 2 it is
-    `bounds.row_structure_upper`, derived here again so that the oracle
-    stays an independent check.
+    the bound for this A.  At the root it is `bounds.row_structure_upper`,
+    derived here again so that the oracle stays an independent check.
     """
     u = (free & inside).bit_count()
     whole = rest = 0

@@ -10,7 +10,17 @@ from recovery_sets.bounds import (
     general_upper,
     row_structure_upper,
 )
-from recovery_sets.constructions import REGISTRY, construction_for
+from recovery_sets.constructions import (
+    REGISTRY,
+    RecoveryFamily,
+    _stitched,
+    basic_count,
+    basic_sets_from_Td,
+    canonical_target,
+    construction_for,
+)
+from recovery_sets.geometry import Layout, num_points
+from recovery_sets.verifier import verify_family
 
 
 def d2_exact(k):
@@ -68,7 +78,7 @@ class TestFormulas:
             r = bound(2, k, 4)
             assert r.lower == d4_exact(k) and r.exact is None
             assert r.upper == min(general_upper(2, k, 4), row_structure_upper(2, k, 4))
-        assert [bound(2, k, 4).upper for k in range(7, 13)] == [26, 51, 102, 203, 406, 811]
+        assert [bound(2, k, 4).upper for k in range(7, 13)] == [26, 51, 102, 204, 407, 812]
 
     def test_perfect_code(self):
         assert bound(2, 6, 3).exact == (2**3 - 1) // 3 + (2**6 - 2**3) // 4 == 16
@@ -84,16 +94,31 @@ class TestGeneralBounds:
     def test_gen_upper_matches_small_exact(self):
         assert general_upper(2, 4, 2) == 5
 
-    def test_row_structure_alone_gives_2_9_5(self):
-        # the golden table hash pins numbers, not provenance
+    def test_2_9_5_is_open(self):
+        # the row-structure bound is 88 here; 85 came from fixing the sets
+        # inside the target at their largest number, which is no bound
         r = bound(2, 9, 5)
-        assert (r.lower, r.upper, r.exact) == (85, 85, 85)
-        assert [t for t in r.provenance if t.startswith("upper:")] == ["upper:row-structure"]
+        assert (r.lower, r.upper, r.exact) == (85, 86, None)
+        assert row_structure_upper(2, 9, 5) == 88
+        assert [t for t in r.provenance if t.startswith("upper:")] == ["upper:size-count", "upper:line-group-rows"]
+
+    def test_row_structure_holds_at_3_5_3(self):
+        # three sets inside the target, then each of four rows lends its run
+        # of three leftover powers to one more target point: 31 sets on all
+        # 121 points, where fixing the inside sets at four gave an upper of 30
+        lay = Layout(3, 5, 3)
+        a = lay.col.alpha_pow
+        lent = [[(0, a(9 + i)), (x, a(9 + i)), (x, a(10 + i)), (x, a(11 + i))]
+                for i, x in enumerate(lay.rows[:4])]
+        sets = _stitched(lay, basic_sets_from_Td(lay)[:3] + lent)
+        cert = verify_family(RecoveryFamily(3, 5, 3, canonical_target(3, 5, 3), sets, "lent-rows"))
+        assert cert.valid and (cert.family_size, cert.points_used, cert.points_total) == (31, 121, 121)
+        assert cert.family_size <= bound(3, 5, 3).upper
 
     def test_refinement_on_grid(self):
-        """The size-d+2 refinement is no weaker than the plain size count on
-        the acceptance grid, except at the two degenerate points (2,4,4)
-        and (2,5,4) where the leftover term overshoots."""
+        """On the acceptance grid the row-structure bound is the brute-force
+        maximum over every number A of sets inside the target, and at
+        d <= 2 the old three-term value, with A fixed at basic_count."""
         grid = (
             [(2, k, 2) for k in range(2, 15)]
             + [(2, k, 4) for k in range(4, 14)]
@@ -101,13 +126,14 @@ class TestGeneralBounds:
             + [(2, 6, 3), (2, 9, 3), (2, 14, 7)]
             + [(3, 4, 2), (5, 5, 4), (7, 4, 2)]
         )
-        exceptions = {(2, 4, 4), (2, 5, 4)}
         for q, k, d in grid:
-            g, r = general_upper(q, k, d), row_structure_upper(q, k, d)
-            if (q, k, d) in exceptions:
-                assert r == g + 1
-            else:
-                assert g >= r, (q, k, d, g, r)
+            rows, T = num_points(q, k - d), num_points(q, d)
+            M, t = divmod(q**d, d + 1)
+            pool = lambda A: A + (rows * t + 2 * (T - d * A)) // (d + 2)
+            r = row_structure_upper(q, k, d)
+            assert r == rows * M + max(map(pool, range(T // d + 1))), (q, k, d)
+            if d <= 2:
+                assert r == rows * M + pool(basic_count(q, d)), (q, k, d)
 
     def test_lower_never_exceeds_upper(self):
         for q in (2, 3, 4, 5):

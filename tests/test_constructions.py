@@ -52,6 +52,13 @@ def target_points(lay):
     return [lay.pt(0, lay.col.alpha_pow(e)) for e in range(num_points(lay.q, lay.d))]
 
 
+def basic_sets(lay):
+    """`basic_sets_from_Td`'s sets, every cell on row 0, as packed points."""
+    cells = basic_sets_from_Td(lay)
+    assert {r for s in cells for r, _ in s} <= {0}
+    return [tuple(sorted(lay.pt(r, c) for r, c in s)) for s in cells]
+
+
 def row_one_sets(lay, leftover=()):
     """`_row_layout`'s sets of columns, placed on row 1."""
     return [frozenset(lay.pt(1, c) for c in cs) for cs in _row_layout(lay, leftover)]
@@ -65,7 +72,7 @@ def row_points(lay, x):
 class TestBasicSets:
     def test_binary_d3(self):
         lay = Layout(2, 3, 3)
-        sets = basic_sets_from_Td(lay)
+        sets = basic_sets(lay)
         f8 = extension(2, 3)
         exp = lambda e: pack(f8.to_vector(f8.alpha_pow(e)), 2)
         assert sets[0] == tuple(sorted(exp(e) for e in (0, 1, 2)))
@@ -74,12 +81,12 @@ class TestBasicSets:
 
     def test_binary_d1(self):
         lay = Layout(2, 1, 1)
-        sets = basic_sets_from_Td(lay)
+        sets = basic_sets(lay)
         assert len(sets) == 1 and not leftovers(sets, target_points(lay))
 
     def test_q3_d2(self):
         lay = Layout(3, 2, 2)
-        sets = basic_sets_from_Td(lay)
+        sets = basic_sets(lay)
         assert len(sets) == 2 and not leftovers(sets, target_points(lay))
         for s in sets:
             assert len(s) == 2 and len(Echelon(3, s).rows) == 2
@@ -265,7 +272,7 @@ class TestCarried:
         # d rows on alpha^0..alpha^(d-1) and two on the zero column
         model = Layout(q, d + 2, d)
         a = model.col.alpha_pow
-        rows = sorted(model.rows, key=model.row_bits.__getitem__)
+        rows = model.rows
         pattern = [[(x, a(j)) for j, x in enumerate(rows[g: g + d])] + [(x, 0) for x in rows[g + d: g + d + 2]]
                    for g in range(0, q + 1, d + 2)]
         lay = Layout(q, d + 4, d)
@@ -326,7 +333,7 @@ class TestPerfect:
         # translates of the Hamming-code balls, each spanning the target;
         # rows leave nothing over, so consecutive powers reach the same count
         lay = Layout(2, k, d)
-        sets = basic_sets_from_Td(lay)
+        sets = basic_sets(lay)
         balls = [[lay.col_bits[w] for w in ball] for ball in hamming_partition(d.bit_length())]
         for x in lay.rows:
             sets.extend(frozenset(map(lay.row_bits[x].__or__, ball)) for ball in balls)

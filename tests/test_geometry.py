@@ -120,7 +120,11 @@ class TestLayout:
         # coordinate lowest, in the order of enumerate_points
         k, d = m + 1, 1
         expected = [sum(c * q**i for i, c in enumerate(p)) for p in enumerate_points(q, k - d)] if m else []
-        assert Layout(q, k, d).rows == expected
+        lay = Layout(q, k, d)
+        assert lay.rows == expected
+        # the packed rows ascend along `rows`; `_line_leftovers` reads a model's rows so
+        bits = [lay.row_bits[x] for x in lay.rows]
+        assert bits == sorted(bits)
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
     def test_bijection_grid(self, q):

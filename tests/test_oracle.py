@@ -83,20 +83,19 @@ class TestExactValues:
 
     def test_row_bound_at_the_root(self):
         # two derivations of one bound: at the root, with every point free,
-        # the search's row bound is bounds.row_structure_upper for d <= 2
-        # (at d >= 3 it can be weaker, e.g. 8 against 7 at (2,5,4))
+        # the search's row bound is bounds.row_structure_upper
         cells = 0
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
             for k in range(1, 12):
                 if num_points(q, k) > 3000:
                     break
-                for d in range(1, min(k, 2) + 1):
+                for d in range(1, k + 1):
                     _, _, vecs, target_rows = _packed_instance(q, k, d)
                     inside, rows = _point_classes(q, d, vecs, target_rows)
                     root = _row_bound((1 << len(vecs)) - 1, inside, rows, d)
                     assert root == row_structure_upper(q, k, d), (q, k, d)
                     cells += 1
-        assert cells > 40
+        assert cells == 185
 
     @pytest.mark.parametrize("q,k,d", [(2, 4, 2), (2, 4, 3), (3, 3, 1), (3, 3, 2)])
     def test_row_bound_holds_on_any_free_points(self, q, k, d):
