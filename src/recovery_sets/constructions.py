@@ -458,12 +458,11 @@ def _search_layer_values(lay: Layout, xs, tail) -> tuple[int, int]:
 
 
 class Construction(NamedTuple):
-    """One builder: its method tag, where it applies, the closed-form
-    number of sets it gives there, and the builder itself."""
+    """One builder: its method tag, the closed-form number of sets it gives
+    for (q, k, d) or None where it does not apply, and the builder itself."""
 
     method: str
-    applies: Callable[[int, int, int], bool]
-    size: Callable[[int, int, int], int]
+    size: Callable[[int, int, int], int | None]
     build: Callable[[int, int, int], Sets]
     notes: Callable[[int, int, int], list[str]] = lambda q, k, d: []
 
@@ -472,52 +471,51 @@ def _tight_size(q: int, k: int, d: int) -> int:
     return basic_count(q, d) + (q**d // (d + 1)) * num_points(q, k - d)
 
 
-# Ordered: construct() takes the first entry that applies, and the last
-# applies everywhere.  bound() reads its constructive lower bound here.
-# Every entry but the last applies only where its size is greater than
-# the consecutive-power count `_tight_size`, so none relabels that family.
+# construct() builds the entry of largest size, the first of equal sizes,
+# and bound() reads its constructive lower bound there.  The fallback comes
+# first and has a size everywhere, so it wins every tie: no entry relabels it.
 REGISTRY = (
+    Construction("consecutive-powers", _tight_size, _consecutive_powers, _consecutive_powers_notes),
     Construction(
         "quintriple-rows",
-        lambda q, k, d: q == 2 and d == 2 and k >= 4,
-        lambda q, k, d: (3 * 2 ** (k - 1) + 1) // 5,
+        lambda q, k, d: (3 * 2 ** (k - 1) + 1) // 5 if q == 2 and d == 2 and k >= 4 else None,
         lambda q, k, d: _quintriple_rows(k),
     ),
     Construction(
         "three-subspace-rows",
-        lambda q, k, d: q == 2 and d == 4 and k >= 6,
-        lambda q, k, d: 13 if k == 6 else (11 * 2 ** (k - 3) - 1) // 7,
+        lambda q, k, d: (13 if k == 6 else (11 * 2 ** (k - 3) - 1) // 7) if q == 2 and d == 4 and k >= 6 else None,
         lambda q, k, d: _three_subspace_rows(k),
     ),
     Construction(
         "line-group-rows",
-        lambda q, k, d: q == 2 and d == 5 and k >= 7,
-        lambda q, k, d: 21 * 2 ** (k - 7) + 1,
+        lambda q, k, d: 21 * 2 ** (k - 7) + 1 if q == 2 and d == 5 and k >= 7 else None,
         lambda q, k, d: _line_group_rows(k),
     ),
     Construction(
         "consecutive-powers+line-leftovers",
-        lambda q, k, d: _line_leftover_gap(q, k, d) is None,
-        lambda q, k, d: _tight_size(q, k, d) + num_points(q, k - d) * (q**d % (d + 1)) // (d + 2),
+        lambda q, k, d: None if _line_leftover_gap(q, k, d) is not None
+        else _tight_size(q, k, d) + num_points(q, k - d) * (q**d % (d + 1)) // (d + 2),
         _line_leftovers,
-    ),
-    Construction(
-        "consecutive-powers", lambda q, k, d: True, _tight_size, _consecutive_powers,
-        _consecutive_powers_notes,
     ),
 )
 
 
 def construction_for(q: int, k: int, d: int) -> Construction:
-    """The registry entry that construct(q, k, d) builds."""
+    """The registry entry that construct(q, k, d) builds: the one of
+    largest size, the first of equal sizes."""
     prime_power(q)
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= k")
-    return next(c for c in REGISTRY if c.applies(q, k, d))
+    best, most = None, -1
+    for c in REGISTRY:
+        size = c.size(q, k, d)
+        if size is not None and size > most:
+            best, most = c, size
+    return best
 
 
 def construct(q: int, k: int, d: int) -> RecoveryFamily:
-    """The family of the first registry entry that applies to (q, k, d)."""
+    """The family of the registry entry of largest size for (q, k, d)."""
     c = construction_for(q, k, d)
     return RecoveryFamily(
         q, k, d, canonical_target(q, k, d), c.build(q, k, d), c.method,

@@ -97,7 +97,7 @@ class Layout:
     A point is the int `field_core.pack` makes of it: `row_bits` packs
     each row, shifted up past the d column slots, and `col_bits` each
     column.  A row of `rows` has leading coordinate 1, so row_bits[x] |
-    col_bits[y] is canonical; row 0 keeps a table of canonical columns.
+    col_bits[y] is canonical; a point of row 0 is its column scaled.
     """
 
     def __init__(self, q: int, k: int, d: int):
@@ -109,7 +109,6 @@ class Layout:
         m = k - d
         self.row_bits = _packed_table(q, m, slot_bits(q) * d)
         self.col_bits = _packed_table(q, d, 0)
-        self._target: dict[int, int] = {}
         if q == 2:
             self.rows: range | list[int] = range(1, 1 << m)
         else:
@@ -124,10 +123,8 @@ class Layout:
         """The packed point at (row, col); `row` is 0 or one of `rows`."""
         if row:
             return self.row_bits[row] | self.col_bits[col]
-        v = self._target.get(col)
-        if v is None:  # filled as row 0 is read: its points are columns scaled to canonical
-            v = self._target[col] = pack(canonical_point(self.col.to_vector(col), self.fld), self.q)
-        return v
+        # row 0 holds the points of the target: columns scaled to canonical
+        return pack(canonical_point(self.col.to_vector(col), self.fld), self.q)
 
 
 # ---------------------------------------------------------------------------

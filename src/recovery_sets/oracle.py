@@ -172,19 +172,16 @@ def _certified_seed(q: int, k: int, d: int, vecs: list) -> tuple[list[int], str]
     return [sum(map(bit.get, s)) for s in family.sets], family.method
 
 
-def _point_classes(q: int, d: int, vecs: list, target_rows: list) -> tuple[int, list[int]]:
+def _point_classes(q: int, d: int, vecs: list) -> tuple[int, list[int]]:
     """The mask of the point ids inside the target and one mask per row,
     the other points with one image modulo the target.  The target rows
     are the low d slots, so that image is the packed point shifted down
-    past them."""
-    target_span = Echelon(q, target_rows)
-    inside = sum(1 << i for i, v in enumerate(vecs) if not target_span.reduce((), (v,)))
+    past them, and it is 0 exactly for the points of the target."""
     low = slot_bits(q) * d
     rows: dict[int, int] = {}
     for i, v in enumerate(vecs):
-        if not inside >> i & 1:
-            rows[v >> low] = rows.get(v >> low, 0) | 1 << i
-    return inside, list(rows.values())
+        rows[v >> low] = rows.get(v >> low, 0) | 1 << i
+    return rows.pop(0), list(rows.values())
 
 
 def _row_bound(free: int, inside: int, rows: list[int], d: int) -> int:
@@ -209,8 +206,10 @@ def _row_bound(free: int, inside: int, rows: list[int], d: int) -> int:
     A + C + (X - (d+1) C) // (d+2), with C = sum(c_i) and X = sum(r_i) +
     2 (u - dA).  That never falls as C grows by one (+1 against a floor
     falling by at most 1), so C at its largest, sum(r_i // (d+1)), gives
-    the bound for this A.  At the root it is `bounds.row_structure_upper`,
-    derived here again so that the oracle stays an independent check.
+    the bound for this A.  Over A it peaks at A = u for d = 1 and A = 0
+    otherwise, as `bounds.row_structure_upper` argues.  At the root it is
+    that bound, derived here again so that the oracle stays an
+    independent check.
     """
     u = (free & inside).bit_count()
     whole = rest = 0
@@ -218,7 +217,7 @@ def _row_bound(free: int, inside: int, rows: list[int], d: int) -> int:
         n, r = divmod((free & row).bit_count(), d + 1)
         whole += n
         rest += r
-    return whole + max(a + (rest + 2 * (u - d * a)) // (d + 2) for a in range(u // d + 1))
+    return whole + (u + rest // 3 if d == 1 else (rest + 2 * u) // (d + 2))
 
 
 def _search(q: int, d: int, vecs: list, target_rows: list, cfg: SearchConfig,
@@ -233,7 +232,7 @@ def _search(q: int, d: int, vecs: list, target_rows: list, cfg: SearchConfig,
     those that lie in `free`, then leaves p unused.  `nodes` counts
     packing nodes plus enumeration steps, each point's enumeration once.
     """
-    inside, rows = _point_classes(q, d, vecs, target_rows)
+    inside, rows = _point_classes(q, d, vecs)
     sets_from: dict[int, list[int]] = {}
     nodes = 0
     best = incumbent

@@ -145,7 +145,7 @@ class TestGeneralBounds:
                         assert r.lower == r.upper == r.exact
 
     def test_tight_lower_below_exact(self):
-        tight = REGISTRY[-1]
+        tight = REGISTRY[0]
         assert tight.method == "consecutive-powers"
         for k in range(2, 12):
             assert tight.size(2, k, 2) <= d2_exact(k)

@@ -246,7 +246,7 @@ class TestD5:
             assert span_contains(list(s), fam.target, fld)
 
     def test_too_small(self):
-        # line groups need k >= 7; below that the baseline family applies
+        # line groups need k >= 7; below that the baseline family is built
         fam = construct(2, 6, 5)
         assert fam.method == "consecutive-powers"
         assert_valid(fam, 11)

@@ -91,7 +91,7 @@ class TestExactValues:
                     break
                 for d in range(1, k + 1):
                     _, _, vecs, target_rows = _packed_instance(q, k, d)
-                    inside, rows = _point_classes(q, d, vecs, target_rows)
+                    inside, rows = _point_classes(q, d, vecs)
                     root = _row_bound((1 << len(vecs)) - 1, inside, rows, d)
                     assert root == row_structure_upper(q, k, d), (q, k, d)
                     cells += 1
@@ -101,8 +101,8 @@ class TestExactValues:
     def test_row_bound_holds_on_any_free_points(self, q, k, d):
         # against the largest packing of minimal sets into random point
         # subsets, found by trying every packing with no bound at all
-        points, _, vecs, target_rows = _packed_instance(q, k, d)
-        inside, rows = _point_classes(q, d, vecs, target_rows)
+        points, _, vecs, _ = _packed_instance(q, k, d)
+        inside, rows = _point_classes(q, d, vecs)
         ids = {p: i for i, p in enumerate(points)}
         by_lowest = {}
         for s in minimal_recovery_sets(q, k, d):
@@ -121,6 +121,11 @@ class TestExactValues:
         for _ in range(200):
             free = rng.getrandbits(len(points)) | rng.getrandbits(len(points))
             assert _row_bound(free, inside, rows, d) >= largest(free), bin(free)
+            # the closed form is the maximum over A, the sets inside the target
+            u = (free & inside).bit_count()
+            whole, rest = map(sum, zip(*(divmod((free & row).bit_count(), d + 1) for row in rows)))
+            explicit = max(a + (rest + 2 * (u - d * a)) // (d + 2) for a in range(u // d + 1))
+            assert _row_bound(free, inside, rows, d) == whole + explicit, bin(free)
 
     def test_budget_returns_lower_bound(self):
         # the seeded construct() family is kept unless the search beats it

@@ -25,7 +25,7 @@ RECORDS = [
     (Subspace, (3, ((0, 0, 1),)), ["ambient", "basis"]),
     (RecoveryFamily, (2, 3, 1, TARGET, SETS, "m", 2, ["n"]),
      ["q", "k", "d", "target", "sets", "method", "formula_size", "notes"]),
-    (Construction, tuple(REGISTRY[0]), ["method", "applies", "size", "build", "notes"]),
+    (Construction, tuple(REGISTRY[0]), ["method", "size", "build", "notes"]),
     (Certificate, (2, 3, 1, 2, True, True, True, 3, 7, "m", ((1, 1), (2, 1))),
      ["q", "k", "d", "family_size", "disjoint_ok", "spanning_ok", "universe_ok",
       "points_used", "points_total", "method", "set_sizes"]),
@@ -67,7 +67,7 @@ class TestDefaults:
         assert fam.notes == () and not fam.notes
 
     def test_construction_notes(self):
-        c = Construction("m", lambda q, k, d: True, lambda q, k, d: 1, lambda q, k, d: [])
+        c = Construction("m", lambda q, k, d: 1, lambda q, k, d: [])
         assert c.notes(2, 3, 1) == []
 
 
