@@ -95,8 +95,7 @@ def bound(q: int, k: int, d: int) -> BoundsRecord:
     is lifted to `upper` (tagged `exact:dimension-one`) and carries a
     `lower:` tag only where construct() reaches it.
     """
-    entry = construction_for(q, k, d)
-    built = entry.size(q, k, d)
+    entry, built = construction_for(q, k, d)
     uppers = [(general_upper(q, k, d), "size-count"), (row_structure_upper(q, k, d), "row-structure")]
     if q == 2 and d == 2:
         uppers.append((d2_packing_upper(k), "packing-lp"))

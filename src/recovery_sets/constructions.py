@@ -500,9 +500,9 @@ REGISTRY = (
 )
 
 
-def construction_for(q: int, k: int, d: int) -> Construction:
-    """The registry entry that construct(q, k, d) builds: the one of
-    largest size, the first of equal sizes."""
+def construction_for(q: int, k: int, d: int) -> tuple[Construction, int]:
+    """The registry entry that construct(q, k, d) builds, the one of
+    largest size, the first of equal sizes, and that size."""
     prime_power(q)
     if not 1 <= d <= k:
         raise ValueError("need 1 <= d <= k")
@@ -511,13 +511,12 @@ def construction_for(q: int, k: int, d: int) -> Construction:
         size = c.size(q, k, d)
         if size is not None and size > most:
             best, most = c, size
-    return best
+    return best, most
 
 
 def construct(q: int, k: int, d: int) -> RecoveryFamily:
     """The family of the registry entry of largest size for (q, k, d)."""
-    c = construction_for(q, k, d)
+    c, size = construction_for(q, k, d)
     return RecoveryFamily(
-        q, k, d, canonical_target(q, k, d), c.build(q, k, d), c.method,
-        c.size(q, k, d), c.notes(q, k, d),
+        q, k, d, canonical_target(q, k, d), c.build(q, k, d), c.method, size, c.notes(q, k, d),
     )

@@ -13,18 +13,19 @@ antilog[i] = alpha**i for alpha the class of x.  Building the tables
 doubles as a primitivity proof of the modulus: the powers of x must
 enumerate all q^n - 1 nonzero elements before returning to 1.
 
-`Echelon` is the one span kernel of the library: the builders, the
-verifier and the oracle all ask it whether a set of vectors spans a
-subspace.  It works on vectors in the one form `pack` gives for every q,
-the form every point of a family takes too, an int (`unpack` reads its
-coordinates back): the coordinate bitmask for q = 2, and for
-q > 2 one slot of whole bytes per coordinate, each base-p digit in a
-sub-slot wide enough that adding two vectors never carries between
-digits: F_q digits packed into machine words, after Boothby and Bradshaw
-(arXiv:0901.1413), with slots a byte wide so that scaling a vector is
-one `bytes.translate`.  `rref` answers no span question; it gives a
-`Subspace` its canonical basis, the one form in which a target is stored
-and written out.
+`Echelon` is the span kernel of the builders and the verifier: they
+ask it whether a set of vectors spans a subspace.  `pivot_clearing` is
+its step turned around, one pivot row cleared from a list of vectors,
+with which the oracle carries residues down its enumeration tree.  Both
+work on vectors in the one form `pack` gives for every q, the form every
+point of a family takes too, an int (`unpack` reads its coordinates
+back): the coordinate bitmask for q = 2, and for q > 2 one slot of
+whole bytes per coordinate, each base-p digit in a sub-slot wide enough
+that adding two vectors never carries between digits: F_q digits packed
+into machine words, after Boothby and Bradshaw (arXiv:0901.1413), with
+slots a byte wide so that scaling a vector is one `bytes.translate`.
+`rref` answers no span question; it gives a `Subspace` its canonical
+basis, the one form in which a target is stored and written out.
 """
 
 from __future__ import annotations
@@ -585,25 +586,40 @@ class Echelon:
 
     def add(self, v) -> bool:
         """Insert a packed vector; True if it enlarged the span."""
-        rows = self.rows
-        if self._slots is None:
-            # the XOR basis inline: the oracle adds one point per node
-            for b in rows:
-                if v ^ b < v:
-                    v ^= b
-            if v:
-                rows.append(v)
-            return bool(v)
-        n = len(rows)
+        n = len(self.rows)
         self.reduce((v,))
-        return len(rows) > n
+        return len(self.rows) > n
 
-    def copy(self) -> "Echelon":
-        """An independent echelon of the same span: adding to the copy
-        leaves this one unchanged."""
-        other = Echelon.__new__(Echelon)
-        other._slots, other.rows = self._slots, self.rows.copy()
-        return other
+
+def pivot_clearing(q: int) -> tuple:
+    """(row, clear): row(v) makes a nonzero packed v a pivot row as
+    `Echelon` stores it, and clear(r, xs) lists the xs with r's pivot
+    cleared, each as `Echelon.reduce` clears it (a multiple of r made
+    once per call), so residues reduced against earlier rows stay so."""
+    if q == 2:
+        return int, lambda b, xs: [x ^ b if x ^ b < x else x for x in xs]
+    s = _slots(q)
+    mask, neg, p, w1 = s.mask, s.neg, s.p, s.w - 1
+
+    def clear(r: tuple, xs: list) -> list:
+        sh, v, b, bias, ones = r
+        times: dict = {}
+        out = []
+        for x in xs:
+            c = x >> sh & mask
+            if c:
+                t = times.get(c)
+                if t is None:
+                    t = times[c] = _from_bytes(b.translate(neg[c]), "big") if neg else s.scale(v, c, True)
+                if p == 2:
+                    x ^= t
+                else:
+                    x += t
+                    x -= ((x + bias) >> w1 & ones) * p
+            out.append(x)
+        return out
+
+    return s.row, clear
 
 
 class Subspace(NamedTuple):

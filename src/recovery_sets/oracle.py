@@ -27,7 +27,10 @@ of the set alone, so the packer's candidates at p are the members of p's
 list that lie in the free points.  It holds free points, sets and
 families as int bitmasks over point ids; its `nodes` count packing nodes
 plus enumeration steps, each point's enumeration once.  Points are
-packed once, and spans are `field_core.Echelon`s grown by copy-and-insert.
+packed once, and the enumerator carries residues against a set's
+members down its tree, tagged below their coordinates: a residue's tags
+hold minus its expansion in the members, so a spanning set is minimal
+iff every member's tag is nonzero in some target residue.
 
 Results that exhaust the node budget are reported as lower bounds,
 never as exact values.
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .field_core import Echelon, pack, slot_bits
+from .field_core import pack, pivot_clearing, slot_bits
 from .geometry import enumerate_points
 from .constructions import RecoveryFamily, canonical_target, construct
 from .verifier import verify_family
@@ -77,68 +80,61 @@ class _Budget(Exception):
 
 def _minimal_sets(q: int, vecs: list, target_rows: list, first: int, tick) -> list[list[int]]:
     """The minimal recovery sets whose smallest point is `first`, as
-    increasing id lists in depth-first order.
+    increasing id lists in depth-first order; `tick` runs at every node.
 
-    Points and target rows come packed for `Echelon` (see `field_core.pack`).
-    A set grows by later points outside its span, so it stays independent;
-    a branch ends once it spans the target, which k independent points
-    always do.  `tick` runs at every node.  Sibling sets share `prefix`,
-    where the first of them to span leaves the tagged echelon of their
-    common members for `_is_minimal`.
+    A set grows by later points outside its span, so it stays independent,
+    until it spans the target.  A node holds the residues of the target
+    rows and of the later points against its members, shifted up past k
+    tag slots; the member chosen at depth j takes a unit tag in slot j and
+    becomes a pivot row, cleared once from each residue (from the later
+    points only while the set does not span).  A residue's tags hold minus
+    its expansion in the members, so a residue below the tags is a
+    dependent point or a spanned target row, and a spanning set is minimal
+    iff every member's slot is nonzero in some target residue.
     """
+    row, clear = pivot_clearing(q)
+    bits = slot_bits(q)
+    k = (max(vecs).bit_length() - 1) // bits + 1
+    top = 1 << k * bits  # residues below it have no vector part
+    # the bits below the top bit of each tag slot, and the top bits: a slot
+    # is nonzero iff adding the first to its lower bits carries into its top
+    ones = (top - 1) // ((1 << bits) - 1)
+    tops = ones << bits - 1
+    below = tops - ones
+    d = len(target_rows)
     out: list[list[int]] = []
 
-    def extend(chosen: list[int], ech: Echelon, prefix: list):
-        tick()
-        if not ech.reduce((), target_rows):
-            if len(chosen) == len(target_rows) or _is_minimal(q, chosen, vecs, target_rows, prefix):
-                out.append(chosen)
-            return
-        shared: list = []
-        for i in range(chosen[-1] + 1, len(vecs)):
-            grown = ech.copy()
-            if grown.add(vecs[i]):
-                extend(chosen + [i], grown, shared)
+    def extend(chosen: list[int], targets: list, later: list):
+        j, i = len(chosen), chosen[-1]
+        tag = 1 << j * bits
+        members = tops & (tag << bits) - 1  # the top bits of slots 0..j
+        for m, r in enumerate(later, 1):
+            if r < top:  # a dependent point
+                continue
+            pivot = row(r | tag)
+            residues = clear(pivot, targets)
+            tick()
+            if max(residues) >= top:
+                extend(chosen + [i + m], residues, clear(pivot, later[m:]))
+                continue
+            used = 0
+            for t in residues:
+                used |= t
+            # d spanning points are minimal; more are unless a member is unused
+            if j < d or ((used & below) + below | used) & members == members:
+                out.append(chosen + [i + m])
 
-    extend([first], Echelon(q, [vecs[first]]), [])
+    pivot = row(vecs[first] << k * bits | 1)
+    targets = clear(pivot, [t << k * bits for t in target_rows])
+    tick()
+    if max(targets) < top:
+        return [[first]]
+    extend([first], targets, clear(pivot, [v << k * bits for v in vecs[first + 1:]]))
     return out
 
 
-def _is_minimal(q: int, chosen: list[int], vecs: list, target_rows: list, prefix: list) -> bool:
-    """No member of the spanning set `chosen` can be dropped.
-
-    The members are independent, so each target row has one expansion in
-    them, and a member can be dropped iff no expansion uses it.  The last
-    member never can: without it the set did not span one step earlier.
-    Each vector is shifted up by w slots, one per earlier member: member
-    j gets a unit tag in slot j, the last member a zero tag.  Reducing a
-    target row, shifted the same way, against them clears its coordinates
-    and leaves minus its expansion in the tags.  The tagged echelon of
-    the earlier members is built once into `prefix`, with the shift and
-    the masks of the tag check, and copied for every set that shares them.
-    """
-    w = len(chosen) - 1
-    if not prefix:
-        bits = slot_bits(q)
-        shift = w * bits
-        # the lowest bit of each tag slot, its top bit, and the bits below the top
-        ones = ((1 << shift) - 1) // ((1 << bits) - 1)
-        tops = ones << bits - 1
-        tagged = [vecs[i] << shift | 1 << j * bits for j, i in enumerate(chosen[:w])]
-        prefix += [Echelon(q, tagged), shift, tops, tops - ones]
-    ech, shift, tops, below = prefix
-    ech = ech.copy()
-    ech.add(vecs[chosen[w]] << shift)
-    used = 0
-    for t in target_rows:
-        used |= ech.reduce((), (t << shift,))
-    # every tag slot is nonzero: adding `below` to a slot's lower bits
-    # carries into its top bit iff one of them is set
-    return ((used & below) + below | used) & tops == tops
-
-
 def _packed_instance(q: int, k: int, d: int):
-    """Points, canonical target, and both packed once for `Echelon`."""
+    """Points, canonical target, and both packed once (`field_core.pack`)."""
     points = enumerate_points(q, k)
     target = canonical_target(q, k, d)
     return points, target, [pack(p, q) for p in points], [pack(r, q) for r in target.basis]

@@ -206,8 +206,7 @@ class TestExactArguments:
 
     def test_lower_is_the_construction(self):
         for r in _rows():
-            entry = construction_for(r.q, r.k, r.d)
-            size = entry.size(r.q, r.k, r.d)
+            entry, size = construction_for(r.q, r.k, r.d)
             lower_tags = [t for t in r.provenance if t.startswith("lower:")]
             if r.d != 1:
                 assert r.lower == size, r

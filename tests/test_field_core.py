@@ -15,6 +15,7 @@ from recovery_sets.field_core import (
     field,
     find_primitive_poly,
     pack,
+    pivot_clearing,
     prime_power,
     rref,
     slot_bits,
@@ -228,6 +229,29 @@ def test_echelon_matches_rref(q):
         assert residue == pack(tuple(fld.neg(coeffs[j]) for j in reversed(range(w))), q)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27])
+def test_pivot_clearing_matches_one_row_echelon(q):
+    """pivot_clearing's row is the row `Echelon` stores, and clearing it
+    from random packed vectors leaves what a one-row echelon's reduce
+    leaves: on one-byte slots, two-byte slots (q = 27) and q = 2."""
+    row, clear = pivot_clearing(q)
+    fld = field(q)
+    rng = random.Random(q)
+    for _ in range(60):
+        k = rng.randint(1, 6)
+        v = pack(tuple(rng.randrange(q) for _ in range(k)), q)
+        if not v:
+            continue
+        xs = [pack(tuple(rng.choice((0, rng.randrange(q))) for _ in range(k)), q) for _ in range(8)]
+        # multiples of v, which clear to 0
+        c = rng.randrange(1, q)
+        xs.append(pack(tuple(fld.mul(c, x) for x in unpack(v, q, k)), q))
+        ech = Echelon(q, [v])
+        assert ech.rows == [row(v)]
+        cleared = clear(row(v), xs)
+        assert cleared == [ech.reduce((), [x]) for x in xs] and cleared[-1] == 0
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 25, 27, 131, 257, 512])
 def test_pack_order_is_coordinate_order(q):
     """On every slot layout, sorting packed vectors sorts their coordinate
@@ -341,10 +365,12 @@ class TestSolvers:
         assert len(ech.rows) == 2
 
     @pytest.mark.parametrize("q", [2, 3, 4])
-    def test_echelon_copy_is_independent(self, q):
+    def test_echelon_add_grows_the_span(self, q):
+        # add is reduce-and-compare on every q: True only for a vector
+        # outside the span, which it then holds
         fld = field(q)
         ech = echelon([(1, 1, 0)], fld)
-        grown = ech.copy()
-        assert grown.add(pack((0, 1, 1), q))
-        assert len(ech.rows) == 1 and ech.reduce((), [pack((0, 1, 1), q)])
-        assert len(grown.rows) == 2 and not grown.reduce((), [pack((1, 0, fld.neg(1)), q)])
+        assert ech.reduce((), [pack((0, 1, 1), q)])
+        assert ech.add(pack((0, 1, 1), q))
+        assert not ech.add(pack((1, 0, fld.neg(1)), q))
+        assert len(ech.rows) == 2 and not ech.reduce((), [pack((1, 0, fld.neg(1)), q)])

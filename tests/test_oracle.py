@@ -8,10 +8,11 @@ from recovery_sets.bounds import row_structure_upper
 from recovery_sets.field_core import Subspace, field, rref
 from recovery_sets.geometry import enumerate_points, num_points
 from recovery_sets.constructions import canonical_target, construct
-from recovery_sets.oracle import (SearchConfig, _packed_instance, _point_classes, _row_bound, _search,
-                                  exact_N, minimal_recovery_sets)
+from recovery_sets.oracle import (SearchConfig, _minimal_sets, _packed_instance, _point_classes, _row_bound,
+                                  _search, exact_N, minimal_recovery_sets)
 from recovery_sets.verifier import verify_family
 
+import minimal_sets_reference
 from spans import span_contains
 
 
@@ -28,6 +29,11 @@ EMPTY_INCUMBENT_WITNESSES = {
     (5, 3, 1): [[0], [1, 2], [3, 4], [5, 6, 11], [7, 8], [9, 10], [12, 13], [14, 15], [16, 17],
                 [18, 19], [20, 21, 26], [22, 23], [24, 25], [27, 28], [29, 30]],
     (3, 3, 1): [[0], [1, 2], [3, 4, 7], [5, 6], [8, 9], [10, 11]],
+}
+# (q, k, d) -> the nodes that search takes, packing nodes plus enumeration steps
+EMPTY_INCUMBENT_NODES = {
+    (2, 2, 2): 7, (2, 3, 2): 33, (2, 4, 2): 583, (2, 4, 4): 924, (3, 2, 2): 13,
+    (3, 3, 2): 238, (4, 3, 2): 952, (5, 3, 1): 2659, (3, 3, 1): 162,
 }
 
 
@@ -51,10 +57,11 @@ class TestExactValues:
         # exact_N starts from the construct() family and may prove it at the
         # root; the packer alone, from no family, must reach the same value,
         # or the checks above would compare construct() with itself.  The
-        # witness, as point ids in packing order, pins the search tree.
+        # witness, as point ids in packing order, and the node count pin the
+        # search tree.
         _, _, vecs, target_rows = _packed_instance(q, k, d)
         best, nodes, finished = _search(q, d, vecs, target_rows, SearchConfig(), [])
-        assert finished and nodes > 1
+        assert finished and nodes == EMPTY_INCUMBENT_NODES[q, k, d]
         ids = [[i for i in range(s.bit_length()) if s >> i & 1] for s in best]
         assert ids == EMPTY_INCUMBENT_WITNESSES[q, k, d]
         assert len(best) == exact_N(q, k, d).value
@@ -173,6 +180,24 @@ def brute_minimal_sets(q, k, d, cap):
 
 
 class TestMinimalSets:
+    @pytest.mark.parametrize("q,k,d", [
+        (2, 4, 2), (2, 4, 3), (2, 4, 4),  # binary
+        (3, 3, 1), (3, 3, 2), (3, 3, 3), (5, 3, 1), (5, 3, 3), (7, 2, 1), (11, 2, 2),  # prime
+        (4, 3, 1), (4, 3, 3), (8, 2, 2), (9, 2, 2), (16, 2, 2), (25, 2, 1), (32, 2, 2),  # one-byte slots
+        (27, 2, 1), (27, 2, 2),  # two-byte slots
+    ])
+    def test_matches_copy_and_insert_reference(self, q, k, d):
+        # from every first point, the same sets in the same order, and the
+        # same ticks, so the search's node counts cannot move
+        _, _, vecs, target_rows = _packed_instance(q, k, d)
+        for first in range(len(vecs)):
+            runs = []
+            for enumerate_from in (_minimal_sets, minimal_sets_reference.minimal_sets):
+                ticks = []
+                found = enumerate_from(q, vecs, target_rows, first, lambda: ticks.append(1))
+                runs.append((found, len(ticks)))
+            assert runs[0] == runs[1], first
+
     def test_bases_of_F2_3(self):
         sets = minimal_recovery_sets(2, 3, 3)
         assert len(sets) == 28

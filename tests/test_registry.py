@@ -81,7 +81,7 @@ def test_entries_beat_consecutive_powers():
 
 
 def _picks() -> dict:
-    return {(q, k, d): construction_for(q, k, d).method
+    return {(q, k, d): construction_for(q, k, d)[0].method
             for q in (2, 3, 4, 5, 7, 8, 9) for k in range(1, 12) for d in range(1, k + 1)}
 
 
@@ -106,3 +106,23 @@ def test_an_entry_one_set_larger_wins_at_its_cell_only(monkeypatch):
     # bound() reads its lower bound from the same pick
     r = bound(3, 5, 3)
     assert (r.lower, r.provenance[0]) == (29, "lower:one-more")
+
+
+def test_every_size_runs_once_per_cell(monkeypatch):
+    # construction_for hands back the size it picked by, so neither
+    # construct() nor bound() asks the chosen entry for it again
+    calls = []
+
+    def counted(entry):
+        def size(q, k, d):
+            calls.append(entry.method)
+            return entry.size(q, k, d)
+        return entry._replace(size=size)
+
+    monkeypatch.setattr(constructions, "REGISTRY", tuple(map(counted, REGISTRY)))
+    methods = sorted(c.method for c in REGISTRY)
+    for q, k, d in ((2, 3, 2), (2, 4, 2), (2, 6, 4), (2, 7, 5), (3, 4, 2), (5, 5, 1), (3, 5, 3)):
+        for run in (construct, bound):
+            calls.clear()
+            run(q, k, d)
+            assert sorted(calls) == methods, (run.__name__, q, k, d)
